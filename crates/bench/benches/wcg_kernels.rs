@@ -1,7 +1,6 @@
-//! Criterion bench of the wordlength-compatibility-graph kernels in
-//! isolation: the word-parallel bitset implementations vs the retained
-//! sorted-`Vec` oracle (`KernelMode::Oracle`), so a kernel-level regression
-//! is visible without re-running the end-to-end `perf_gate`.
+//! Criterion bench of the wordlength-compatibility-graph bitset kernels in
+//! isolation, against problem size, so a kernel-level regression is visible
+//! without re-running the end-to-end `perf_gate`.
 //!
 //! Run with `cargo bench -p mwl_bench --bench wcg_kernels`.
 
@@ -9,14 +8,13 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mwl_model::{OpId, SonicCostModel};
 use mwl_sched::asap;
 use mwl_tgff::{TgffConfig, TgffGenerator};
-use mwl_wcg::{ChainScratch, KernelMode, WordlengthCompatibilityGraph};
+use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
-/// Builds a scheduled WCG for the given problem size and kernel mode.
-fn scheduled_wcg(ops: usize, mode: KernelMode) -> WordlengthCompatibilityGraph {
+/// Builds a scheduled WCG for the given problem size.
+fn scheduled_wcg(ops: usize) -> WordlengthCompatibilityGraph {
     let graph = TgffGenerator::new(TgffConfig::with_ops(ops), 271).generate();
     let cost = SonicCostModel::default();
     let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
-    wcg.set_kernel_mode(mode);
     let upper = wcg.upper_bound_latencies();
     let schedule = asap(&graph, &upper);
     wcg.attach_schedule(&schedule, &upper);
@@ -30,58 +28,49 @@ fn bench_kernels(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(200));
 
     for &ops in &[16usize, 32, 64] {
-        for (mode, mode_label) in [
-            (KernelMode::Bitset, "bitset"),
-            (KernelMode::Oracle, "oracle"),
-        ] {
-            let wcg = scheduled_wcg(ops, mode);
-            let ids: Vec<OpId> = (0..ops as u32).map(OpId::new).collect();
-            let label = format!("{mode_label}/{ops}ops");
+        let wcg = scheduled_wcg(ops);
+        let ids: Vec<OpId> = (0..ops as u32).map(OpId::new).collect();
+        let label = format!("{ops}ops");
 
-            // The per-round covering query: longest chain per resource over
-            // the uncovered set, on warm scratch.
-            let covered = vec![false; ops];
-            let mut scratch = ChainScratch::default();
-            let mut chain = Vec::new();
-            group.bench_with_input(BenchmarkId::new("max_chain_into", &label), &(), |b, ()| {
-                b.iter(|| {
-                    let mut total = 0usize;
+        // The per-round covering query: longest chain per resource over the
+        // uncovered set, on warm scratch.
+        let covered = vec![false; ops];
+        let mut scratch = ChainScratch::default();
+        let mut chain = Vec::new();
+        group.bench_with_input(BenchmarkId::new("max_chain_into", &label), &(), |b, ()| {
+            b.iter(|| {
+                let mut total = 0usize;
+                for r in 0..wcg.resources().len() {
+                    wcg.max_chain_into(r, &covered, &mut scratch, &mut chain);
+                    total += chain.len();
+                }
+                total
+            })
+        });
+
+        // The clique-growth feasibility probe: is the whole op set one chain?
+        group.bench_with_input(BenchmarkId::new("is_chain", &label), &(), |b, ()| {
+            b.iter(|| wcg.is_chain(&ids))
+        });
+
+        // The structural probe grid behind candidate enumeration.
+        group.bench_with_input(BenchmarkId::new("has_edge_grid", &label), &(), |b, ()| {
+            b.iter(|| {
+                let mut edges = 0usize;
+                for &op in &ids {
                     for r in 0..wcg.resources().len() {
-                        wcg.max_chain_into(r, &covered, &mut scratch, &mut chain);
-                        total += chain.len();
+                        edges += usize::from(wcg.has_edge(op, r));
                     }
-                    total
-                })
-            });
+                }
+                edges
+            })
+        });
 
-            // The clique-growth feasibility probe: is the whole op set one
-            // chain?
-            group.bench_with_input(BenchmarkId::new("is_chain", &label), &(), |b, ()| {
-                b.iter(|| wcg.is_chain(&ids))
-            });
-
-            // The structural probe grid behind candidate enumeration.
-            group.bench_with_input(BenchmarkId::new("has_edge_grid", &label), &(), |b, ()| {
-                b.iter(|| {
-                    let mut edges = 0usize;
-                    for &op in &ids {
-                        for r in 0..wcg.resources().len() {
-                            edges += usize::from(wcg.has_edge(op, r));
-                        }
-                    }
-                    edges
-                })
-            });
-        }
-
-        // The mask primitives only exist in bitset form; bench them against
-        // problem size so their popcount loops stay visible.
-        let wcg = scheduled_wcg(ops, KernelMode::Bitset);
+        // The mask primitives of clique growth and the popcount pre-skip.
         let mut mask = vec![0u64; wcg.op_mask_words()];
         for i in 0..ops {
             mask[i / 64] |= 1 << (i % 64);
         }
-        let label = format!("bitset/{ops}ops");
         group.bench_with_input(BenchmarkId::new("mask_probes", &label), &(), |b, ()| {
             b.iter(|| {
                 let mut count = 0usize;

@@ -18,15 +18,14 @@
 //! the core count are additionally labelled `noise_limited`: their numbers
 //! are recorded but carry no scaling signal.
 //!
-//! **v2** additionally commits a per-stage before/after breakdown: both the
-//! retained Vec/`BTreeSet` oracle kernels ([`mwl_wcg::KernelMode::Oracle`],
-//! the "before" arm) and the word-parallel bitset kernels
-//! ([`mwl_wcg::KernelMode::Bitset`], the "after" arm) run through the same
-//! allocator loop under [`mwl_obs::ObsMode::Stages`], and the fastest
-//! repetition's [`mwl_obs::StageNanos`] lands in the `stages` block of
-//! `BENCH_alloc.json`.  Timed regions measure the allocator only: per-job
-//! latency-spec resolution and config setup happen once, before any clock
-//! starts, and are shared by every arm.
+//! The `stages` block of `BENCH_alloc.json` (schema **v3**) attributes the
+//! live allocator's time to its stages: the allocator loop runs under
+//! [`mwl_obs::ObsMode::Stages`] and the fastest repetition's
+//! [`mwl_obs::StageNanos`] land as one `{"stage", "ns"}` row per exercised
+//! stage.  The artifact has one baseline, the frozen reference behind the
+//! speedup.  Timed regions measure the allocator only: per-job latency-spec
+//! resolution and config setup happen once, before any clock starts, and
+//! are shared by every measurement.
 
 use std::time::Instant;
 
@@ -36,7 +35,6 @@ use mwl_core::{
 use mwl_driver::{run_batch, BatchJob, BatchOptions};
 use mwl_model::{AreaBreakdown, SonicCostModel};
 use mwl_obs::{ObsMode, Stage, StageNanos};
-use mwl_wcg::KernelMode;
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
 
@@ -103,16 +101,13 @@ pub struct WorkerRow {
     pub status: &'static str,
 }
 
-/// Fastest-repetition nanoseconds of one allocator stage, oracle kernels
-/// (`before`) vs bitset kernels (`after`).
+/// Fastest-repetition nanoseconds of one stage of the live allocator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageRow {
     /// Stage name (see [`mwl_obs::Stage::name`]).
     pub stage: &'static str,
-    /// Nanoseconds under [`KernelMode::Oracle`].
-    pub before_ns: u64,
-    /// Nanoseconds under [`KernelMode::Bitset`].
-    pub after_ns: u64,
+    /// Nanoseconds spent in the stage over one pass of the mix.
+    pub ns: u64,
 }
 
 /// Outcome of the ≥2× @ 4-worker multi-core check.
@@ -164,8 +159,8 @@ pub struct PerfGateResults {
     pub identical_merging_off: bool,
     /// Driver throughput per worker count (`identical` vs the 1-worker run).
     pub workers: Vec<WorkerRow>,
-    /// Per-stage before/after nanoseconds (oracle vs bitset kernels), only
-    /// stages the allocator loop actually exercised.
+    /// Per-stage nanoseconds of the live allocator, only stages the
+    /// allocator loop actually exercised.
     pub stages: Vec<StageRow>,
     /// 4-worker/1-worker speedup when measured.
     pub multi_core_speedup: Option<f64>,
@@ -213,12 +208,9 @@ impl PerfGateResults {
                 w.workers, w.seconds, w.graphs_per_sec, w.identical, w.status
             ));
         }
-        out.push_str("stage      before(oracle) ns   after(bitset) ns\n");
+        out.push_str("stage            ns\n");
         for s in &self.stages {
-            out.push_str(&format!(
-                "{:>8} {:>19} {:>18}\n",
-                s.stage, s.before_ns, s.after_ns
-            ));
+            out.push_str(&format!("{:>8} {:>13}\n", s.stage, s.ns));
         }
         out.push_str(&format!(
             "multi-core (>= {:.0}x @ 4 workers): {}{}\n",
@@ -235,7 +227,7 @@ impl PerfGateResults {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mwl_perf_gate_v2\",\n");
+        out.push_str("  \"schema\": \"mwl_perf_gate_v3\",\n");
         out.push_str(&format!(
             "  \"scenario\": \"{}\",\n  \"jobs\": {},\n  \"cores\": {},\n  \"repetitions\": {},\n",
             self.scenario, self.jobs, self.cores, self.repetitions
@@ -276,10 +268,9 @@ impl PerfGateResults {
         out.push_str("  \"stages\": [\n");
         for (i, s) in self.stages.iter().enumerate() {
             out.push_str(&format!(
-                "    {{\"stage\": \"{}\", \"before_ns\": {}, \"after_ns\": {}}}{}\n",
+                "    {{\"stage\": \"{}\", \"ns\": {}}}{}\n",
                 s.stage,
-                s.before_ns,
-                s.after_ns,
+                s.ns,
                 if i + 1 < self.stages.len() { "," } else { "" }
             ));
         }
@@ -356,17 +347,15 @@ fn time_single_thread(
     best.max(1e-9)
 }
 
-/// Stage-attributed nanoseconds of the fastest full pass over the mix under
-/// the given kernel mode, recorded via [`ObsMode::Stages`].
+/// Stage-attributed nanoseconds of the fastest full pass of the live
+/// allocator over the mix, recorded via [`ObsMode::Stages`].
 fn stage_profile(
     jobs: &[BatchJob],
     configs: &[AllocConfig],
     cache: &CachedCostModel<'_>,
     repetitions: usize,
-    mode: KernelMode,
 ) -> StageNanos {
     let mut scratch = AllocScratch::new();
-    scratch.set_kernel_mode(mode);
     // Warm pass: fault in every scratch buffer before the measured reps.
     let _ = job_outcomes(jobs, configs, cache, true, &mut scratch);
     scratch.obs.set_mode(ObsMode::Stages);
@@ -387,18 +376,16 @@ fn stage_profile(
     best
 }
 
-/// Joins the oracle/bitset stage profiles into [`StageRow`]s, keeping only
-/// stages the allocator loop exercised.
-fn stage_rows(before: &StageNanos, after: &StageNanos) -> Vec<StageRow> {
+/// The stage profile as [`StageRow`]s, keeping only stages the allocator
+/// loop exercised.
+fn stage_rows(nanos: &StageNanos) -> Vec<StageRow> {
     Stage::ALL
         .iter()
         .filter_map(|&stage| {
-            let before_ns = before.get(stage);
-            let after_ns = after.get(stage);
-            (before_ns > 0 || after_ns > 0).then_some(StageRow {
+            let ns = nanos.get(stage);
+            (ns > 0).then_some(StageRow {
                 stage: stage.name(),
-                before_ns,
-                after_ns,
+                ns,
             })
         })
         .collect()
@@ -433,23 +420,13 @@ pub fn run_perf_gate(config: &PerfGateConfig) -> PerfGateResults {
     let reference_graphs_per_sec = jobs.len() as f64 / reference_seconds;
     let optimized_graphs_per_sec = jobs.len() as f64 / optimized_seconds;
 
-    // Per-stage before/after attribution: oracle vs bitset kernels through
-    // the same loop, fastest repetition each.
-    let oracle_stages = stage_profile(
+    // Per-stage attribution of the live allocator, fastest repetition.
+    let stages = stage_rows(&stage_profile(
         &jobs,
         &merging_on,
         &cache,
         config.repetitions,
-        KernelMode::Oracle,
-    );
-    let bitset_stages = stage_profile(
-        &jobs,
-        &merging_on,
-        &cache,
-        config.repetitions,
-        KernelMode::Bitset,
-    );
-    let stages = stage_rows(&oracle_stages, &bitset_stages);
+    ));
 
     // Driver throughput per worker count, identity-checked against the
     // 1-worker report.
@@ -535,15 +512,14 @@ mod tests {
         assert!(results.speedup > 0.0);
         assert_eq!(results.workers.len(), 2);
         // The loop always schedules and binds, so those stages must be
-        // attributed in both arms.
+        // attributed.
         for name in ["schedule", "bind"] {
             let row = results
                 .stages
                 .iter()
                 .find(|s| s.stage == name)
                 .unwrap_or_else(|| panic!("missing stage row {name}"));
-            assert!(row.before_ns > 0, "empty before arm for {name}");
-            assert!(row.after_ns > 0, "empty after arm for {name}");
+            assert!(row.ns > 0, "empty stage row for {name}");
         }
         for w in &results.workers {
             assert!(w.status == "ok" || w.status == "noise_limited");
@@ -556,15 +532,14 @@ mod tests {
         let results = run_perf_gate(&tiny());
         let json = results.to_json();
         for key in [
-            "\"schema\": \"mwl_perf_gate_v2\"",
+            "\"schema\": \"mwl_perf_gate_v3\"",
             "\"scenario\": \"test_tiny\"",
             "\"area_breakdown\": {\"fu\": ",
             "\"single_thread\"",
             "\"bit_identical\"",
             "\"throughput\"",
             "\"stages\"",
-            "\"before_ns\"",
-            "\"after_ns\"",
+            "\"ns\": ",
             "\"status\"",
             "\"multi_core\"",
             "\"target_speedup\"",

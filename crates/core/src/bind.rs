@@ -19,7 +19,7 @@
 //!    deleted, compensating for the greediness of earlier selections.
 
 use mwl_model::OpId;
-use mwl_wcg::{KernelMode, WordlengthCompatibilityGraph};
+use mwl_wcg::WordlengthCompatibilityGraph;
 
 use crate::datapath::ResourceInstance;
 use crate::error::AllocError;
@@ -92,13 +92,11 @@ pub(crate) fn bind_select_with_scratch(
 ) -> Result<usize, AllocError> {
     let n = wcg.num_ops();
     let words = wcg.op_mask_words();
-    let bitset = wcg.kernel_mode() == KernelMode::Bitset;
     let BindScratch {
         covered,
         chain,
         chain_buf,
         best_chain,
-        union,
         clique_ops,
         clique_res,
         clique_masks,
@@ -129,26 +127,19 @@ pub(crate) fn bind_select_with_scratch(
         let mut best: Option<usize> = None;
         let mut best_key = (0.0f64, 0usize, u64::MAX);
         for r in 0..wcg.resources().len() {
-            if bitset {
-                // The uncovered candidate count bounds any chain's length,
-                // so a resource whose count/area ratio already falls short
-                // of the incumbent (beyond the tie tolerance) cannot win —
-                // skip it without running the chain DP.  A zero count is
-                // the `chain_buf.is_empty()` case below.
-                let count = wcg.mask_candidate_count(uncovered_mask, r);
-                if count == 0 {
-                    continue;
-                }
-                let area = wcg.resource_area(r).max(1);
-                if best.is_some() && (count as f64 / area as f64) < best_key.0 - f64::EPSILON {
-                    continue;
-                }
-            }
-            wcg.max_chain_into(r, covered, chain, chain_buf);
-            if chain_buf.is_empty() {
+            // The uncovered candidate count bounds any chain's length, so a
+            // resource whose count/area ratio already falls short of the
+            // incumbent (beyond the tie tolerance) cannot win — skip it
+            // without running the chain DP.  A zero count means no chain.
+            let count = wcg.mask_candidate_count(uncovered_mask, r);
+            if count == 0 {
                 continue;
             }
             let area = wcg.resource_area(r).max(1);
+            if best.is_some() && (count as f64 / area as f64) < best_key.0 - f64::EPSILON {
+                continue;
+            }
+            wcg.max_chain_into(r, covered, chain, chain_buf);
             let ratio = chain_buf.len() as f64 / area as f64;
             let key = (ratio, chain_buf.len(), u64::MAX - area);
             let better = match &best {
@@ -183,33 +174,23 @@ pub(crate) fn bind_select_with_scratch(
         // The new clique grows in `best_chain` itself (the next selection
         // round overwrites it via the swap above); its operation bitset
         // lives in `new_mask`.
-        if bitset {
-            new_mask.clear();
-            new_mask.resize(words, 0);
-            for &op in best_chain.iter() {
-                new_mask[op.index() / 64] |= 1u64 << (op.index() % 64);
-            }
+        new_mask.clear();
+        new_mask.resize(words, 0);
+        for &op in best_chain.iter() {
+            new_mask[op.index() / 64] |= 1u64 << (op.index() % 64);
         }
 
         if options.grow_cliques {
             // Try to grow the new clique to absorb previously selected
             // cliques; absorbed cliques are deleted (their resource cost is
-            // saved).  The bitset kernels test cover and chainness on the
-            // word-parallel union mask; the oracle kernels materialise the
-            // union operation list — decisions are identical.
+            // saved).  Cover and chainness are tested on the word-parallel
+            // union mask.
             let mut i = 0;
             while i < clique_count {
-                let absorbs = if bitset {
-                    for w in 0..words {
-                        union_mask[w] = new_mask[w] | clique_masks[i * words + w];
-                    }
-                    wcg.mask_covered_by(union_mask, resource) && wcg.mask_is_chain(union_mask)
-                } else {
-                    union.clear();
-                    union.extend(best_chain.iter().chain(clique_ops[i].iter()).copied());
-                    union.iter().all(|&o| wcg.has_edge(o, resource)) && wcg.is_chain(union)
-                };
-                if absorbs {
+                for w in 0..words {
+                    union_mask[w] = new_mask[w] | clique_masks[i * words + w];
+                }
+                if wcg.mask_covered_by(union_mask, resource) && wcg.mask_is_chain(union_mask) {
                     // Swallow clique `i`: append its operations to the new
                     // clique and close the gap, preserving selection order.
                     // The absorbed slot's buffer rotates past the active
@@ -217,10 +198,8 @@ pub(crate) fn bind_select_with_scratch(
                     best_chain.extend_from_slice(&clique_ops[i]);
                     clique_ops[i..clique_count].rotate_left(1);
                     clique_res.copy_within(i + 1..clique_count, i);
-                    if bitset {
-                        new_mask.copy_from_slice(&union_mask[..words]);
-                        clique_masks.copy_within((i + 1) * words..clique_count * words, i * words);
-                    }
+                    new_mask.copy_from_slice(&union_mask[..words]);
+                    clique_masks.copy_within((i + 1) * words..clique_count * words, i * words);
                     clique_count -= 1;
                 } else {
                     i += 1;
@@ -238,12 +217,10 @@ pub(crate) fn bind_select_with_scratch(
         clique_ops[clique_count].clear();
         clique_ops[clique_count].extend_from_slice(best_chain);
         clique_res[clique_count] = resource;
-        if bitset {
-            if clique_masks.len() < (clique_count + 1) * words {
-                clique_masks.resize((clique_count + 1) * words, 0);
-            }
-            clique_masks[clique_count * words..][..words].copy_from_slice(new_mask);
+        if clique_masks.len() < (clique_count + 1) * words {
+            clique_masks.resize((clique_count + 1) * words, 0);
         }
+        clique_masks[clique_count * words..][..words].copy_from_slice(new_mask);
         clique_count += 1;
     }
 

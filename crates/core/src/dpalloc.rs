@@ -24,6 +24,7 @@ use mwl_sched::{
     critical_path_length, scheduling_set_with_scratch, ListScheduler, OpLatencies, SchedError,
     SchedulePriority,
 };
+use mwl_wcg::WordlengthCompatibilityGraph;
 
 /// How the allocator chooses the operation whose wordlength information is
 /// refined when the latency constraint is violated.
@@ -230,7 +231,7 @@ impl<'a> DpAllocator<'a> {
         scratch.wcg.rebuild(graph, self.cost);
         scratch.wcg.snapshot_pristine();
         for op in graph.op_ids() {
-            if scratch.wcg.candidate_slice(op).is_empty() {
+            if scratch.wcg.candidates(op).next().is_none() {
                 return Err(AllocError::UncoverableOperation(op));
             }
         }
@@ -361,11 +362,12 @@ impl<'a> DpAllocator<'a> {
                 .copy_from_slice(scratch.wcg.upper_bound_slice());
 
             // Scheduling set S and the Eqn (3) constraint.  The cover is
-            // recomputed from the maintained per-resource rows; membership
-            // rows are rebuilt only where refinement invalidated them.
+            // recomputed from the maintained `O(r)` column bitsets;
+            // membership rows are rebuilt only where refinement invalidated
+            // them.
             scheduling_set_with_scratch(
                 graph.len(),
-                scratch.wcg.resource_op_lists(),
+                scratch.wcg.resource_columns(),
                 &mut scratch.cover_scratch,
                 &mut scratch.cover,
             );
@@ -377,18 +379,16 @@ impl<'a> DpAllocator<'a> {
                         .map(|&r| scratch.wcg.resource(r).class()),
                 );
                 for op in graph.op_ids() {
-                    scratch.constraint.set_row(
-                        op,
-                        member_positions(scratch.wcg.candidate_slice(op), &scratch.cover),
-                    );
+                    scratch
+                        .constraint
+                        .set_row(op, member_positions(&scratch.wcg, op, &scratch.cover));
                 }
                 scratch.prev_cover.clone_from(&scratch.cover);
                 members_valid = true;
             } else if let Some(op) = last_refined {
-                scratch.constraint.set_row(
-                    op,
-                    member_positions(scratch.wcg.candidate_slice(op), &scratch.cover),
-                );
+                scratch
+                    .constraint
+                    .set_row(op, member_positions(&scratch.wcg, op, &scratch.cover));
             }
             scratch.constraint.reset_loads();
 
@@ -479,20 +479,19 @@ impl<'a> DpAllocator<'a> {
     }
 }
 
-/// Positions `j` within the scheduling set `cover` whose resource is among
-/// the operation's compatible `candidates` — the membership row `S(o)`.
-/// Both inputs are ascending, so a single merge pass suffices.
+/// Positions `j` within the scheduling set `cover` whose resource keeps an
+/// `H` edge to the operation — the membership row `S(o)`, one bit probe of
+/// the operation's row per scheduling-set member.
 fn member_positions<'a>(
-    candidates: &'a [usize],
+    wcg: &'a WordlengthCompatibilityGraph,
+    op: OpId,
     cover: &'a [usize],
 ) -> impl Iterator<Item = usize> + 'a {
-    let mut next_candidate = 0usize;
-    cover.iter().enumerate().filter_map(move |(j, &resource)| {
-        while next_candidate < candidates.len() && candidates[next_candidate] < resource {
-            next_candidate += 1;
-        }
-        (next_candidate < candidates.len() && candidates[next_candidate] == resource).then_some(j)
-    })
+    cover
+        .iter()
+        .enumerate()
+        .filter(move |&(_, &resource)| wcg.has_edge(op, resource))
+        .map(|(j, _)| j)
 }
 
 /// The eligible class with the largest total workload per allowed resource —

@@ -5,8 +5,8 @@
 //! module turns spare cores into *solution quality* instead of raw speed: `N`
 //! variants of the DPAlloc loop — the unmodified baseline plus deterministic
 //! mutations of its heuristic knobs — race on a pool of worker threads, each
-//! publishing its finished design into a shared [`BestCell`].  The winner is
-//! the candidate minimising the total order
+//! filling its own result slot.  After the join, the winner is the candidate
+//! minimising the total order
 //!
 //! > (area, latency, datapath fingerprint, variant id)
 //!
@@ -35,8 +35,8 @@
 //!   bounds are never overridden).
 //!
 //! A variant that fails (e.g. seeded bounds turn out infeasible) or panics is
-//! recorded in its [`VariantReport`] and skipped; it cannot poison the best
-//! cell because it never publishes.  If *every* variant fails, the baseline's
+//! recorded in its [`VariantReport`] and skipped; it never becomes a winner
+//! candidate.  If *every* variant fails, the baseline's
 //! own error is returned, so degenerate configurations behave exactly like
 //! the plain allocator.
 //!
@@ -71,7 +71,7 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use rand::rngs::StdRng;
@@ -306,116 +306,6 @@ impl CandidateKey {
     }
 }
 
-/// A shared best-solution cell: racing workers publish candidate keys and
-/// the cell keeps the minimum under the [`CandidateKey`] total order.
-///
-/// Built from `AtomicU64`s with a seqlock-style version counter (odd =
-/// write in progress) so it needs no `unsafe` and no blocking locks: writers
-/// claim the cell with one CAS on the version word, readers retry the rare
-/// torn read.  Because the order is total and arrival-independent, the final
-/// content equals the minimum over all published keys regardless of
-/// interleaving — which the runner cross-checks against its deterministic
-/// post-join scan.
-#[derive(Debug)]
-pub struct BestCell {
-    version: AtomicU64,
-    area: AtomicU64,
-    latency: AtomicU64,
-    fingerprint: AtomicU64,
-    variant: AtomicU64,
-}
-
-impl BestCell {
-    /// Creates an empty cell.
-    #[must_use]
-    pub fn new() -> Self {
-        BestCell {
-            version: AtomicU64::new(0),
-            area: AtomicU64::new(u64::MAX),
-            latency: AtomicU64::new(u64::MAX),
-            fingerprint: AtomicU64::new(u64::MAX),
-            variant: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Reads the current best candidate, or `None` while the cell is empty.
-    pub fn load(&self) -> Option<CandidateKey> {
-        loop {
-            let v0 = self.version.load(Ordering::Acquire);
-            if v0 % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let area = self.area.load(Ordering::Acquire);
-            let latency = self.latency.load(Ordering::Acquire);
-            let fingerprint = self.fingerprint.load(Ordering::Acquire);
-            let variant = self.variant.load(Ordering::Acquire);
-            if self.version.load(Ordering::Acquire) != v0 {
-                continue; // torn read; retry
-            }
-            if variant == u64::MAX {
-                return None;
-            }
-            return Some(CandidateKey {
-                area,
-                latency: latency as Cycles,
-                fingerprint,
-                variant: variant as usize,
-            });
-        }
-    }
-
-    /// Offers a candidate; returns `true` when it became the new best.
-    pub fn offer(&self, key: CandidateKey) -> bool {
-        loop {
-            // Cheap pre-check without claiming the cell.
-            if let Some(current) = self.load() {
-                if current <= key {
-                    return false;
-                }
-            }
-            let v = self.version.load(Ordering::Acquire);
-            if v % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self
-                .version
-                .compare_exchange(v, v + 1, Ordering::AcqRel, Ordering::Relaxed)
-                .is_err()
-            {
-                continue;
-            }
-            // Exclusive: the odd version keeps other writers out and makes
-            // readers retry.
-            let current_variant = self.variant.load(Ordering::Relaxed);
-            let improved = current_variant == u64::MAX
-                || key
-                    < CandidateKey {
-                        area: self.area.load(Ordering::Relaxed),
-                        latency: self.latency.load(Ordering::Relaxed) as Cycles,
-                        fingerprint: self.fingerprint.load(Ordering::Relaxed),
-                        variant: current_variant as usize,
-                    };
-            if improved {
-                self.area.store(key.area, Ordering::Relaxed);
-                self.latency
-                    .store(u64::from(key.latency), Ordering::Relaxed);
-                self.fingerprint.store(key.fingerprint, Ordering::Relaxed);
-                self.variant.store(key.variant as u64, Ordering::Relaxed);
-            }
-            self.version.store(v + 2, Ordering::Release);
-            return improved;
-        }
-    }
-}
-
-impl Default for BestCell {
-    fn default() -> Self {
-        BestCell::new()
-    }
-}
-
 /// How one variant's run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VariantStatus {
@@ -644,7 +534,6 @@ fn run_portfolio_inner(
 ) -> Result<PortfolioOutcome, AllocError> {
     let specs = variant_specs(graph, cost, base, spec);
     let n = specs.len();
-    let cell = BestCell::new();
 
     let runs: Vec<VariantRun> = if workers <= 1 || n == 1 {
         let mut own = AllocScratch::new();
@@ -658,9 +547,6 @@ fn run_portfolio_inner(
                 variant_timer,
                 vec![("variant", ArgValue::Int(vs.id as i64))],
             );
-            if let VariantRun::Solved(outcome) = &run {
-                cell.offer(CandidateKey::of(outcome, vs.id));
-            }
             runs.push(run);
         }
         runs
@@ -676,12 +562,8 @@ fn run_portfolio_inner(
                         if i >= n {
                             break;
                         }
-                        let run = execute(cost, graph, &specs[i], hook, &mut scratch);
-                        if let VariantRun::Solved(outcome) = &run {
-                            cell.offer(CandidateKey::of(outcome, i));
-                        }
                         slots[i]
-                            .set(run)
+                            .set(execute(cost, graph, &specs[i], hook, &mut scratch))
                             .expect("each variant index is claimed exactly once");
                     }
                 });
@@ -694,8 +576,7 @@ fn run_portfolio_inner(
     };
 
     // Deterministic winner selection: a scan over the per-variant results in
-    // variant order under the same total order the cell maintains.  The two
-    // agree by construction; the debug assertion pins that invariant.
+    // variant order under the arrival-independent `CandidateKey` order.
     let mut reports = Vec::with_capacity(n);
     let mut best: Option<(CandidateKey, AllocOutcome)> = None;
     let mut variant0_area = None;
@@ -737,19 +618,12 @@ fn run_portfolio_inner(
     }
 
     match best {
-        Some((winner_key, best)) => {
-            debug_assert_eq!(
-                cell.load(),
-                Some(winner_key),
-                "the best cell and the deterministic scan must agree"
-            );
-            Ok(PortfolioOutcome {
-                best,
-                winner_key,
-                variant0_area,
-                reports,
-            })
-        }
+        Some((winner_key, best)) => Ok(PortfolioOutcome {
+            best,
+            winner_key,
+            variant0_area,
+            reports,
+        }),
         None => Err(variant0_error
             .or(first_error)
             .unwrap_or(AllocError::PortfolioExhausted { variants: n })),
@@ -837,57 +711,6 @@ mod tests {
             assert!(s.config.latency_constraint >= lmin, "variant {}", s.id);
             assert!(s.config.latency_constraint <= lmin + 3);
         }
-    }
-
-    #[test]
-    fn best_cell_keeps_the_minimum_under_concurrency() {
-        let keys: Vec<CandidateKey> = (0..64)
-            .map(|i| CandidateKey {
-                // Areas collide on purpose to exercise the deeper tie-break.
-                area: u64::from(i % 8),
-                latency: i % 3,
-                fingerprint: u64::from(i).wrapping_mul(0x9e37_79b9),
-                variant: i as usize,
-            })
-            .collect();
-        let expected = *keys.iter().min().unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let cell = BestCell::new();
-            assert_eq!(cell.load(), None);
-            std::thread::scope(|s| {
-                for t in 0..threads {
-                    let keys = &keys;
-                    let cell = &cell;
-                    s.spawn(move || {
-                        for key in keys.iter().skip(t).step_by(threads) {
-                            cell.offer(*key);
-                        }
-                    });
-                }
-            });
-            assert_eq!(cell.load(), Some(expected), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn offer_reports_improvement() {
-        let cell = BestCell::new();
-        let worse = CandidateKey {
-            area: 10,
-            latency: 5,
-            fingerprint: 1,
-            variant: 1,
-        };
-        let better = CandidateKey {
-            area: 9,
-            latency: 9,
-            fingerprint: 9,
-            variant: 9,
-        };
-        assert!(cell.offer(worse));
-        assert!(!cell.offer(worse));
-        assert!(cell.offer(better));
-        assert_eq!(cell.load(), Some(better));
     }
 
     #[test]

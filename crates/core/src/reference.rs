@@ -1,7 +1,11 @@
 //! The **frozen pre-optimization allocator**: a self-contained, verbatim
 //! copy of the whole `DPAlloc` vertical slice — compatibility graph,
-//! scheduling-set cover, Eqn (3) constraint wiring, `BindSelect`, refinement
-//! rule and merging pass — exactly as it stood before the hot-path rewrite.
+//! scheduling-set cover, the sparse Eqn (3) constraint, `BindSelect`,
+//! refinement rule and merging pass — exactly as it stood before the
+//! hot-path rewrite.  Nothing here is shared with the live crates: the
+//! sparse constraint lives only in this module, and so does the cover's
+//! mask-free greedy for instances with more than 64 coverable items (the
+//! `u64` masks of the exact and small greedy solvers cannot hold them).
 //!
 //! This module serves two purposes:
 //!
@@ -15,7 +19,7 @@
 //!   trajectory is measured against this code, so it deliberately keeps the
 //!   pre-rewrite **cost profile**: `BTreeSet`-backed adjacency with `O(|O|)`
 //!   `ops_for` scans, per-iteration rebuilds of the candidate lists and
-//!   membership tables, cloned bound maps, the peak-cloning Eqn (3)
+//!   membership tables, cloned bound maps, the sparse, peak-cloning Eqn (3)
 //!   `admits`, a position-scanning set-cover mask builder, and a full
 //!   reschedule plus compatibility-graph rebuild per merge candidate.
 //!
@@ -26,8 +30,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mwl_model::{Area, CostModel, Cycles, OpId, ResourceClass, ResourceType, SequencingGraph};
 use mwl_sched::{
-    critical_path_length, ListScheduler, OpLatencies, PerInstanceExclusive, SchedError, Schedule,
-    SchedulePriority, SchedulingSetBound,
+    critical_path_length, ListScheduler, OpLatencies, PerInstanceExclusive, ResourceConstraint,
+    SchedError, Schedule, SchedulePriority,
 };
 
 use crate::bind::BindSelectOptions;
@@ -259,11 +263,50 @@ fn minimum_cover(num_items: usize, candidates: &[Vec<usize>]) -> Vec<usize> {
         return Vec::new();
     }
 
-    if items.len() <= EXACT_COVER_ITEM_LIMIT && candidates.len() <= EXACT_COVER_CANDIDATE_LIMIT {
+    if items.len() > EXACT_COVER_ITEM_LIMIT {
+        greedy_cover_large(num_items, &items, candidates)
+    } else if candidates.len() <= EXACT_COVER_CANDIDATE_LIMIT {
         exact_cover(&items, candidates)
     } else {
         greedy_cover(&items, candidates)
     }
+}
+
+/// The greedy cover for more items than a `u64` mask holds: the selection
+/// rule of [`greedy_cover`] (most newly covered items wins, ties to the
+/// highest-indexed candidate) over per-item flags.
+fn greedy_cover_large(num_items: usize, items: &[usize], candidates: &[Vec<usize>]) -> Vec<usize> {
+    let mut covered = vec![false; num_items];
+    let mut relevant = vec![false; num_items];
+    for &item in items {
+        relevant[item] = true;
+    }
+    let new_coverage = |set: &Vec<usize>, covered: &[bool]| {
+        set.iter()
+            .filter(|&&item| item < num_items && relevant[item] && !covered[item])
+            .count()
+    };
+    let mut remaining = items.len();
+    let mut chosen: Vec<usize> = Vec::new();
+    while remaining > 0 {
+        let best = (0..candidates.len())
+            .filter(|j| !chosen.contains(j))
+            .max_by_key(|&j| new_coverage(&candidates[j], &covered));
+        match best {
+            Some(j) if new_coverage(&candidates[j], &covered) > 0 => {
+                for &item in &candidates[j] {
+                    if item < num_items && relevant[item] && !covered[item] {
+                        covered[item] = true;
+                        remaining -= 1;
+                    }
+                }
+                chosen.push(j);
+            }
+            _ => break,
+        }
+    }
+    chosen.sort_unstable();
+    chosen
 }
 
 fn scheduling_set(op_candidates: &[Vec<usize>]) -> Vec<usize> {
@@ -389,6 +432,143 @@ fn exact_cover(items: &[usize], candidates: &[Vec<usize>]) -> Vec<usize> {
     recurse(&search, 0, 0, &mut chosen, &mut best, &mut best_len);
     best.sort_unstable();
     best
+}
+
+// ---------------------------------------------------------------------------
+// Frozen Eqn (3) constraint (sparse rows, `BTreeMap` bounds, peak-cloning
+// admits).
+// ---------------------------------------------------------------------------
+
+/// Numerical slack used when comparing fractional resource usage.
+const EPSILON: f64 = 1e-9;
+
+/// The pre-rewrite sparse form of the paper's Eqn (3) constraint.
+///
+/// Built from the wordlength compatibility graph: every operation `o` has a
+/// set `S(o)` of compatible scheduling-set members; every member `s` has a
+/// resource class.  The committed usage of a member `s` during step `t` is
+/// `Σ_{o ∈ O(s) active at t} 1/|S(o)|`, and the constraint requires, for each
+/// class `y`, that the sum over members of class `y` of their *peak* usage
+/// stays within the bound `N_y`.
+#[derive(Debug, Clone)]
+struct SchedulingSetBound {
+    /// Class of every operation, indexed by [`OpId`].
+    op_classes: Vec<ResourceClass>,
+    /// Scheduling-set members compatible with every operation (indices into
+    /// `member_classes`), indexed by [`OpId`].
+    op_members: Vec<Vec<usize>>,
+    /// Resource class of every scheduling-set member.
+    member_classes: Vec<ResourceClass>,
+    /// Bound per class; classes missing from the map are unbounded.
+    bounds: BTreeMap<ResourceClass, usize>,
+    /// Per-member load profile over control steps.
+    load: Vec<Vec<f64>>,
+    /// Per-member peak load so far.
+    peak: Vec<f64>,
+}
+
+impl SchedulingSetBound {
+    /// Creates the policy.
+    ///
+    /// * `op_classes[i]` — resource class of operation `i`;
+    /// * `op_members[i]` — scheduling-set members able to execute operation
+    ///   `i` (the paper's `S(o)`), as indices into `member_classes`;
+    /// * `member_classes[j]` — class of scheduling-set member `j`;
+    /// * `bounds` — `N_y` per class (absent classes are unbounded).
+    fn new(
+        op_classes: Vec<ResourceClass>,
+        op_members: Vec<Vec<usize>>,
+        member_classes: Vec<ResourceClass>,
+        bounds: BTreeMap<ResourceClass, usize>,
+    ) -> Self {
+        let members = member_classes.len();
+        SchedulingSetBound {
+            op_classes,
+            op_members,
+            member_classes,
+            bounds,
+            load: vec![Vec::new(); members],
+            peak: vec![0.0; members],
+        }
+    }
+
+    /// The left-hand side of Eqn (3) for one class, given optional tentative
+    /// peaks overriding the committed ones.
+    fn class_total(&self, class: ResourceClass, tentative: Option<&[f64]>) -> f64 {
+        (0..self.member_classes.len())
+            .filter(|&j| self.member_classes[j] == class)
+            .map(|j| tentative.map_or(self.peak[j], |t| t[j]))
+            .sum()
+    }
+
+    fn member_load_at(&self, member: usize, step: Cycles) -> f64 {
+        self.load[member].get(step as usize).copied().unwrap_or(0.0)
+    }
+}
+
+impl ResourceConstraint for SchedulingSetBound {
+    fn admits(&self, op: OpId, step: Cycles, latency: Cycles) -> bool {
+        let class = self.op_classes[op.index()];
+        let Some(&bound) = self.bounds.get(&class) else {
+            return true;
+        };
+        let members = &self.op_members[op.index()];
+        if members.is_empty() {
+            return false;
+        }
+        let share = 1.0 / members.len() as f64;
+        // Tentative peaks with this operation placed.
+        let mut tentative = self.peak.clone();
+        for &m in members {
+            let mut new_peak = self.peak[m];
+            for t in step..step + latency {
+                new_peak = new_peak.max(self.member_load_at(m, t) + share);
+            }
+            tentative[m] = new_peak;
+        }
+        self.class_total(class, Some(&tentative)) <= bound as f64 + EPSILON
+    }
+
+    fn commit(&mut self, op: OpId, step: Cycles, latency: Cycles) {
+        let members = self.op_members[op.index()].clone();
+        if members.is_empty() {
+            return;
+        }
+        let share = 1.0 / members.len() as f64;
+        let end = (step + latency) as usize;
+        for &m in &members {
+            if self.load[m].len() < end {
+                self.load[m].resize(end, 0.0);
+            }
+            for t in step as usize..end {
+                self.load[m][t] += share;
+                if self.load[m][t] > self.peak[m] {
+                    self.peak[m] = self.load[m][t];
+                }
+            }
+        }
+    }
+
+    fn admissible_at_all(&self, op: OpId, latency: Cycles) -> bool {
+        let class = self.op_classes[op.index()];
+        let Some(&bound) = self.bounds.get(&class) else {
+            return true;
+        };
+        let members = &self.op_members[op.index()];
+        if members.is_empty() || bound == 0 {
+            return false;
+        }
+        // Placing the op in untouched future steps raises each compatible
+        // member's peak to at least 1/|S(o)| (if not already higher); the
+        // other members keep their current peaks.
+        let share = 1.0 / members.len() as f64;
+        let mut tentative = self.peak.clone();
+        for &m in members {
+            tentative[m] = tentative[m].max(share);
+        }
+        let _ = latency;
+        self.class_total(class, Some(&tentative)) <= bound as f64 + EPSILON
+    }
 }
 
 // ---------------------------------------------------------------------------

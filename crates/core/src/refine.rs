@@ -260,13 +260,15 @@ pub(crate) fn select_refinement_op_with_scratch(
 /// current latency upper bound).
 fn deletion_proportion(wcg: &WordlengthCompatibilityGraph, op: OpId) -> f64 {
     let bound = wcg.upper_bound_latency(op);
-    let resources = wcg.candidate_slice(op);
-    let pool: usize = resources.iter().map(|&r| wcg.resource_edge_count(r)).sum();
-    let deleted: usize = resources
-        .iter()
-        .filter(|&&r| wcg.resource_latency(r) == bound)
-        .map(|&r| wcg.resource_edge_count(r))
-        .sum();
+    let mut pool = 0usize;
+    let mut deleted = 0usize;
+    for r in wcg.candidates(op) {
+        let edges = wcg.resource_edge_count(r);
+        pool += edges;
+        if wcg.resource_latency(r) == bound {
+            deleted += edges;
+        }
+    }
     if pool == 0 {
         f64::INFINITY
     } else {

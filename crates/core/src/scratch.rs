@@ -17,9 +17,9 @@
 
 use mwl_model::{Cycles, OpId, ResourceClass};
 use mwl_sched::{
-    CoverScratch, DenseSchedulingSetBound, OpLatencies, PerInstanceExclusive, SchedScratch,
+    CoverScratch, OpLatencies, PerInstanceExclusive, SchedScratch, SchedulingSetBound,
 };
-use mwl_wcg::{ChainScratch, KernelMode, WordlengthCompatibilityGraph};
+use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 /// Reusable buffers for one allocator worker (see the module docs).
 ///
@@ -59,7 +59,7 @@ pub struct AllocScratch {
     /// Set-cover working buffers.
     pub(crate) cover_scratch: CoverScratch,
     /// The Eqn (3) constraint with its load profiles and membership rows.
-    pub(crate) constraint: DenseSchedulingSetBound,
+    pub(crate) constraint: SchedulingSetBound,
     /// List-scheduler working buffers.
     pub(crate) sched: SchedScratch,
     /// Instance index per operation (refinement input).
@@ -91,21 +91,6 @@ impl AllocScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Selects which compatibility-graph kernels the allocator runs through
-    /// this scratch: the word-parallel bitset kernels (the default) or the
-    /// retained sorted-`Vec` oracle kernels.  Decisions are bit-identical
-    /// either way; the oracle mode exists as the equivalence baseline and as
-    /// the "before" arm of the stage-attributed perf gate.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.wcg.set_kernel_mode(mode);
-    }
-
-    /// The active compatibility-graph kernel mode.
-    #[must_use]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.wcg.kernel_mode()
-    }
 }
 
 /// Reusable buffers of Algorithm `BindSelect`: the covered-operation map,
@@ -120,22 +105,19 @@ pub(crate) struct BindScratch {
     pub(crate) chain_buf: Vec<OpId>,
     /// Best chain of the current covering round.
     pub(crate) best_chain: Vec<OpId>,
-    /// Union buffer of the clique-growth step (oracle kernels).
-    pub(crate) union: Vec<OpId>,
     /// Operation lists of the selected cliques; slots beyond the active
     /// count keep their capacity across rounds and jobs.
     pub(crate) clique_ops: Vec<Vec<OpId>>,
     /// Chosen resource index per selected clique (parallel to `clique_ops`).
     pub(crate) clique_res: Vec<usize>,
-    /// Operation bitset per selected clique, `op_mask_words` words each
-    /// (bitset kernels).
+    /// Operation bitset per selected clique, `op_mask_words` words each.
     pub(crate) clique_masks: Vec<u64>,
     /// Operation bitset of the clique currently being grown.
     pub(crate) new_mask: Vec<u64>,
-    /// Union bitset of the clique-growth step (bitset kernels).
+    /// Union bitset of the clique-growth step.
     pub(crate) union_mask: Vec<u64>,
     /// Bitset of not-yet-covered operations, maintained across covering
-    /// rounds to drive the popcount pre-skip (bitset kernels).
+    /// rounds to drive the popcount pre-skip.
     pub(crate) uncovered_mask: Vec<u64>,
     /// Number of active cliques in the pooled arrays after the last
     /// [`crate::bind::bind_select_with_scratch`] run.

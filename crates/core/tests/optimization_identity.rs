@@ -13,13 +13,9 @@
 
 use proptest::prelude::*;
 
-use mwl_core::{
-    bind_select, reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, BindSelectOptions,
-    DpAllocator,
-};
+use mwl_core::{reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, DpAllocator};
 use mwl_model::{CostModel, SequencingGraph, SonicCostModel};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
-use mwl_wcg::{KernelMode, WordlengthCompatibilityGraph};
 
 /// One allocation problem drawn from the full scenario space.
 #[derive(Debug, Clone)]
@@ -94,41 +90,6 @@ proptest! {
         }
     }
 
-    /// The kernel dispatch is invisible: running the full allocator with the
-    /// scratch pinned to [`KernelMode::Oracle`] (the retained sorted-`Vec`
-    /// kernels) produces the same outcome as the default bitset kernels, and
-    /// both equal the frozen reference.
-    #[test]
-    fn oracle_kernel_mode_is_bit_identical(problem in problem_strategy()) {
-        let cost = SonicCostModel::default();
-        let mut bitset_scratch = AllocScratch::new();
-        let mut oracle_scratch = AllocScratch::new();
-        oracle_scratch.set_kernel_mode(KernelMode::Oracle);
-        let (with_bitset, frozen) = solve_both(&problem, &cost, &mut bitset_scratch);
-        let (with_oracle, _) = solve_both(&problem, &cost, &mut oracle_scratch);
-        prop_assert_eq!(&with_oracle, &with_bitset);
-        prop_assert_eq!(&with_oracle, &frozen);
-    }
-
-    /// Clique growth in isolation: `bind_select` over a scheduled WCG emits
-    /// the identical instance list under both kernel modes.
-    #[test]
-    fn bind_select_is_kernel_mode_invariant(
-        problem in problem_strategy(),
-        grow in any::<bool>(),
-    ) {
-        let cost = SonicCostModel::default();
-        let mut bitset = WordlengthCompatibilityGraph::new(&problem.graph, &cost);
-        let mut oracle = WordlengthCompatibilityGraph::new(&problem.graph, &cost);
-        oracle.set_kernel_mode(KernelMode::Oracle);
-        let upper = bitset.upper_bound_latencies();
-        let schedule = mwl_sched::asap(&problem.graph, &upper);
-        bitset.attach_schedule(&schedule, &upper);
-        oracle.attach_schedule(&schedule, &upper);
-        let options = BindSelectOptions { grow_cliques: grow };
-        prop_assert_eq!(bind_select(&bitset, options), bind_select(&oracle, options));
-    }
-
     /// Scratch reuse across a whole job sequence changes nothing: solving
     /// every problem with one warm scratch equals solving each with a fresh
     /// scratch, and both equal the frozen reference.
@@ -170,4 +131,56 @@ fn errors_are_identical_too() {
             assert_eq!(optimized, frozen);
         }
     }
+}
+
+/// Solves one generated problem with merging on and off through the live
+/// allocator and the reference, asserts the two agree, and returns the
+/// merging-on outcome.
+fn assert_pinned_case(config: TgffConfig, seed: u64, lambda: impl Fn(u32) -> u32) -> AllocOutcome {
+    let cost = SonicCostModel::default();
+    let graph = TgffGenerator::new(config, seed).generate();
+    let config = AllocConfig::new(lambda(lambda_min(&graph, &cost)));
+    let mut merged = None;
+    for merging in [true, false] {
+        let config = config.clone().with_instance_merging(merging);
+        let live = DpAllocator::new(&cost, config.clone()).allocate_with_stats(&graph);
+        let frozen = reference::allocate_with_stats(&cost, &config, &graph);
+        assert_eq!(live, frozen, "merging {merging}");
+        let outcome = live.expect("pinned case solves");
+        outcome.datapath.validate(&graph, &cost).unwrap();
+        if merging {
+            merged = Some(outcome);
+        }
+    }
+    merged.expect("merging-on run recorded")
+}
+
+/// A 12-op wide graph whose refinement empties trailing resources: the
+/// scheduling-set cover must not count them toward the exact solver's
+/// candidate limit, or the live loop falls back to the greedy cover where
+/// the reference solves exactly.
+#[test]
+fn trailing_empty_resources_keep_the_exact_cover() {
+    let outcome = assert_pinned_case(
+        TgffConfig::with_ops(12).shape(GraphShape::Wide),
+        76_521_869_594_075,
+        |lmin| lmin + 4,
+    );
+    assert_eq!(outcome.datapath.area(), 858);
+    assert_eq!(outcome.refinements, 21);
+    assert_eq!(outcome.bound_escalations, 3);
+}
+
+/// A 72-op layered graph: more coverable operations than a `u64` cover
+/// mask holds, so both allocators must take the mask-free greedy cover.
+#[test]
+fn more_than_64_ops_take_the_maskfree_greedy_cover() {
+    let outcome = assert_pinned_case(
+        TgffConfig::with_ops(72).shape(GraphShape::Layered),
+        0x9696_1731_143b_b42f,
+        |lmin| (lmin * 13).div_ceil(10),
+    );
+    assert_eq!(outcome.datapath.area(), 1409);
+    assert_eq!(outcome.refinements, 71);
+    assert_eq!(outcome.bound_escalations, 5);
 }

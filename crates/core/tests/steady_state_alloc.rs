@@ -3,8 +3,8 @@
 //! The hot-path rewrite promises that a warm [`AllocScratch`] solves each
 //! graph without *growing*: after warm-up, every repeat of the same job
 //! performs exactly the same (output-only) allocations — the kernels
-//! themselves (`max_chain_into`, `is_chain`, the mask primitives, dense
-//! admits) run allocation-free on warm buffers.
+//! themselves (`max_chain_into`, `is_chain`, the mask primitives, Eqn (3)
+//! admission) run allocation-free on warm buffers.
 //!
 //! Everything lives in one `#[test]` so the global counter is never read
 //! concurrently by a second libtest thread.
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mwl_core::{AllocConfig, AllocScratch, DpAllocator};
 use mwl_model::{CostModel, OpId, ResourceClass, SonicCostModel};
-use mwl_sched::{asap, DenseSchedulingSetBound, ResourceConstraint};
+use mwl_sched::{asap, ResourceConstraint, SchedulingSetBound};
 use mwl_tgff::{TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
@@ -125,30 +125,30 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
     });
     assert_eq!(delta, 0, "bitset chain/mask kernels allocated");
 
-    // Dense admission probes are allocation-free once the rows are set.
+    // Eqn (3) admission probes are allocation-free once the rows are set.
     let op_classes: Vec<ResourceClass> = graph
         .operations()
         .iter()
         .map(|o| ResourceClass::for_kind(o.kind()))
         .collect();
-    let mut dense = DenseSchedulingSetBound::new();
+    let mut eqn3 = SchedulingSetBound::default();
     let mut bounds = [None; ResourceClass::COUNT];
     bounds[ResourceClass::Adder.index()] = Some(2);
     bounds[ResourceClass::Multiplier.index()] = Some(2);
-    dense.reset_problem(&op_classes, bounds);
-    dense.set_members(wcg.resources().iter().map(|r| r.class()));
+    eqn3.reset_problem(&op_classes, bounds);
+    eqn3.set_members(wcg.resources().iter().map(|r| r.class()));
     for op in graph.op_ids() {
-        dense.set_row(op, wcg.candidate_slice(op).iter().copied());
+        eqn3.set_row(op, wcg.candidates(op));
     }
-    dense.reset_loads();
+    eqn3.reset_loads();
     let (delta, _) = allocations_during(|| {
         let mut admitted = 0usize;
         for op in graph.op_ids() {
             let latency = wcg.upper_bound_latency(op).max(1);
-            admitted += usize::from(dense.admits(op, 0, latency));
-            admitted += usize::from(dense.admissible_at_all(op, latency));
+            admitted += usize::from(eqn3.admits(op, 0, latency));
+            admitted += usize::from(eqn3.admissible_at_all(op, latency));
         }
         admitted
     });
-    assert_eq!(delta, 0, "dense admission probes allocated");
+    assert_eq!(delta, 0, "Eqn (3) admission probes allocated");
 }

@@ -21,16 +21,30 @@ use mwl_model::{Cycles, OpId, ResourceClass};
 /// Numerical slack used when comparing fractional resource usage.
 const EPSILON: f64 = 1e-9;
 
-const WORD_BITS: usize = u64::BITS as usize;
+pub(crate) const WORD_BITS: usize = u64::BITS as usize;
 
 #[inline]
-fn words_for(bits: usize) -> usize {
+pub(crate) fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD_BITS)
 }
 
 #[inline]
 fn bit_is_set(words: &[u64], bit: usize) -> bool {
     words[bit / WORD_BITS] >> (bit % WORD_BITS) & 1 == 1
+}
+
+/// Ascending indices of the set bits of a bitset.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * WORD_BITS + b
+            })
+        })
+    })
 }
 
 /// A pluggable admission policy consulted by the list scheduler before
@@ -66,7 +80,7 @@ pub trait ResourceConstraint {
 
 /// A mutable reference forwards to the referenced constraint, letting a
 /// caller keep ownership of a constraint whose buffers are reused across
-/// scheduler invocations (see [`DenseSchedulingSetBound`]).
+/// scheduler invocations (see [`SchedulingSetBound`]).
 impl<C: ResourceConstraint + ?Sized> ResourceConstraint for &mut C {
     fn admits(&self, op: OpId, step: Cycles, latency: Cycles) -> bool {
         (**self).admits(op, step, latency)
@@ -223,17 +237,44 @@ impl ResourceConstraint for PerInstanceExclusive {
 /// `Σ_{o ∈ O(s) active at t} 1/|S(o)|`, and the constraint requires, for each
 /// class `y`, that the sum over members of class `y` of their *peak* usage
 /// stays within the bound `N_y`.
-#[derive(Debug, Clone)]
+///
+/// The tables are owned buffers shaped for the steady state of the `DPAlloc`
+/// refinement loop:
+///
+/// * per-class bounds live in a [`ResourceClass::COUNT`]-sized array;
+/// * every `S(o)` is one row of a flat bitset and `|S(o)|` is its popcount —
+///   when a refinement deletes wordlength edges of one operation and the
+///   scheduling set is unchanged, only that operation's row is rewritten
+///   ([`set_row`](Self::set_row));
+/// * [`admits`](ResourceConstraint::admits) is allocation-free: it walks the
+///   class's members in index order and overlays the tentative peak of the
+///   operation's own members on the fly;
+/// * [`reset_loads`](Self::reset_loads) clears the committed load profiles
+///   without releasing their allocations, so repeated schedules are
+///   allocation-free after warm-up.
+///
+/// Build one in a single call with [`new`](Self::new), or start from
+/// [`Default`] and configure it with [`reset_problem`](Self::reset_problem),
+/// [`set_members`](Self::set_members) and [`set_row`](Self::set_row).  Pass
+/// `&mut bound` to [`crate::ListScheduler::schedule`] (mutable references
+/// forward the [`ResourceConstraint`] impl) so the buffers stay with the
+/// caller.
+#[derive(Debug, Clone, Default)]
 pub struct SchedulingSetBound {
     /// Class of every operation, indexed by [`OpId`].
     op_classes: Vec<ResourceClass>,
-    /// Scheduling-set members compatible with every operation (indices into
-    /// `member_classes`), indexed by [`OpId`].
-    op_members: Vec<Vec<usize>>,
+    /// Bound per class, dense; `None` means unbounded.
+    bounds: [Option<usize>; ResourceClass::COUNT],
     /// Resource class of every scheduling-set member.
     member_classes: Vec<ResourceClass>,
-    /// Bound per class; classes missing from the map are unbounded.
-    bounds: BTreeMap<ResourceClass, usize>,
+    /// Member indices by class, ascending — the iteration domain of the
+    /// Eqn (3) left-hand side.
+    class_members: [Vec<u32>; ResourceClass::COUNT],
+    /// `S(o)` rows: bit `j` of row `o` is set iff member `j` ∈ `S(o)`.
+    /// Flat, stride `row_words`.
+    row_bits: Vec<u64>,
+    /// Words per `row_bits` row (`ceil(members / 64)`).
+    row_words: usize,
     /// Per-member load profile over control steps.
     load: Vec<Vec<f64>>,
     /// Per-member peak load so far.
@@ -255,164 +296,17 @@ impl SchedulingSetBound {
         member_classes: Vec<ResourceClass>,
         bounds: BTreeMap<ResourceClass, usize>,
     ) -> Self {
-        let members = member_classes.len();
-        SchedulingSetBound {
-            op_classes,
-            op_members,
-            member_classes,
-            bounds,
-            load: vec![Vec::new(); members],
-            peak: vec![0.0; members],
+        let mut dense_bounds = [None; ResourceClass::COUNT];
+        for (&class, &bound) in &bounds {
+            dense_bounds[class.index()] = Some(bound);
         }
-    }
-
-    /// The left-hand side of Eqn (3) for one class, given optional tentative
-    /// peaks overriding the committed ones.
-    fn class_total(&self, class: ResourceClass, tentative: Option<&[f64]>) -> f64 {
-        (0..self.member_classes.len())
-            .filter(|&j| self.member_classes[j] == class)
-            .map(|j| tentative.map_or(self.peak[j], |t| t[j]))
-            .sum()
-    }
-
-    /// Current value of the Eqn (3) left-hand side for a class (useful for
-    /// diagnostics and tests).
-    #[must_use]
-    pub fn current_class_total(&self, class: ResourceClass) -> f64 {
-        self.class_total(class, None)
-    }
-
-    fn member_load_at(&self, member: usize, step: Cycles) -> f64 {
-        self.load[member].get(step as usize).copied().unwrap_or(0.0)
-    }
-}
-
-impl ResourceConstraint for SchedulingSetBound {
-    fn admits(&self, op: OpId, step: Cycles, latency: Cycles) -> bool {
-        let class = self.op_classes[op.index()];
-        let Some(&bound) = self.bounds.get(&class) else {
-            return true;
-        };
-        let members = &self.op_members[op.index()];
-        if members.is_empty() {
-            return false;
+        let mut constraint = Self::default();
+        constraint.reset_problem(&op_classes, dense_bounds);
+        constraint.set_members(member_classes.into_iter());
+        for (i, row) in op_members.iter().enumerate() {
+            constraint.set_row(OpId::new(i as u32), row.iter().copied());
         }
-        let share = 1.0 / members.len() as f64;
-        // Tentative peaks with this operation placed.
-        let mut tentative = self.peak.clone();
-        for &m in members {
-            let mut new_peak = self.peak[m];
-            for t in step..step + latency {
-                new_peak = new_peak.max(self.member_load_at(m, t) + share);
-            }
-            tentative[m] = new_peak;
-        }
-        self.class_total(class, Some(&tentative)) <= bound as f64 + EPSILON
-    }
-
-    fn commit(&mut self, op: OpId, step: Cycles, latency: Cycles) {
-        let members = self.op_members[op.index()].clone();
-        if members.is_empty() {
-            return;
-        }
-        let share = 1.0 / members.len() as f64;
-        let end = (step + latency) as usize;
-        for &m in &members {
-            if self.load[m].len() < end {
-                self.load[m].resize(end, 0.0);
-            }
-            for t in step as usize..end {
-                self.load[m][t] += share;
-                if self.load[m][t] > self.peak[m] {
-                    self.peak[m] = self.load[m][t];
-                }
-            }
-        }
-    }
-
-    fn admissible_at_all(&self, op: OpId, latency: Cycles) -> bool {
-        let class = self.op_classes[op.index()];
-        let Some(&bound) = self.bounds.get(&class) else {
-            return true;
-        };
-        let members = &self.op_members[op.index()];
-        if members.is_empty() || bound == 0 {
-            return false;
-        }
-        // Placing the op in untouched future steps raises each compatible
-        // member's peak to at least 1/|S(o)| (if not already higher); the
-        // other members keep their current peaks.
-        let share = 1.0 / members.len() as f64;
-        let mut tentative = self.peak.clone();
-        for &m in members {
-            tentative[m] = tentative[m].max(share);
-        }
-        let _ = latency;
-        self.class_total(class, Some(&tentative)) <= bound as f64 + EPSILON
-    }
-}
-
-/// The scratch-reusing dense form of [`SchedulingSetBound`], built for the
-/// allocator's inner loop.
-///
-/// Behaviourally **identical** to [`SchedulingSetBound`] — every admission
-/// decision performs the same floating-point operations in the same order —
-/// but engineered for the steady state of the `DPAlloc` refinement loop:
-///
-/// * per-class bounds live in a [`ResourceClass::COUNT`]-sized array instead
-///   of a `BTreeMap`;
-/// * the scheduling-set membership tables (`S(o)` rows, member classes,
-///   members-by-class) are owned buffers updated in place — when a
-///   refinement deletes wordlength edges of one operation and the scheduling
-///   set is unchanged, only that operation's row is rewritten;
-/// * [`admits`](ResourceConstraint::admits) is allocation-free: instead of
-///   cloning the peak table to overlay tentative peaks, it walks the class's
-///   members in index order and substitutes the tentative value on the fly
-///   (the summation order, and therefore the rounding, of
-///   [`SchedulingSetBound`] is preserved exactly);
-/// * [`reset_loads`](Self::reset_loads) clears the committed load profiles
-///   without releasing their allocations, so repeated schedules are
-///   allocation-free after warm-up.
-///
-/// Pass `&mut bound` to [`crate::ListScheduler::schedule`] (mutable
-/// references forward the [`ResourceConstraint`] impl) so the buffers stay
-/// with the caller.
-#[derive(Debug, Default)]
-pub struct DenseSchedulingSetBound {
-    /// Class of every operation, indexed by [`OpId`].
-    op_classes: Vec<ResourceClass>,
-    /// Bound per class, dense; `None` means unbounded.
-    bounds: [Option<usize>; ResourceClass::COUNT],
-    /// Resource class of every scheduling-set member.
-    member_classes: Vec<ResourceClass>,
-    /// Member indices by class, ascending — the iteration domain of the
-    /// Eqn (3) left-hand side.
-    class_members: [Vec<u32>; ResourceClass::COUNT],
-    /// Scheduling-set members compatible with every operation (`S(o)`),
-    /// ascending member indices, indexed by [`OpId`].  Kept for the share
-    /// denominator `|S(o)|` and as the readable form of the rows.
-    rows: Vec<Vec<u32>>,
-    /// Dense membership: bit `j` of row `o` is set iff member `j` ∈ `S(o)`.
-    /// Flat, stride `row_words` — the membership probe inside
-    /// [`admits`](ResourceConstraint::admits) is a single bit test instead
-    /// of a binary search, while the class-member walk (and therefore the
-    /// FP summation order) is unchanged.
-    row_bits: Vec<u64>,
-    /// Words per `row_bits` row (`ceil(members / 64)`).
-    row_words: usize,
-    /// Per-member load profile over control steps.
-    load: Vec<Vec<f64>>,
-    /// Per-member peak load so far.
-    peak: Vec<f64>,
-}
-
-impl DenseSchedulingSetBound {
-    /// Creates an empty constraint; configure it with
-    /// [`reset_problem`](Self::reset_problem), [`set_members`](Self::set_members)
-    /// and [`set_row`](Self::set_row).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+        constraint
     }
 
     /// Begins a new scheduling problem: copies the per-operation classes and
@@ -427,16 +321,10 @@ impl DenseSchedulingSetBound {
         self.op_classes.clear();
         self.op_classes.extend_from_slice(op_classes);
         self.bounds = bounds;
-        if self.rows.len() < op_classes.len() {
-            self.rows.resize_with(op_classes.len(), Vec::new);
-        }
-        for row in &mut self.rows {
-            row.clear();
-        }
         self.row_bits.clear();
     }
 
-    /// Replaces the scheduling-set member classes (invalidating every row —
+    /// Replaces the scheduling-set member classes (clearing every row —
     /// rewrite them with [`set_row`](Self::set_row)).
     pub fn set_members(&mut self, classes: impl Iterator<Item = ResourceClass>) {
         self.member_classes.clear();
@@ -460,16 +348,12 @@ impl DenseSchedulingSetBound {
             .resize(self.op_classes.len() * self.row_words, 0);
     }
 
-    /// Rewrites one operation's member row `S(o)` (ascending member
-    /// indices).
+    /// Rewrites one operation's member row `S(o)`.
     pub fn set_row(&mut self, op: OpId, members: impl Iterator<Item = usize>) {
-        let row = &mut self.rows[op.index()];
-        row.clear();
-        row.extend(members.map(|j| j as u32));
         let bits = &mut self.row_bits[op.index() * self.row_words..][..self.row_words];
         bits.fill(0);
-        for &j in row.iter() {
-            bits[j as usize / WORD_BITS] |= 1 << (j as usize % WORD_BITS);
+        for j in members {
+            bits[j / WORD_BITS] |= 1 << (j % WORD_BITS);
         }
     }
 
@@ -484,34 +368,53 @@ impl DenseSchedulingSetBound {
         }
     }
 
+    /// Current value of the Eqn (3) left-hand side for a class (useful for
+    /// diagnostics and tests).
+    #[must_use]
+    pub fn current_class_total(&self, class: ResourceClass) -> f64 {
+        self.class_members[class.index()]
+            .iter()
+            .map(|&j| self.peak[j as usize])
+            .sum()
+    }
+
+    #[inline]
+    fn row(&self, op: OpId) -> &[u64] {
+        &self.row_bits[op.index() * self.row_words..][..self.row_words]
+    }
+
+    /// The share `1/|S(o)|` one operation contributes to each of its
+    /// members, or `None` when `S(o)` is empty.
+    #[inline]
+    fn share(&self, op: OpId) -> Option<f64> {
+        let size: u32 = self.row(op).iter().map(|w| w.count_ones()).sum();
+        (size > 0).then(|| 1.0 / f64::from(size))
+    }
+
     #[inline]
     fn load_at(&self, member: usize, step: Cycles) -> f64 {
         self.load[member].get(step as usize).copied().unwrap_or(0.0)
     }
 }
 
-impl ResourceConstraint for DenseSchedulingSetBound {
+impl ResourceConstraint for SchedulingSetBound {
     #[inline]
     fn admits(&self, op: OpId, step: Cycles, latency: Cycles) -> bool {
         let class = self.op_classes[op.index()];
         let Some(bound) = self.bounds[class.index()] else {
             return true;
         };
-        let row = &self.rows[op.index()];
-        if row.is_empty() {
+        let Some(share) = self.share(op) else {
             return false;
-        }
-        let share = 1.0 / row.len() as f64;
-        let bits = &self.row_bits[op.index() * self.row_words..][..self.row_words];
+        };
+        let row = self.row(op);
         // The Eqn (3) left-hand side with this op tentatively placed: walk
-        // the class's members in index order (the same order, and therefore
-        // the same rounding, as SchedulingSetBound::class_total) overlaying
-        // the tentative peak of the op's own members on the fly.  Membership
-        // is a bit probe into the dense row.
+        // the class's members in index order, overlaying the tentative peak
+        // of the op's own members on the fly.
         let mut total = 0.0f64;
         for &j in &self.class_members[class.index()] {
             let m = j as usize;
-            let value = if bit_is_set(bits, m) {
+            let value = if bit_is_set(row, m) {
                 let mut new_peak = self.peak[m];
                 for t in step..step + latency {
                     new_peak = new_peak.max(self.load_at(m, t) + share);
@@ -526,21 +429,20 @@ impl ResourceConstraint for DenseSchedulingSetBound {
     }
 
     fn commit(&mut self, op: OpId, step: Cycles, latency: Cycles) {
-        let row_len = self.rows[op.index()].len();
-        if row_len == 0 {
+        let Some(share) = self.share(op) else {
             return;
-        }
-        let share = 1.0 / row_len as f64;
+        };
         let end = (step + latency) as usize;
-        for k in 0..row_len {
-            let m = self.rows[op.index()][k] as usize;
-            if self.load[m].len() < end {
-                self.load[m].resize(end, 0.0);
+        let row = &self.row_bits[op.index() * self.row_words..][..self.row_words];
+        for m in set_bits(row) {
+            let load = &mut self.load[m];
+            if load.len() < end {
+                load.resize(end, 0.0);
             }
-            for t in step as usize..end {
-                self.load[m][t] += share;
-                if self.load[m][t] > self.peak[m] {
-                    self.peak[m] = self.load[m][t];
+            for slot in &mut load[step as usize..end] {
+                *slot += share;
+                if *slot > self.peak[m] {
+                    self.peak[m] = *slot;
                 }
             }
         }
@@ -551,16 +453,20 @@ impl ResourceConstraint for DenseSchedulingSetBound {
         let Some(bound) = self.bounds[class.index()] else {
             return true;
         };
-        let row = &self.rows[op.index()];
-        if row.is_empty() || bound == 0 {
+        let Some(share) = self.share(op) else {
+            return false;
+        };
+        if bound == 0 {
             return false;
         }
-        let share = 1.0 / row.len() as f64;
-        let bits = &self.row_bits[op.index() * self.row_words..][..self.row_words];
+        // Placing the op in untouched future steps raises each compatible
+        // member's peak to at least 1/|S(o)| (if not already higher); the
+        // other members keep their current peaks.
+        let row = self.row(op);
         let mut total = 0.0f64;
         for &j in &self.class_members[class.index()] {
             let m = j as usize;
-            let value = if bit_is_set(bits, m) {
+            let value = if bit_is_set(row, m) {
                 self.peak[m].max(share)
             } else {
                 self.peak[m]
@@ -717,30 +623,119 @@ mod tests {
         assert!(c.admissible_at_all(id(0), 2));
     }
 
-    /// Builds the dense twin of a [`SchedulingSetBound`] configuration.
-    fn dense_twin(
+    /// A naive Eqn (3) evaluator straight from the definition: every query
+    /// recomputes each member's load profile from the list of committed
+    /// placements, with no incremental state.
+    struct NaiveEqn3<'a> {
+        op_classes: &'a [ResourceClass],
+        op_members: &'a [Vec<usize>],
+        member_classes: &'a [ResourceClass],
+        bounds: &'a BTreeMap<ResourceClass, usize>,
+        placed: Vec<(OpId, Cycles, Cycles)>,
+    }
+
+    impl NaiveEqn3<'_> {
+        /// Peak over all steps of `Σ 1/|S(o)|` for the placed ops in `O(s)`.
+        fn peak(&self, placed: &[(OpId, Cycles, Cycles)], member: usize) -> f64 {
+            let horizon = placed.iter().map(|&(_, s, l)| s + l).max().unwrap_or(0);
+            (0..horizon)
+                .map(|t| {
+                    placed
+                        .iter()
+                        .filter(|&&(o, s, l)| {
+                            s <= t && t < s + l && self.op_members[o.index()].contains(&member)
+                        })
+                        .fold(0.0, |acc, &(o, _, _)| {
+                            acc + 1.0 / self.op_members[o.index()].len() as f64
+                        })
+                })
+                .fold(0.0, f64::max)
+        }
+
+        fn admits(&self, op: OpId, step: Cycles, latency: Cycles) -> bool {
+            let class = self.op_classes[op.index()];
+            let Some(&bound) = self.bounds.get(&class) else {
+                return true;
+            };
+            if self.op_members[op.index()].is_empty() {
+                return false;
+            }
+            let mut placed = self.placed.clone();
+            placed.push((op, step, latency));
+            let total: f64 = (0..self.member_classes.len())
+                .filter(|&s| self.member_classes[s] == class)
+                .map(|s| self.peak(&placed, s))
+                .sum();
+            total <= bound as f64 + EPSILON
+        }
+
+        /// Admission in the untouched steps after every committed placement.
+        fn admissible_at_all(&self, op: OpId, latency: Cycles) -> bool {
+            let horizon = self
+                .placed
+                .iter()
+                .map(|&(_, s, l)| s + l)
+                .max()
+                .unwrap_or(0);
+            self.admits(op, horizon, latency)
+        }
+    }
+
+    /// Replays a deterministic pseudo-random probe/commit sequence through
+    /// the constraint and the naive evaluator, asserting identical
+    /// decisions at every step.
+    fn assert_matches_naive(
         op_classes: &[ResourceClass],
         op_members: &[Vec<usize>],
         member_classes: &[ResourceClass],
         bounds: &BTreeMap<ResourceClass, usize>,
-    ) -> DenseSchedulingSetBound {
-        let mut dense_bounds = [None; ResourceClass::COUNT];
-        for (&c, &b) in bounds {
-            dense_bounds[c.index()] = Some(b);
+        seed: u64,
+    ) {
+        let mut c = SchedulingSetBound::new(
+            op_classes.to_vec(),
+            op_members.to_vec(),
+            member_classes.to_vec(),
+            bounds.clone(),
+        );
+        let mut naive = NaiveEqn3 {
+            op_classes,
+            op_members,
+            member_classes,
+            bounds,
+            placed: Vec::new(),
+        };
+        let mut state = seed;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        for _ in 0..400 {
+            let op = id(next(op_classes.len() as u64) as u32);
+            let step = next(6) as Cycles;
+            let latency = 1 + next(3) as Cycles;
+            let a = naive.admits(op, step, latency);
+            assert_eq!(
+                c.admits(op, step, latency),
+                a,
+                "admits diverged for {op:?} @ {step}+{latency}"
+            );
+            assert_eq!(
+                c.admissible_at_all(op, latency),
+                naive.admissible_at_all(op, latency)
+            );
+            if a && next(2) == 0 {
+                c.commit(op, step, latency);
+                naive.placed.push((op, step, latency));
+            }
         }
-        let mut dense = DenseSchedulingSetBound::new();
-        dense.reset_problem(op_classes, dense_bounds);
-        dense.set_members(member_classes.iter().copied());
-        for (i, row) in op_members.iter().enumerate() {
-            dense.set_row(id(i as u32), row.iter().copied());
-        }
-        dense
     }
 
-    /// The dense constraint must agree with [`SchedulingSetBound`] decision
-    /// for decision, including near the fractional-sharing boundary.
+    /// The constraint agrees with the naive evaluator decision for
+    /// decision, including near the fractional-sharing boundary.
     #[test]
-    fn dense_bound_matches_sparse_bound_decision_for_decision() {
+    fn eqn3_matches_naive_evaluator_decision_for_decision() {
         let op_classes = vec![
             ResourceClass::Multiplier,
             ResourceClass::Multiplier,
@@ -755,56 +750,85 @@ mod tests {
         ];
         let op_members = vec![vec![0], vec![0, 1], vec![1], vec![2], vec![0, 1]];
         let bounds = BTreeMap::from([(ResourceClass::Multiplier, 2), (ResourceClass::Adder, 1)]);
-        let mut sparse = SchedulingSetBound::new(
-            op_classes.clone(),
-            op_members.clone(),
-            member_classes.clone(),
-            bounds.clone(),
+        assert_matches_naive(
+            &op_classes,
+            &op_members,
+            &member_classes,
+            &bounds,
+            0x9e37_79b9,
         );
-        let mut dense = dense_twin(&op_classes, &op_members, &member_classes, &bounds);
+    }
 
-        // Deterministic pseudo-random probe sequence.
-        let mut state = 0x9e37_79b9u64;
+    /// The same replay over generated configurations: random classes,
+    /// random same-class `S(o)` rows (including empty ones and more than 64
+    /// members) and random, possibly zero or absent, bounds.
+    #[test]
+    fn eqn3_matches_naive_evaluator_on_generated_configurations() {
+        let mut state = 0x5eed_u64;
         let mut next = move |m: u64| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state % m
         };
-        for _ in 0..400 {
-            let op = id(next(op_classes.len() as u64) as u32);
-            let step = next(6) as Cycles;
-            let latency = 1 + next(3) as Cycles;
-            let a = sparse.admits(op, step, latency);
-            let b = dense.admits(op, step, latency);
-            assert_eq!(a, b, "admits diverged for {op:?} @ {step}+{latency}");
-            assert_eq!(
-                sparse.admissible_at_all(op, latency),
-                dense.admissible_at_all(op, latency)
-            );
-            if a && next(2) == 0 {
-                sparse.commit(op, step, latency);
-                dense.commit(op, step, latency);
+        let class = |bit: u64| {
+            if bit == 0 {
+                ResourceClass::Adder
+            } else {
+                ResourceClass::Multiplier
             }
+        };
+        for round in 0..24 {
+            let num_ops = 1 + next(8) as usize;
+            let num_members = if round % 8 == 7 {
+                70
+            } else {
+                1 + next(5) as usize
+            };
+            let op_classes: Vec<ResourceClass> = (0..num_ops).map(|_| class(next(2))).collect();
+            let member_classes: Vec<ResourceClass> =
+                (0..num_members).map(|_| class(next(2))).collect();
+            // As in the allocator, `S(o)` only holds members of o's class.
+            let op_members: Vec<Vec<usize>> = op_classes
+                .iter()
+                .map(|&c| {
+                    (0..num_members)
+                        .filter(|&j| member_classes[j] == c && next(3) != 0)
+                        .collect()
+                })
+                .collect();
+            let mut bounds = BTreeMap::new();
+            for c in [ResourceClass::Adder, ResourceClass::Multiplier] {
+                if next(4) != 0 {
+                    bounds.insert(c, next(4) as usize);
+                }
+            }
+            assert_matches_naive(
+                &op_classes,
+                &op_members,
+                &member_classes,
+                &bounds,
+                0x1234_5678 + round,
+            );
         }
     }
 
-    /// `reset_loads` restores a fresh dense constraint (buffers reused, not
+    /// `reset_loads` restores a fresh constraint (buffers reused, not
     /// state).
     #[test]
-    fn dense_bound_reset_clears_committed_load() {
+    fn reset_loads_clears_committed_load() {
         let op_classes = vec![ResourceClass::Multiplier, ResourceClass::Multiplier];
         let member_classes = vec![ResourceClass::Multiplier];
         let op_members = vec![vec![0], vec![0]];
         let bounds = BTreeMap::from([(ResourceClass::Multiplier, 1)]);
-        let mut dense = dense_twin(&op_classes, &op_members, &member_classes, &bounds);
-        assert!(dense.admits(id(0), 0, 3));
-        dense.commit(id(0), 0, 3);
-        assert!(!dense.admits(id(1), 1, 3));
-        dense.reset_loads();
-        assert!(dense.admits(id(1), 1, 3));
+        let mut c = SchedulingSetBound::new(op_classes, op_members, member_classes, bounds);
+        assert!(c.admits(id(0), 0, 3));
+        c.commit(id(0), 0, 3);
+        assert!(!c.admits(id(1), 1, 3));
+        c.reset_loads();
+        assert!(c.admits(id(1), 1, 3));
         // A mutable reference forwards the constraint unchanged.
-        let via_ref: &mut DenseSchedulingSetBound = &mut dense;
+        let via_ref: &mut SchedulingSetBound = &mut c;
         assert!(via_ref.admits(id(1), 1, 3));
     }
 

@@ -4,26 +4,32 @@
 //! `S ⊆ R` of resource-wordlength types such that every operation has at
 //! least one wordlength edge `{o, s}` with `s ∈ S`.  This is a set-cover
 //! instance; it is solved exactly by branch and bound for the problem sizes
-//! of the evaluation (≤ a few dozen operations) and by the classic greedy
-//! heuristic beyond that.
+//! of the evaluation (≤ 64 coverable items and ≤ 28 candidate sets) and by
+//! the classic greedy heuristic beyond that.
+//!
+//! The three entry points — [`minimum_cover`], [`scheduling_set`] and
+//! [`scheduling_set_with_scratch`] — differ only in how the candidate sets
+//! arrive; all of them solve through one implementation over flat `u64`
+//! bitsets, one row of `ceil(items / 64)` words per candidate set.
 
-use mwl_model::OpId;
+use crate::constraint::{set_bits, words_for, WORD_BITS};
 
-/// Upper bound on the number of items for which the exact branch-and-bound
-/// cover is attempted; larger instances fall back to the greedy heuristic.
+/// Upper bound on the number of coverable items for which the exact
+/// branch-and-bound cover is attempted (one `u64` mask per candidate).
 const EXACT_COVER_ITEM_LIMIT: usize = 64;
 
 /// Upper bound on the number of candidate sets for the exact solver.
+/// Trailing candidates that cover nothing do not count.
 const EXACT_COVER_CANDIDATE_LIMIT: usize = 28;
 
 /// Computes a minimum-cardinality selection of candidate sets covering all
 /// items `0..num_items`.
 ///
 /// `candidates[j]` lists the items covered by candidate `j`.  Items that no
-/// candidate covers are ignored (they cannot be covered by any selection).
-/// The result is a sorted list of selected candidate indices; it is exact
-/// (minimum cardinality) when the instance is small enough and a greedy
-/// approximation otherwise.
+/// candidate covers are ignored (they cannot be covered by any selection),
+/// as are entries `>= num_items`.  The result is a sorted list of selected
+/// candidate indices; it is exact (minimum cardinality) when the instance is
+/// small enough and a greedy approximation otherwise.
 ///
 /// # Examples
 ///
@@ -35,71 +41,16 @@ const EXACT_COVER_CANDIDATE_LIMIT: usize = 28;
 /// ```
 #[must_use]
 pub fn minimum_cover(num_items: usize, candidates: &[Vec<usize>]) -> Vec<usize> {
-    if num_items == 0 || candidates.is_empty() {
-        return Vec::new();
-    }
-    // Restrict attention to coverable items.
-    let mut coverable = vec![false; num_items];
-    for set in candidates {
-        for &item in set {
-            if item < num_items {
-                coverable[item] = true;
-            }
+    let words = words_for(num_items);
+    let mut sets = vec![0u64; candidates.len() * words];
+    for (j, set) in candidates.iter().enumerate() {
+        for &item in set.iter().filter(|&&item| item < num_items) {
+            sets[j * words + item / WORD_BITS] |= 1 << (item % WORD_BITS);
         }
     }
-    let items: Vec<usize> = (0..num_items).filter(|&i| coverable[i]).collect();
-    if items.is_empty() {
-        return Vec::new();
-    }
-
-    if items.len() > EXACT_COVER_ITEM_LIMIT {
-        // Too many items for 64-bit masks: mask-free greedy.
-        return greedy_cover_large(num_items, &items, candidates);
-    }
-    let (full, masks) = item_masks(&items, num_items, candidates);
-    if candidates.len() <= EXACT_COVER_CANDIDATE_LIMIT {
-        exact_cover(full, &masks)
-    } else {
-        greedy_cover(full, &masks)
-    }
-}
-
-/// The classic greedy set-cover heuristic for instances with more items
-/// than a 64-bit mask can hold: identical selection rule to
-/// [`greedy_cover`] (most newly-covered items wins, ties to the
-/// highest-indexed candidate), without the bitset.
-fn greedy_cover_large(num_items: usize, items: &[usize], candidates: &[Vec<usize>]) -> Vec<usize> {
-    let mut covered = vec![false; num_items];
-    let mut relevant = vec![false; num_items];
-    for &item in items {
-        relevant[item] = true;
-    }
-    let new_coverage = |set: &Vec<usize>, covered: &[bool]| {
-        set.iter()
-            .filter(|&&item| item < num_items && relevant[item] && !covered[item])
-            .count()
-    };
-    let mut remaining = items.len();
-    let mut chosen: Vec<usize> = Vec::new();
-    while remaining > 0 {
-        let best = (0..candidates.len())
-            .filter(|j| !chosen.contains(j))
-            .max_by_key(|&j| new_coverage(&candidates[j], &covered));
-        match best {
-            Some(j) if new_coverage(&candidates[j], &covered) > 0 => {
-                for &item in &candidates[j] {
-                    if item < num_items && relevant[item] && !covered[item] {
-                        covered[item] = true;
-                        remaining -= 1;
-                    }
-                }
-                chosen.push(j);
-            }
-            _ => break,
-        }
-    }
-    chosen.sort_unstable();
-    chosen
+    let mut out = Vec::new();
+    scheduling_set_with_scratch(num_items, &sets, &mut CoverScratch::default(), &mut out);
+    out
 }
 
 /// Computes the scheduling set from per-operation candidate lists:
@@ -115,148 +66,136 @@ fn greedy_cover_large(num_items: usize, items: &[usize], candidates: &[Vec<usize
 /// ```
 #[must_use]
 pub fn scheduling_set(op_candidates: &[Vec<usize>]) -> Vec<usize> {
+    let num_ops = op_candidates.len();
     let num_resources = op_candidates
         .iter()
         .flat_map(|c| c.iter().copied())
         .max()
         .map_or(0, |m| m + 1);
-    let mut covers: Vec<Vec<usize>> = vec![Vec::new(); num_resources];
+    let words = words_for(num_ops);
+    let mut columns = vec![0u64; num_resources * words];
     for (op, cands) in op_candidates.iter().enumerate() {
         for &r in cands {
-            covers[r].push(op);
+            columns[r * words + op / WORD_BITS] |= 1 << (op % WORD_BITS);
         }
     }
-    minimum_cover(op_candidates.len(), &covers)
-}
-
-/// As [`scheduling_set`], but reads the per-resource operation lists
-/// directly (the rows a [`WordlengthCompatibilityGraph`] maintains
-/// incrementally) and writes the selected resource indices into a reusable
-/// buffer — the allocation-light form used by the allocator's inner loop.
-/// The selection is identical to
-/// `scheduling_set(&per-op candidate lists)` on the transposed input.
-///
-/// [`WordlengthCompatibilityGraph`]: https://docs.rs/mwl_wcg
-pub fn scheduling_set_into(num_ops: usize, covers: &[Vec<OpId>], out: &mut Vec<usize>) {
-    scheduling_set_with_scratch(num_ops, covers, &mut CoverScratch::default(), out);
+    let mut out = Vec::new();
+    scheduling_set_with_scratch(num_ops, &columns, &mut CoverScratch::default(), &mut out);
+    out
 }
 
 /// Reusable buffers for [`scheduling_set_with_scratch`].
 #[derive(Debug, Default)]
 pub struct CoverScratch {
-    coverable: Vec<bool>,
-    bit: Vec<u32>,
+    /// Union of all candidate sets: the coverable items.
+    coverable: Vec<u64>,
+    /// Rank of every coverable item among the coverable items — its bit in
+    /// the single-word masks of the exact solver.
+    rank: Vec<u32>,
+    /// Single-word candidate masks of the exact solver.
     masks: Vec<u64>,
 }
 
-/// As [`scheduling_set_into`], reusing the caller's buffers — the form the
-/// allocator's inner loop runs once per refinement iteration.
+/// The set-cover solver behind every entry point, over bitset input and
+/// reusing the caller's buffers — the form the allocator's inner loop runs
+/// once per refinement iteration.
+///
+/// `columns` holds one bitset per candidate set, `ceil(num_items / 64)`
+/// words each: bit `i` of set `j` is set iff candidate `j` covers item `i`
+/// (for the scheduling set: operation `i` can run on resource `j`, the `O(r)`
+/// columns of the wordlength compatibility graph).  Bits at or above
+/// `num_items` must be clear.  The selected candidate indices are written to
+/// `out`, sorted; the selection is the one [`minimum_cover`] makes on the
+/// same sets.
 pub fn scheduling_set_with_scratch(
-    num_ops: usize,
-    covers: &[Vec<OpId>],
+    num_items: usize,
+    columns: &[u64],
     scratch: &mut CoverScratch,
     out: &mut Vec<usize>,
 ) {
     out.clear();
-    if num_ops == 0 || covers.is_empty() {
-        return;
-    }
-    let CoverScratch {
-        coverable,
-        bit,
-        masks,
-    } = scratch;
-    coverable.clear();
-    coverable.resize(num_ops, false);
-    for set in covers {
-        for &op in set {
-            if op.index() < num_ops {
-                coverable[op.index()] = true;
-            }
-        }
-    }
-    // Bit position per op: its rank among the coverable ops, exactly the
-    // position the legacy path assigns in its `items` list.
-    bit.clear();
-    bit.resize(num_ops, u32::MAX);
-    let mut num_items = 0u32;
-    for (i, &c) in coverable.iter().enumerate() {
-        if c {
-            bit[i] = num_items;
-            num_items += 1;
-        }
-    }
     if num_items == 0 {
         return;
     }
-    if num_items as usize > EXACT_COVER_ITEM_LIMIT {
-        // Mirror the legacy path byte for byte on oversized instances.
-        let lists: Vec<Vec<usize>> = covers
+    let words = words_for(num_items);
+    // Candidates past the last non-empty one can never be selected; they
+    // must not count toward the exact solver's candidate limit either.
+    let mut num_sets = columns.len() / words;
+    while num_sets > 0
+        && columns[(num_sets - 1) * words..][..words]
             .iter()
-            .map(|set| set.iter().map(|o| o.index()).collect())
-            .collect();
-        out.extend_from_slice(&minimum_cover(num_ops, &lists));
+            .all(|&w| w == 0)
+    {
+        num_sets -= 1;
+    }
+    let sets = &columns[..num_sets * words];
+    let CoverScratch {
+        coverable,
+        rank,
+        masks,
+    } = scratch;
+    coverable.clear();
+    coverable.resize(words, 0);
+    for set in sets.chunks_exact(words) {
+        for (c, &s) in coverable.iter_mut().zip(set) {
+            *c |= s;
+        }
+    }
+    let num_coverable: usize = coverable.iter().map(|w| w.count_ones() as usize).sum();
+    if num_coverable == 0 {
         return;
     }
-    let full: u64 = if num_items == 64 {
-        u64::MAX
-    } else {
-        (1u64 << num_items) - 1
-    };
-    masks.clear();
-    masks.extend(covers.iter().map(|set| {
-        let mut m = 0u64;
-        for &op in set {
-            if op.index() < num_ops {
-                m |= 1u64 << bit[op.index()];
-            }
-        }
-        m
-    }));
-    let chosen = if covers.len() <= EXACT_COVER_CANDIDATE_LIMIT {
-        exact_cover(full, masks)
-    } else {
-        greedy_cover(full, masks)
-    };
-    out.extend_from_slice(&chosen);
-}
-
-fn item_masks(items: &[usize], num_items: usize, candidates: &[Vec<usize>]) -> (u64, Vec<u64>) {
-    // Bit position of every item, O(1) per lookup.
-    let mut bit = vec![u32::MAX; num_items];
-    for (pos, &item) in items.iter().enumerate() {
-        bit[item] = pos as u32;
+    if num_coverable > EXACT_COVER_ITEM_LIMIT {
+        out.extend(greedy_cover(sets, words, coverable));
+        return;
     }
-    let full: u64 = if items.len() == 64 {
+    // At most 64 coverable items: compress each set to one word, item `i`
+    // moving to bit `rank[i]`.
+    rank.clear();
+    rank.resize(num_items, u32::MAX);
+    for (position, item) in set_bits(coverable).enumerate() {
+        rank[item] = position as u32;
+    }
+    masks.clear();
+    masks.extend(
+        sets.chunks_exact(words)
+            .map(|set| set_bits(set).fold(0u64, |m, item| m | 1 << rank[item])),
+    );
+    let full: u64 = if num_coverable == 64 {
         u64::MAX
     } else {
-        (1u64 << items.len()) - 1
+        (1u64 << num_coverable) - 1
     };
-    let masks = candidates
-        .iter()
-        .map(|set| {
-            let mut m = 0u64;
-            for &item in set {
-                if item < num_items && bit[item] != u32::MAX {
-                    m |= 1u64 << bit[item];
-                }
-            }
-            m
-        })
-        .collect();
-    (full, masks)
+    if num_sets <= EXACT_COVER_CANDIDATE_LIMIT {
+        out.extend(exact_cover(full, masks));
+    } else {
+        out.extend(greedy_cover(masks, 1, &[full]));
+    }
 }
 
-fn greedy_cover(full: u64, masks: &[u64]) -> Vec<usize> {
-    let mut covered = 0u64;
+/// The classic greedy set-cover heuristic over `words`-word sets: take the
+/// set covering the most not-yet-covered items (ties to the highest index)
+/// until `full` is covered or no set adds anything.
+fn greedy_cover(sets: &[u64], words: usize, full: &[u64]) -> Vec<usize> {
+    let num_sets = sets.len() / words;
+    let gain = |j: usize, covered: &[u64]| -> u32 {
+        sets[j * words..][..words]
+            .iter()
+            .zip(covered)
+            .map(|(&s, &c)| (s & !c).count_ones())
+            .sum()
+    };
+    let mut covered = vec![0u64; words];
     let mut chosen = Vec::new();
     while covered != full {
-        let best = (0..masks.len())
-            .filter(|&j| !chosen.contains(&j))
-            .max_by_key(|&j| (masks[j] & !covered).count_ones());
+        let best = (0..num_sets)
+            .filter(|j| !chosen.contains(j))
+            .max_by_key(|&j| gain(j, &covered));
         match best {
-            Some(j) if (masks[j] & !covered) != 0 => {
-                covered |= masks[j];
+            Some(j) if gain(j, &covered) > 0 => {
+                for (c, &s) in covered.iter_mut().zip(&sets[j * words..][..words]) {
+                    *c |= s;
+                }
                 chosen.push(j);
             }
             _ => break,
@@ -268,7 +207,7 @@ fn greedy_cover(full: u64, masks: &[u64]) -> Vec<usize> {
 
 fn exact_cover(full: u64, masks: &[u64]) -> Vec<usize> {
     // Greedy solution as the initial incumbent / upper bound.
-    let mut best = greedy_cover(full, masks);
+    let mut best = greedy_cover(masks, 1, &[full]);
     let mut best_len = best.len();
 
     // Order candidates by decreasing coverage for better pruning.
@@ -297,10 +236,6 @@ fn exact_cover(full: u64, masks: &[u64]) -> Vec<usize> {
                 *best = chosen.clone();
             }
             return;
-        }
-        if chosen.len() + 1 >= *best_len {
-            // Even one more candidate cannot beat the incumbent unless it
-            // finishes the cover; handled below by trying each candidate.
         }
         if pos >= order.len() {
             return;
@@ -413,10 +348,23 @@ mod tests {
         assert_eq!(scheduling_set(&ops), vec![3]);
     }
 
-    /// The into-variant over per-resource op lists must select exactly what
-    /// `scheduling_set` selects over the transposed per-op candidate lists.
+    /// Per-resource column bitsets, `ceil(num_ops / 64)` words each.
+    fn columns(num_ops: usize, covers: &[Vec<usize>]) -> Vec<u64> {
+        let words = num_ops.div_ceil(64);
+        let mut out = vec![0u64; covers.len() * words];
+        for (j, set) in covers.iter().enumerate() {
+            for &op in set {
+                out[j * words + op / 64] |= 1 << (op % 64);
+            }
+        }
+        out
+    }
+
+    /// The bitset entry point over per-resource columns selects exactly what
+    /// `scheduling_set` selects over the transposed per-op candidate lists,
+    /// and a warm scratch changes nothing.
     #[test]
-    fn scheduling_set_into_matches_legacy_on_random_instances() {
+    fn column_entry_point_matches_op_candidate_lists() {
         let mut state = 0xdead_beefu64;
         let mut next = move |m: u64| {
             state ^= state << 13;
@@ -424,6 +372,7 @@ mod tests {
             state ^= state << 17;
             state % m
         };
+        let mut scratch = CoverScratch::default();
         let mut out = Vec::new();
         for _ in 0..40 {
             let num_ops = 1 + next(12) as usize;
@@ -431,30 +380,58 @@ mod tests {
             let op_candidates: Vec<Vec<usize>> = (0..num_ops)
                 .map(|_| (0..num_resources).filter(|_| next(3) != 0).collect())
                 .collect();
-            let mut covers: Vec<Vec<OpId>> = vec![Vec::new(); num_resources];
+            let mut covers: Vec<Vec<usize>> = vec![Vec::new(); num_resources];
             for (op, cands) in op_candidates.iter().enumerate() {
                 for &r in cands {
-                    covers[r].push(OpId::new(op as u32));
+                    covers[r].push(op);
                 }
             }
-            let legacy = scheduling_set(&op_candidates);
-            scheduling_set_into(num_ops, &covers, &mut out);
-            assert_eq!(out, legacy, "candidates: {op_candidates:?}");
+            scheduling_set_with_scratch(
+                num_ops,
+                &columns(num_ops, &covers),
+                &mut scratch,
+                &mut out,
+            );
+            assert_eq!(
+                out,
+                scheduling_set(&op_candidates),
+                "candidates: {op_candidates:?}"
+            );
         }
         // Degenerate shapes.
-        scheduling_set_into(0, &[vec![OpId::new(0)]], &mut out);
+        scheduling_set_with_scratch(0, &[], &mut scratch, &mut out);
         assert!(out.is_empty());
-        scheduling_set_into(3, &[], &mut out);
+        scheduling_set_with_scratch(3, &[], &mut scratch, &mut out);
         assert!(out.is_empty());
-        scheduling_set_into(2, &[vec![], vec![]], &mut out);
+        scheduling_set_with_scratch(2, &[0, 0], &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 
-    /// More than 64 coverable items exceeds the 64-bit mask representation:
-    /// the mask-free greedy must take over and still produce a valid cover
-    /// (this used to shift-overflow).
+    /// Candidates emptied by refinement at the end of the resource list do
+    /// not count toward the exact solver's candidate limit: an instance with
+    /// five useful sets padded to thirty still gets the exact two-set cover
+    /// the greedy heuristic misses.
     #[test]
-    fn more_than_64_items_use_the_maskfree_greedy() {
+    fn trailing_empty_candidates_keep_the_exact_solver() {
+        let mut c = vec![
+            vec![0, 1, 2],
+            vec![3, 4, 5],
+            vec![1, 2, 3, 4],
+            vec![0],
+            vec![5],
+        ];
+        assert_eq!(greedy_cover(&columns(6, &c), 1, &[0b11_1111]).len(), 3);
+        c.resize(EXACT_COVER_CANDIDATE_LIMIT + 2, Vec::new());
+        assert_eq!(minimum_cover(6, &c), vec![0, 1]);
+        let mut out = Vec::new();
+        scheduling_set_with_scratch(6, &columns(6, &c), &mut CoverScratch::default(), &mut out);
+        assert_eq!(out, vec![0, 1]);
+    }
+
+    /// More than 64 coverable items exceeds the 64-bit mask representation:
+    /// the multi-word greedy must take over and still produce a valid cover.
+    #[test]
+    fn more_than_64_items_use_the_multiword_greedy() {
         let num_items = 70;
         let mut candidates: Vec<Vec<usize>> = (0..num_items).map(|i| vec![i]).collect();
         candidates.push((0..num_items).collect());
@@ -471,14 +448,6 @@ mod tests {
         let cover = minimum_cover(num_items, &split);
         assert!(covers_all(num_items, &split, &cover));
         assert_eq!(cover, vec![num_items, num_items + 1]);
-        // The OpId entry point takes the same fallback.
-        let mut covers: Vec<Vec<OpId>> = vec![Vec::new(); split.len()];
-        for (j, set) in split.iter().enumerate() {
-            covers[j] = set.iter().map(|&i| OpId::new(i as u32)).collect();
-        }
-        let mut out = Vec::new();
-        scheduling_set_into(num_items, &covers, &mut out);
-        assert_eq!(out, cover);
     }
 
     #[test]

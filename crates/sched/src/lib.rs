@@ -12,10 +12,14 @@
 //!     * [`PerClassBound`] — the standard constraint of Eqn (2),
 //!     * [`SchedulingSetBound`] — the paper's wordlength-aware constraint of
 //!       Eqn (3), which shares operations with more than one candidate
-//!       scheduling-set member fractionally between those members;
+//!       scheduling-set member fractionally between those members (its
+//!       `S(o)` rows are bitsets with reusable buffers, so the allocator's
+//!       refinement loop rewrites only the rows a refinement touched);
 //! * minimum-cardinality *scheduling set* computation ([`minimum_cover`],
-//!   [`scheduling_set`]) — the subset `S ⊆ R` such that every operation can
-//!   be executed by at least one member of `S`.
+//!   [`scheduling_set`], and the buffer-reusing
+//!   [`scheduling_set_with_scratch`] over bitset columns, all one solver) —
+//!   the subset `S ⊆ R` such that every operation can be executed by at
+//!   least one member of `S`.
 //!
 //! The central output type is [`Schedule`], a start control step per
 //! operation, with validation against precedence and latency constraints.
@@ -59,12 +63,9 @@ mod schedule;
 mod timing;
 
 pub use constraint::{
-    DenseSchedulingSetBound, PerClassBound, PerInstanceExclusive, ResourceConstraint,
-    SchedulingSetBound, Unbounded,
+    PerClassBound, PerInstanceExclusive, ResourceConstraint, SchedulingSetBound, Unbounded,
 };
-pub use cover::{
-    minimum_cover, scheduling_set, scheduling_set_into, scheduling_set_with_scratch, CoverScratch,
-};
+pub use cover::{minimum_cover, scheduling_set, scheduling_set_with_scratch, CoverScratch};
 pub use error::SchedError;
 pub use list::{ListScheduler, SchedScratch, SchedulePriority};
 pub use schedule::{OpLatencies, Schedule};

@@ -19,13 +19,18 @@
 //! heuristic needs: latency upper bounds `L_o`, `O(r)`, `S(o)`, maximum
 //! chains of uncovered operations, and wordlength-refinement edge deletion.
 //!
-//! The adjacency is stored **twice** — per operation and per resource, both
-//! as sorted index lists — and the latency upper bounds `L_o` are cached, so
-//! an edge deletion ([`refine_op`](WordlengthCompatibilityGraph::refine_op) /
-//! [`delete_edge`](WordlengthCompatibilityGraph::delete_edge)) updates only
-//! the rows it touches and the allocator's inner loop reads `O(r)`, `L_o`
-//! and per-resource edge counts in `O(1)` without rebuilding tables.  The
-//! schedule-interval buffer behind the `C` edges is likewise reused across
+//! The `H` adjacency is a pair of dense `u64` bitsets — one row per
+//! operation, one column per resource, each the transpose of the other —
+//! and the latency upper bounds `L_o` are cached, so an edge deletion
+//! ([`refine_op`](WordlengthCompatibilityGraph::refine_op) /
+//! [`delete_edge`](WordlengthCompatibilityGraph::delete_edge)) clears two
+//! bits per edge and the allocator's inner loop reads `O(r)`, `L_o` and
+//! per-resource edge counts without rebuilding tables.  The bitsets are the
+//! only set representation: an ascending bit scan yields the same sorted
+//! order a sorted index list would, so every list-shaped query
+//! ([`resources_for`](WordlengthCompatibilityGraph::resources_for),
+//! [`ops_for`](WordlengthCompatibilityGraph::ops_for)) is a scan.  The
+//! schedule-interval buffer behind the `C` edges is reused across
 //! [`attach_schedule`](WordlengthCompatibilityGraph::attach_schedule) calls.
 //!
 //! *Pipeline position:* built first from the raw graph, then iteratively
@@ -43,24 +48,6 @@ use mwl_sched::{OpLatencies, Schedule};
 
 /// Index of a resource-wordlength type within the graph's resource list.
 pub type ResourceIndex = usize;
-
-/// Which kernel implementations the graph's chain/clique queries dispatch to.
-///
-/// [`Bitset`](KernelMode::Bitset) (the default) runs the word-parallel
-/// popcount/AND kernels over the dense `u64` adjacency rows.
-/// [`Oracle`](KernelMode::Oracle) runs the original sorted-`Vec` kernels the
-/// bitset paths were derived from; it is retained as the equivalence oracle
-/// for the property suites and as the "before" arm of the stage-attributed
-/// perf gate.  Both modes answer every query identically — the mode only
-/// selects *how* the answer is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Word-parallel bitset kernels (default).
-    #[default]
-    Bitset,
-    /// The retained sorted-`Vec` kernels, used as a test oracle.
-    Oracle,
-}
 
 const WORD_BITS: usize = u64::BITS as usize;
 
@@ -82,6 +69,20 @@ fn set_bit(words: &mut [u64], bit: usize) {
 #[inline]
 fn clear_bit(words: &mut [u64], bit: usize) {
     words[bit / WORD_BITS] &= !(1 << (bit % WORD_BITS));
+}
+
+/// Ascending indices of the set bits of a bitset.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * WORD_BITS + b
+            })
+        })
+    })
 }
 
 /// Reusable buffers for
@@ -119,11 +120,11 @@ pub struct ChainScratch {
 /// ```
 //
 // Deliberately NOT Serialize/Deserialize: the struct carries redundant
-// internal state (the per-resource mirror lists, cached upper bounds and
-// sorted-row invariants of the per-op adjacency) that a hand-crafted
-// deserialized value could silently violate.  Rebuild from the graph and
-// cost model instead — construction is cheap and canonical.
-#[derive(Debug, Clone)]
+// internal state (the transposed bitset planes and the cached upper bounds)
+// that a hand-crafted deserialized value could silently violate.  Rebuild
+// from the graph and cost model instead — construction is cheap and
+// canonical.
+#[derive(Debug, Clone, Default)]
 pub struct WordlengthCompatibilityGraph {
     /// Candidate resource-wordlength types (the vertex subset `R`).
     resources: Vec<ResourceType>,
@@ -131,13 +132,9 @@ pub struct WordlengthCompatibilityGraph {
     latencies: Vec<Cycles>,
     /// Area of each resource type under the cost model.
     areas: Vec<Area>,
-    /// `H` edges per operation: compatible resource indices, ascending.
-    edges: Vec<Vec<ResourceIndex>>,
-    /// `H` edges per resource: compatible operations, ascending (the mirror
-    /// of `edges`, maintained through every deletion).
-    resource_ops: Vec<Vec<OpId>>,
     /// Cached latency upper bound `L_o` per operation (meaningless — and
-    /// never read — for an operation whose last edge was deleted).
+    /// never read — for an operation whose last edge was deleted).  Its
+    /// length is the operation count.
     upper: Vec<Cycles>,
     /// Schedule-derived start/end intervals used for the `C` edges
     /// (operation `o1` precedes `o2` iff `end(o1) <= start(o2)`).  The
@@ -145,19 +142,16 @@ pub struct WordlengthCompatibilityGraph {
     intervals: Vec<(Cycles, Cycles)>,
     /// Whether `intervals` currently holds an attached schedule.
     scheduled: bool,
-    /// Which kernel family the chain/clique queries dispatch to.
-    kernel_mode: KernelMode,
     /// Words per op row in `op_rows` (`ceil(|R| / 64)`).
     res_words: usize,
     /// Words per resource column in `resource_cols` and per op row in
     /// `compat` (`ceil(|O| / 64)`).
     op_words: usize,
-    /// Dense `H` adjacency per operation: bit `r` of row `o` is set iff the
-    /// edge `{o, r}` is present.  Flat, stride `res_words`.
+    /// `H` adjacency per operation: bit `r` of row `o` is set iff the edge
+    /// `{o, r}` is present.  Flat, stride `res_words`.
     op_rows: Vec<u64>,
-    /// Dense `H` adjacency per resource (the transpose of `op_rows`): bit
-    /// `o` of column `r` is set iff `{o, r}` is present.  Flat, stride
-    /// `op_words`.
+    /// `H` adjacency per resource (the transpose of `op_rows`): bit `o` of
+    /// column `r` is set iff `{o, r}` is present.  Flat, stride `op_words`.
     resource_cols: Vec<u64>,
     /// Undirected time-compatibility masks (the symmetric closure of the `C`
     /// edges): bit `j` of row `i` is set iff the execution intervals of `i`
@@ -167,49 +161,15 @@ pub struct WordlengthCompatibilityGraph {
     /// All operations sorted by `(start, end, id)` under the attached
     /// schedule — the shared candidate order of every `max_chain` query.
     start_order: Vec<OpId>,
-    /// Unrefined copies of the refinement-mutable `H` tables, captured by
+    /// Unrefined copy of `upper`, captured by
     /// [`snapshot_pristine`](Self::snapshot_pristine).
-    pristine_edges: Vec<Vec<ResourceIndex>>,
-    /// See `pristine_edges`.
-    pristine_resource_ops: Vec<Vec<OpId>>,
-    /// See `pristine_edges`.
     pristine_upper: Vec<Cycles>,
-    /// See `pristine_edges`.
+    /// Unrefined copy of `op_rows`.
     pristine_op_rows: Vec<u64>,
-    /// See `pristine_edges`.
+    /// Unrefined copy of `resource_cols`.
     pristine_resource_cols: Vec<u64>,
     /// Whether the pristine buffers hold a snapshot of the current problem.
     pristine_valid: bool,
-}
-
-impl Default for WordlengthCompatibilityGraph {
-    /// An empty graph, intended as a reusable workspace for
-    /// [`rebuild`](Self::rebuild).
-    fn default() -> Self {
-        WordlengthCompatibilityGraph {
-            resources: Vec::new(),
-            latencies: Vec::new(),
-            areas: Vec::new(),
-            edges: Vec::new(),
-            resource_ops: Vec::new(),
-            upper: Vec::new(),
-            intervals: Vec::new(),
-            scheduled: false,
-            kernel_mode: KernelMode::default(),
-            res_words: 0,
-            op_words: 0,
-            op_rows: Vec::new(),
-            resource_cols: Vec::new(),
-            compat: Vec::new(),
-            start_order: Vec::new(),
-            pristine_edges: Vec::new(),
-            pristine_resource_ops: Vec::new(),
-            pristine_upper: Vec::new(),
-            pristine_op_rows: Vec::new(),
-            pristine_resource_cols: Vec::new(),
-            pristine_valid: false,
-        }
-    }
 }
 
 impl WordlengthCompatibilityGraph {
@@ -262,19 +222,7 @@ impl WordlengthCompatibilityGraph {
         self.areas
             .extend(self.resources.iter().map(|r| cost.area(r)));
 
-        self.resource_ops.truncate(num_resources);
-        if self.resource_ops.len() < num_resources {
-            self.resource_ops.resize_with(num_resources, Vec::new);
-        }
-        for list in &mut self.resource_ops {
-            list.clear();
-        }
-
         let n = graph.len();
-        self.edges.truncate(n);
-        if self.edges.len() < n {
-            self.edges.resize_with(n, Vec::new);
-        }
         self.upper.clear();
         self.upper.resize(n, 0);
         self.res_words = words_for(num_resources);
@@ -285,20 +233,13 @@ impl WordlengthCompatibilityGraph {
         self.resource_cols.resize(num_resources * self.op_words, 0);
         for (i, op) in graph.operations().iter().enumerate() {
             let shape = op.shape();
-            self.edges[i].clear();
             for j in 0..num_resources {
                 if self.resources[j].covers(shape) {
-                    self.edges[i].push(j);
-                    self.resource_ops[j].push(OpId::new(i as u32));
                     set_bit(&mut self.op_rows[i * self.res_words..], j);
                     set_bit(&mut self.resource_cols[j * self.op_words..], i);
                 }
             }
-            self.upper[i] = self.edges[i]
-                .iter()
-                .map(|&r| self.latencies[r])
-                .max()
-                .unwrap_or(0);
+            self.refresh_upper(i);
         }
         self.intervals.clear();
         self.scheduled = false;
@@ -309,12 +250,10 @@ impl WordlengthCompatibilityGraph {
     /// tables so a later [`restore_pristine`](Self::restore_pristine) can
     /// undo every refinement deletion without re-deriving the graph.  The
     /// allocator snapshots once per job and restores per resource-bound
-    /// escalation: restoring is a handful of flat copies, where a full
+    /// escalation: restoring is three flat copies, where a full
     /// [`rebuild`](Self::rebuild) re-extracts the resource set and
     /// re-queries the cost model.
     pub fn snapshot_pristine(&mut self) {
-        self.pristine_edges.clone_from(&self.edges);
-        self.pristine_resource_ops.clone_from(&self.resource_ops);
         self.pristine_upper.clone_from(&self.upper);
         self.pristine_op_rows.clone_from(&self.op_rows);
         self.pristine_resource_cols.clone_from(&self.resource_cols);
@@ -334,8 +273,6 @@ impl WordlengthCompatibilityGraph {
             self.pristine_valid,
             "restore_pristine without a snapshot of the current problem"
         );
-        self.edges.clone_from(&self.pristine_edges);
-        self.resource_ops.clone_from(&self.pristine_resource_ops);
         self.upper.clone_from(&self.pristine_upper);
         self.op_rows.clone_from(&self.pristine_op_rows);
         self.resource_cols.clone_from(&self.pristine_resource_cols);
@@ -343,22 +280,10 @@ impl WordlengthCompatibilityGraph {
         self.scheduled = false;
     }
 
-    /// Selects the kernel family ([`KernelMode`]) the chain/clique queries
-    /// dispatch to.  The mode survives [`rebuild`](Self::rebuild) — it is a
-    /// property of the workspace, not of one problem.
-    pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.kernel_mode = mode;
-    }
-
-    /// The active kernel family.
-    #[must_use]
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
-    }
-
     /// Words per operation-set mask (`ceil(|O| / 64)`) — the stride callers
     /// of [`mask_covered_by`](Self::mask_covered_by) and
-    /// [`mask_is_chain`](Self::mask_is_chain) must use.
+    /// [`mask_is_chain`](Self::mask_is_chain) must use, and the stride of
+    /// [`resource_columns`](Self::resource_columns).
     #[must_use]
     #[inline]
     pub fn op_mask_words(&self) -> usize {
@@ -368,7 +293,7 @@ impl WordlengthCompatibilityGraph {
     /// Number of operations `|O|`.
     #[must_use]
     pub fn num_ops(&self) -> usize {
-        self.edges.len()
+        self.upper.len()
     }
 
     /// The resource-wordlength types `R`.
@@ -399,70 +324,70 @@ impl WordlengthCompatibilityGraph {
         self.areas[index]
     }
 
-    /// The resource indices compatible with an operation (the `H`-neighbours
-    /// of `o`, i.e. the candidates from which `S(o)` is drawn).
-    #[must_use]
-    pub fn resources_for(&self, op: OpId) -> Vec<ResourceIndex> {
-        self.edges[op.index()].clone()
+    #[inline]
+    fn op_row(&self, op: usize) -> &[u64] {
+        &self.op_rows[op * self.res_words..][..self.res_words]
     }
 
-    /// Borrowed view of [`resources_for`](Self::resources_for): the
-    /// compatible resource indices of an operation, ascending, without
-    /// copying.
-    #[must_use]
     #[inline]
-    pub fn candidate_slice(&self, op: OpId) -> &[ResourceIndex] {
-        &self.edges[op.index()]
+    fn resource_col(&self, resource: ResourceIndex) -> &[u64] {
+        &self.resource_cols[resource * self.op_words..][..self.op_words]
+    }
+
+    /// The resource indices compatible with an operation (the `H`-neighbours
+    /// of `o`, i.e. the candidates from which `S(o)` is drawn), ascending,
+    /// as an allocation-free bit scan.
+    pub fn candidates(&self, op: OpId) -> impl Iterator<Item = ResourceIndex> + '_ {
+        set_bits(self.op_row(op.index()))
+    }
+
+    /// The resource indices compatible with an operation, ascending.
+    #[must_use]
+    pub fn resources_for(&self, op: OpId) -> Vec<ResourceIndex> {
+        self.candidates(op).collect()
     }
 
     /// Returns `true` if the `H` edge `{o, r}` is present.
     #[must_use]
     #[inline]
     pub fn has_edge(&self, op: OpId, resource: ResourceIndex) -> bool {
-        match self.kernel_mode {
-            KernelMode::Bitset => {
-                bit_is_set(&self.op_rows[op.index() * self.res_words..], resource)
-            }
-            KernelMode::Oracle => self.edges[op.index()].binary_search(&resource).is_ok(),
-        }
+        bit_is_set(self.op_row(op.index()), resource)
     }
 
-    /// The operations compatible with a resource type (`O(r)`).
+    /// The operations compatible with a resource type (`O(r)`), ascending.
     #[must_use]
     pub fn ops_for(&self, resource: ResourceIndex) -> Vec<OpId> {
-        self.resource_ops[resource].clone()
+        set_bits(self.resource_col(resource))
+            .map(|o| OpId::new(o as u32))
+            .collect()
     }
 
-    /// Borrowed view of [`ops_for`](Self::ops_for): the operations
-    /// compatible with a resource, ascending, without copying.
+    /// Every `O(r)` column as one flat bitset in resource order, stride
+    /// [`op_mask_words`](Self::op_mask_words): bit `o` of column `r` is set
+    /// iff `{o, r}` is present — the set-cover input of
+    /// [`mwl_sched::scheduling_set_with_scratch`].
     #[must_use]
     #[inline]
-    pub fn ops_for_slice(&self, resource: ResourceIndex) -> &[OpId] {
-        &self.resource_ops[resource]
+    pub fn resource_columns(&self) -> &[u64] {
+        &self.resource_cols
     }
 
-    /// All per-resource operation lists (`O(r)` for every `r`), in resource
-    /// order — the set-cover rows consumed by
-    /// [`mwl_sched::scheduling_set_into`].
-    #[must_use]
-    #[inline]
-    pub fn resource_op_lists(&self) -> &[Vec<OpId>] {
-        &self.resource_ops
-    }
-
-    /// Number of `H` edges incident to one resource (`|O(r)|`), maintained
-    /// incrementally — the quantity behind the refinement rule's
+    /// Number of `H` edges incident to one resource (`|O(r)|`), a popcount
+    /// of its column — the quantity behind the refinement rule's
     /// deletion-proportion denominator.
     #[must_use]
     #[inline]
     pub fn resource_edge_count(&self, resource: ResourceIndex) -> usize {
-        self.resource_ops[resource].len()
+        self.resource_col(resource)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Total number of `H` edges.
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
+        self.op_rows.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Latency upper bound `L_o`: the latency of the slowest resource the
@@ -476,7 +401,7 @@ impl WordlengthCompatibilityGraph {
     #[inline]
     pub fn upper_bound_latency(&self, op: OpId) -> Cycles {
         assert!(
-            !self.edges[op.index()].is_empty(),
+            self.op_row(op.index()).iter().any(|&w| w != 0),
             "operation retains at least one compatible resource"
         );
         self.upper[op.index()]
@@ -503,35 +428,23 @@ impl WordlengthCompatibilityGraph {
     /// Re-derives the cached upper bound of one operation after its edge row
     /// changed.
     fn refresh_upper(&mut self, op: usize) {
-        self.upper[op] = self.edges[op]
-            .iter()
-            .map(|&r| self.latencies[r])
+        let upper = set_bits(self.op_row(op))
+            .map(|r| self.latencies[r])
             .max()
             .unwrap_or(0);
-    }
-
-    /// Removes `op` from the mirror list of `resource`.
-    fn unlink_resource(&mut self, op: OpId, resource: ResourceIndex) {
-        if let Ok(pos) = self.resource_ops[resource].binary_search(&op) {
-            self.resource_ops[resource].remove(pos);
-        }
-    }
-
-    /// Clears the dense-adjacency bits of one `H` edge.
-    fn clear_edge_bits(&mut self, op: usize, resource: ResourceIndex) {
-        clear_bit(&mut self.op_rows[op * self.res_words..], resource);
-        clear_bit(&mut self.resource_cols[resource * self.op_words..], op);
+        self.upper[op] = upper;
     }
 
     /// Deletes a single `H` edge.  Returns `true` if the edge existed.
     pub fn delete_edge(&mut self, op: OpId, resource: ResourceIndex) -> bool {
-        let row = &mut self.edges[op.index()];
-        let Ok(pos) = row.binary_search(&resource) else {
+        if !self.has_edge(op, resource) {
             return false;
-        };
-        row.remove(pos);
-        self.unlink_resource(op, resource);
-        self.clear_edge_bits(op.index(), resource);
+        }
+        clear_bit(&mut self.op_rows[op.index() * self.res_words..], resource);
+        clear_bit(
+            &mut self.resource_cols[resource * self.op_words..],
+            op.index(),
+        );
         self.refresh_upper(op.index());
         true
     }
@@ -539,71 +452,34 @@ impl WordlengthCompatibilityGraph {
     /// Deletes every `H` edge `{op, r}` whose resource latency equals the
     /// operation's current upper bound `L_o` — the paper's wordlength
     /// refinement step.  The deletion is skipped (returning 0) when it would
-    /// leave the operation with no compatible resource.
+    /// leave the operation with no compatible resource, i.e. when every
+    /// remaining candidate sits at the bound latency (the "single distinct
+    /// latency" case); otherwise a faster edge survives, so the deletion can
+    /// never strand the operation.
     ///
     /// Returns the number of edges removed.
     pub fn refine_op(&mut self, op: OpId) -> usize {
-        match self.kernel_mode {
-            KernelMode::Bitset => self.refine_op_inplace(op),
-            KernelMode::Oracle => self.refine_op_oracle(op),
-        }
-    }
-
-    /// Allocation-free refinement: deletes the at-bound edges in place.  An
-    /// operation whose every remaining candidate sits at the bound latency
-    /// cannot be refined without being stranded (that is exactly the
-    /// "single distinct latency" case), so the early return is equivalent to
-    /// the oracle's `slow.len() == row.len() && !refinable` guard — and once
-    /// a faster edge is known to survive, the deletion loop can never remove
-    /// the last edge.
-    fn refine_op_inplace(&mut self, op: OpId) -> usize {
         let bound = self.upper_bound_latency(op);
-        if self.edges[op.index()]
-            .iter()
-            .all(|&r| self.latencies[r] == bound)
-        {
+        if self.candidates(op).all(|r| self.latencies[r] == bound) {
             return 0;
         }
+        let i = op.index();
         let mut removed = 0;
-        let mut i = 0;
-        while i < self.edges[op.index()].len() {
-            let r = self.edges[op.index()][i];
-            if self.latencies[r] == bound {
-                self.edges[op.index()].remove(i);
-                self.unlink_resource(op, r);
-                self.clear_edge_bits(op.index(), r);
-                removed += 1;
-            } else {
-                i += 1;
+        for w in 0..self.res_words {
+            let word = &mut self.op_rows[i * self.res_words + w];
+            let slow = set_bits(&[*word])
+                .filter(|&b| self.latencies[w * WORD_BITS + b] == bound)
+                .fold(0u64, |acc, b| acc | 1 << b);
+            *word &= !slow;
+            for b in set_bits(&[slow]) {
+                clear_bit(
+                    &mut self.resource_cols[(w * WORD_BITS + b) * self.op_words..],
+                    i,
+                );
             }
+            removed += slow.count_ones() as usize;
         }
-        self.refresh_upper(op.index());
-        removed
-    }
-
-    /// The retained sorted-`Vec` refinement kernel ([`KernelMode::Oracle`]).
-    fn refine_op_oracle(&mut self, op: OpId) -> usize {
-        let bound = self.upper_bound_latency(op);
-        let row = &self.edges[op.index()];
-        let slow: Vec<ResourceIndex> = row
-            .iter()
-            .copied()
-            .filter(|&r| self.latencies[r] == bound)
-            .collect();
-        if slow.len() == row.len() && !self.refinable(op) {
-            // All remaining candidates share the same (minimal) latency:
-            // nothing can be refined away without stranding the operation.
-            return 0;
-        }
-        let mut removed = 0;
-        for r in slow {
-            if self.edges[op.index()].len() == 1 {
-                break;
-            }
-            if self.delete_edge(op, r) {
-                removed += 1;
-            }
-        }
+        self.refresh_upper(i);
         removed
     }
 
@@ -611,7 +487,7 @@ impl WordlengthCompatibilityGraph {
     /// candidate latency, i.e. refinement could still lower its upper bound.
     #[must_use]
     pub fn refinable(&self, op: OpId) -> bool {
-        let mut latencies = self.edges[op.index()].iter().map(|&r| self.latencies[r]);
+        let mut latencies = self.candidates(op).map(|r| self.latencies[r]);
         let Some(first) = latencies.next() else {
             return false;
         };
@@ -691,35 +567,15 @@ impl WordlengthCompatibilityGraph {
     /// Panics if no schedule is attached.
     #[must_use]
     pub fn is_chain(&self, ops: &[OpId]) -> bool {
-        match self.kernel_mode {
-            KernelMode::Bitset => {
-                // A set of operations is a chain iff every pair is
-                // time-compatible (pairwise-disjoint intervals can always be
-                // ordered by start time), so the query reduces to probes of
-                // the `compat` masks — no sort, no allocation.
-                let _ = self.intervals("compatibility queries");
-                ops.iter().enumerate().all(|(idx, &a)| {
-                    let row = &self.compat[a.index() * self.op_words..];
-                    ops[idx + 1..].iter().all(|&b| bit_is_set(row, b.index()))
-                })
-            }
-            KernelMode::Oracle => self.is_chain_oracle(ops),
-        }
-    }
-
-    /// The retained sort-based chain test ([`KernelMode::Oracle`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no schedule is attached.
-    #[must_use]
-    pub fn is_chain_oracle(&self, ops: &[OpId]) -> bool {
-        let intervals = self.intervals("compatibility queries");
-        let mut sorted: Vec<OpId> = ops.to_vec();
-        sorted.sort_by_key(|o| intervals[o.index()].0);
-        sorted
-            .windows(2)
-            .all(|w| intervals[w[0].index()].1 <= intervals[w[1].index()].0)
+        // A set of operations is a chain iff every pair is time-compatible
+        // (pairwise-disjoint intervals can always be ordered by start time),
+        // so the query reduces to probes of the `compat` masks — no sort, no
+        // allocation.
+        let _ = self.intervals("compatibility queries");
+        ops.iter().enumerate().all(|(idx, &a)| {
+            let row = &self.compat[a.index() * self.op_words..];
+            ops[idx + 1..].iter().all(|&b| bit_is_set(row, b.index()))
+        })
     }
 
     /// Returns `true` if every operation in the mask (stride
@@ -729,7 +585,7 @@ impl WordlengthCompatibilityGraph {
     #[must_use]
     #[inline]
     pub fn mask_covered_by(&self, mask: &[u64], resource: ResourceIndex) -> bool {
-        let col = &self.resource_cols[resource * self.op_words..][..self.op_words];
+        let col = self.resource_col(resource);
         mask.iter().zip(col).all(|(&m, &c)| m & !c == 0)
     }
 
@@ -742,7 +598,7 @@ impl WordlengthCompatibilityGraph {
     #[must_use]
     #[inline]
     pub fn mask_candidate_count(&self, mask: &[u64], resource: ResourceIndex) -> usize {
-        let col = &self.resource_cols[resource * self.op_words..][..self.op_words];
+        let col = self.resource_col(resource);
         mask.iter()
             .zip(col)
             .map(|(&m, &c)| (m & c).count_ones() as usize)
@@ -821,30 +677,16 @@ impl WordlengthCompatibilityGraph {
             prev,
         } = scratch;
         candidates.clear();
-        match self.kernel_mode {
-            KernelMode::Bitset => {
-                // `start_order` is already sorted by the total key
-                // `(start, end, id)`, so filtering it by the resource-column
-                // bit yields exactly the sequence the oracle produces by
-                // sorting the filtered `O(r)` list.
-                let col = &self.resource_cols[resource * self.op_words..][..self.op_words];
-                candidates.extend(
-                    self.start_order
-                        .iter()
-                        .copied()
-                        .filter(|o| !covered[o.index()] && bit_is_set(col, o.index())),
-                );
-            }
-            KernelMode::Oracle => {
-                candidates.extend(
-                    self.resource_ops[resource]
-                        .iter()
-                        .copied()
-                        .filter(|o| !covered[o.index()]),
-                );
-                candidates.sort_by_key(|o| (intervals[o.index()].0, intervals[o.index()].1, *o));
-            }
-        }
+        // `start_order` is already sorted by the total key `(start, end,
+        // id)`, so filtering it by the resource-column bit yields the
+        // uncovered part of `O(r)` in that order.
+        let col = self.resource_col(resource);
+        candidates.extend(
+            self.start_order
+                .iter()
+                .copied()
+                .filter(|o| !covered[o.index()] && bit_is_set(col, o.index())),
+        );
         let k = candidates.len();
         if k == 0 {
             return;
@@ -877,28 +719,24 @@ impl WordlengthCompatibilityGraph {
     /// given set, if one exists.
     #[must_use]
     pub fn cheapest_common_resource(&self, ops: &[OpId]) -> Option<ResourceIndex> {
-        if self.kernel_mode == KernelMode::Bitset && !ops.is_empty() {
-            // AND the op rows word by word; surviving bits are the common
-            // resources.  Words past the resource count are always zero.
-            let mut best: Option<ResourceIndex> = None;
-            for w in 0..self.res_words {
-                let mut acc = u64::MAX;
-                for &o in ops {
-                    acc &= self.op_rows[o.index() * self.res_words + w];
+        // AND the op rows word by word; surviving bits are the common
+        // resources (with no operations, every resource is common).
+        let mut best: Option<ResourceIndex> = None;
+        for w in 0..self.res_words {
+            let common = ops.iter().fold(u64::MAX, |acc, o| {
+                acc & self.op_rows[o.index() * self.res_words + w]
+            });
+            for b in set_bits(&[common]) {
+                let r = w * WORD_BITS + b;
+                if r >= self.resources.len() {
+                    break;
                 }
-                while acc != 0 {
-                    let r = w * WORD_BITS + acc.trailing_zeros() as usize;
-                    acc &= acc - 1;
-                    if best.is_none_or(|b| (self.areas[r], r) < (self.areas[b], b)) {
-                        best = Some(r);
-                    }
+                if best.is_none_or(|c| (self.areas[r], r) < (self.areas[c], c)) {
+                    best = Some(r);
                 }
             }
-            return best;
         }
-        (0..self.resources.len())
-            .filter(|&r| ops.iter().all(|&o| self.has_edge(o, r)))
-            .min_by_key(|&r| (self.areas[r], r))
+        best
     }
 
     /// Candidate lists in the shape expected by
@@ -906,7 +744,9 @@ impl WordlengthCompatibilityGraph {
     /// compatible with operation `i`.
     #[must_use]
     pub fn op_candidate_lists(&self) -> Vec<Vec<ResourceIndex>> {
-        self.edges.clone()
+        (0..self.num_ops())
+            .map(|i| self.resources_for(OpId::new(i as u32)))
+            .collect()
     }
 }
 
@@ -1042,22 +882,26 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_stay_consistent_through_deletions() {
+    fn rows_and_columns_stay_transposed_through_deletions() {
         let (g, mut wcg) = sample();
         // Delete a few edges, then cross-check both adjacency directions and
         // the cached quantities against first-principles recomputation.
         wcg.refine_op(OpId::new(0));
         wcg.delete_edge(OpId::new(2), wcg.resources_for(OpId::new(2))[0]);
+        let words = wcg.op_mask_words();
         for r in 0..wcg.resources().len() {
             let scan: Vec<OpId> = g.op_ids().filter(|&o| wcg.has_edge(o, r)).collect();
             assert_eq!(wcg.ops_for(r), scan);
             assert_eq!(wcg.resource_edge_count(r), scan.len());
-            assert_eq!(wcg.ops_for_slice(r), &scan[..]);
-            assert_eq!(&wcg.resource_op_lists()[r], &scan);
+            let column = &wcg.resource_columns()[r * words..][..words];
+            for op in g.op_ids() {
+                let bit = column[op.index() / 64] >> (op.index() % 64) & 1 == 1;
+                assert_eq!(bit, scan.contains(&op));
+            }
         }
         for op in g.op_ids() {
             let row = wcg.resources_for(op);
-            assert_eq!(wcg.candidate_slice(op), &row[..]);
+            assert_eq!(wcg.candidates(op).collect::<Vec<_>>(), row);
             if !row.is_empty() {
                 let max = row.iter().map(|&r| wcg.resource_latency(r)).max().unwrap();
                 assert_eq!(wcg.upper_bound_latency(op), max);
@@ -1160,68 +1004,6 @@ mod tests {
         }
     }
 
-    /// Runs `f` against the sample graph in both kernel modes and asserts the
-    /// results agree.
-    fn assert_modes_agree<T: PartialEq + std::fmt::Debug>(
-        f: impl Fn(&WordlengthCompatibilityGraph) -> T,
-    ) {
-        let (g, mut wcg) = sample();
-        let lat = wcg.upper_bound_latencies();
-        let schedule = asap(&g, &lat);
-        wcg.attach_schedule(&schedule, &lat);
-        assert_eq!(wcg.kernel_mode(), KernelMode::Bitset);
-        let fast = f(&wcg);
-        wcg.set_kernel_mode(KernelMode::Oracle);
-        assert_eq!(fast, f(&wcg));
-    }
-
-    #[test]
-    fn kernel_modes_agree_on_sample_queries() {
-        let ids: Vec<OpId> = (0..4).map(OpId::new).collect();
-        assert_modes_agree(|wcg| {
-            let mut out = Vec::new();
-            for a in &ids {
-                for b in &ids {
-                    out.push((
-                        wcg.is_chain(&[*a, *b]),
-                        wcg.cheapest_common_resource(&[*a, *b]),
-                        (0..wcg.resources().len())
-                            .map(|r| wcg.has_edge(*a, r))
-                            .collect::<Vec<bool>>(),
-                    ));
-                }
-            }
-            out
-        });
-        assert_modes_agree(|wcg| {
-            let mut out = Vec::new();
-            for r in 0..wcg.resources().len() {
-                out.push(wcg.max_chain(r, &[false; 4]));
-                out.push(wcg.max_chain(r, &[true, false, true, false]));
-            }
-            out
-        });
-    }
-
-    #[test]
-    fn refine_agrees_across_kernel_modes() {
-        let (_, mut fast) = sample();
-        let (_, mut oracle) = sample();
-        oracle.set_kernel_mode(KernelMode::Oracle);
-        for i in 0..4 {
-            let op = OpId::new(i);
-            loop {
-                let removed = fast.refine_op(op);
-                assert_eq!(removed, oracle.refine_op(op));
-                assert_eq!(fast.resources_for(op), oracle.resources_for(op));
-                assert_eq!(fast.upper_bound_latency(op), oracle.upper_bound_latency(op));
-                if removed == 0 {
-                    break;
-                }
-            }
-        }
-    }
-
     #[test]
     fn mask_kernels_match_slice_kernels() {
         let (g, mut wcg) = sample();
@@ -1249,14 +1031,6 @@ mod tests {
             }
         }
         assert!(wcg.mask_is_chain(&vec![0u64; words]));
-    }
-
-    #[test]
-    fn kernel_mode_survives_rebuild() {
-        let (g, mut wcg) = sample();
-        wcg.set_kernel_mode(KernelMode::Oracle);
-        wcg.rebuild(&g, &SonicCostModel::default());
-        assert_eq!(wcg.kernel_mode(), KernelMode::Oracle);
     }
 
     #[test]

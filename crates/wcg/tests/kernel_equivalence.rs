@@ -1,19 +1,21 @@
-//! Bitset-kernel equivalence: every word-parallel query of the wordlength
-//! compatibility graph must return exactly what the retained sorted-`Vec`
-//! oracle ([`KernelMode::Oracle`]) returns, across all `GraphShape` ×
-//! `WidthProfile` families, through refinement, and regardless of whether
-//! the chain scratch is warm or fresh.
+//! Bitset-kernel correctness: every word-parallel query of the wordlength
+//! compatibility graph must return exactly what a small naive helper in
+//! this file computes from first principles — the edge relation from
+//! [`ResourceType::covers`](mwl_model::ResourceType::covers) plus the
+//! refinement rule, time compatibility from the schedule's execution
+//! intervals — across all `GraphShape` × `WidthProfile` families, through
+//! refinement and snapshot/restore, and whether the chain scratch is warm or
+//! fresh.
 //!
-//! The oracle is the pre-bitset implementation kept alive precisely for
-//! these tests; the allocator-level identity against the frozen reference
-//! lives in `mwl_core/tests/optimization_identity.rs`.
+//! The allocator-level identity against the frozen reference lives in
+//! `mwl_core/tests/optimization_identity.rs`.
 
 use proptest::prelude::*;
 
-use mwl_model::{OpId, SonicCostModel};
-use mwl_sched::asap;
+use mwl_model::{CostModel, Cycles, OpId, SequencingGraph, SonicCostModel};
+use mwl_sched::{asap, OpLatencies};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
-use mwl_wcg::{ChainScratch, KernelMode, WordlengthCompatibilityGraph};
+use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 /// One generated problem covering the full scenario space.
 #[derive(Debug, Clone)]
@@ -37,7 +39,8 @@ fn case_strategy() -> impl Strategy<Value = Case> {
             Just(WidthProfile::Mixed { high_fraction: 0.3 }),
             Just(WidthProfile::Mixed { high_fraction: 0.7 }),
         ],
-        1usize..=14,
+        // Past 64 ops the operation masks span more than one word.
+        prop_oneof![1usize..=14, 1usize..=14, 1usize..=14, 60usize..=72],
         0u64..=2000,
     )
         .prop_map(|(shape, widths, ops, seed)| Case {
@@ -48,27 +51,163 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         })
 }
 
-fn build(case: &Case) -> mwl_model::SequencingGraph {
+fn build(case: &Case) -> SequencingGraph {
     let config = TgffConfig::with_ops(case.ops)
         .shape(case.shape)
         .width_profile(case.widths);
     TgffGenerator::new(config, case.seed).generate()
 }
 
-/// Builds the twin graphs — same problem, opposite kernel modes — with a
-/// shared ASAP schedule attached.
-fn scheduled_twins(
-    graph: &mwl_model::SequencingGraph,
-    cost: &SonicCostModel,
-) -> (WordlengthCompatibilityGraph, WordlengthCompatibilityGraph) {
-    let mut bitset = WordlengthCompatibilityGraph::new(graph, cost);
-    let mut oracle = WordlengthCompatibilityGraph::new(graph, cost);
-    oracle.set_kernel_mode(KernelMode::Oracle);
-    let upper = bitset.upper_bound_latencies();
-    let schedule = asap(graph, &upper);
-    bitset.attach_schedule(&schedule, &upper);
-    oracle.attach_schedule(&schedule, &upper);
-    (bitset, oracle)
+/// The naive model: a dense `bool` edge matrix, resource latencies and
+/// areas, and (once scheduled) the execution intervals.
+struct Naive {
+    edges: Vec<Vec<bool>>,
+    latencies: Vec<Cycles>,
+    areas: Vec<u64>,
+    intervals: Vec<(Cycles, Cycles)>,
+}
+
+impl Naive {
+    /// Every `{o, r}` with `r.covers(o)`, over the graph's resource set.
+    fn new(graph: &SequencingGraph, wcg: &WordlengthCompatibilityGraph) -> Self {
+        let cost = SonicCostModel::default();
+        let resources = wcg.resources();
+        Naive {
+            edges: graph
+                .operations()
+                .iter()
+                .map(|op| resources.iter().map(|r| r.covers(op.shape())).collect())
+                .collect(),
+            latencies: resources.iter().map(|r| cost.latency(r)).collect(),
+            areas: resources.iter().map(|r| cost.area(r)).collect(),
+            intervals: Vec::new(),
+        }
+    }
+
+    fn candidates(&self, op: OpId) -> Vec<usize> {
+        (0..self.latencies.len())
+            .filter(|&r| self.edges[op.index()][r])
+            .collect()
+    }
+
+    fn ops_for(&self, r: usize) -> Vec<OpId> {
+        (0..self.edges.len())
+            .filter(|&o| self.edges[o][r])
+            .map(|o| OpId::new(o as u32))
+            .collect()
+    }
+
+    fn upper(&self, op: OpId) -> Cycles {
+        self.candidates(op)
+            .iter()
+            .map(|&r| self.latencies[r])
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Deletes the edges at the upper-bound latency unless that would
+    /// delete them all.
+    fn refine(&mut self, op: OpId) -> usize {
+        let bound = self.upper(op);
+        let slow: Vec<usize> = self
+            .candidates(op)
+            .into_iter()
+            .filter(|&r| self.latencies[r] == bound)
+            .collect();
+        if slow.len() == self.candidates(op).len() {
+            return 0;
+        }
+        for &r in &slow {
+            self.edges[op.index()][r] = false;
+        }
+        slow.len()
+    }
+
+    fn attach(&mut self, graph: &SequencingGraph, latencies: &OpLatencies) {
+        let schedule = asap(graph, latencies);
+        self.intervals = graph
+            .op_ids()
+            .map(|o| (schedule.start(o), schedule.end(o, latencies)))
+            .collect();
+    }
+
+    fn disjoint(&self, a: OpId, b: OpId) -> bool {
+        let (sa, ea) = self.intervals[a.index()];
+        let (sb, eb) = self.intervals[b.index()];
+        ea <= sb || eb <= sa
+    }
+
+    fn is_chain(&self, ops: &[OpId]) -> bool {
+        ops.iter()
+            .enumerate()
+            .all(|(i, &a)| ops[i + 1..].iter().all(|&b| self.disjoint(a, b)))
+    }
+
+    /// Longest chain of uncovered ops in `O(r)`: candidates ordered by
+    /// `(start, end, id)`, the first longest predecessor kept, and the last
+    /// longest tail taken.
+    fn max_chain(&self, r: usize, covered: &[bool]) -> Vec<OpId> {
+        let mut cands: Vec<OpId> = self
+            .ops_for(r)
+            .into_iter()
+            .filter(|o| !covered[o.index()])
+            .collect();
+        cands.sort_by_key(|o| (self.intervals[o.index()], *o));
+        let mut best: Vec<(usize, Option<usize>)> = Vec::new();
+        for i in 0..cands.len() {
+            let mut entry = (1, None);
+            for (j, &(len, _)) in best.iter().enumerate() {
+                let before =
+                    self.intervals[cands[j].index()].1 <= self.intervals[cands[i].index()].0;
+                if before && len + 1 > entry.0 {
+                    entry = (len + 1, Some(j));
+                }
+            }
+            best.push(entry);
+        }
+        let mut chain = Vec::new();
+        let mut tail = (0..cands.len()).max_by_key(|&i| best[i].0);
+        while let Some(i) = tail {
+            chain.push(cands[i]);
+            tail = best[i].1;
+        }
+        chain.reverse();
+        chain
+    }
+
+    fn cheapest_common(&self, ops: &[OpId]) -> Option<usize> {
+        (0..self.latencies.len())
+            .filter(|&r| ops.iter().all(|o| self.edges[o.index()][r]))
+            .min_by_key(|&r| (self.areas[r], r))
+    }
+}
+
+/// Asserts the whole edge relation and every per-op / per-resource query
+/// of `wcg` against the naive model.
+fn assert_structure(graph: &SequencingGraph, wcg: &WordlengthCompatibilityGraph, naive: &Naive) {
+    let mut edges = 0;
+    for op in graph.op_ids() {
+        let expected = naive.candidates(op);
+        edges += expected.len();
+        assert_eq!(wcg.resources_for(op), expected.clone());
+        assert_eq!(wcg.candidates(op).collect::<Vec<_>>(), expected);
+        assert_eq!(wcg.upper_bound_latency(op), naive.upper(op));
+        for r in 0..naive.latencies.len() {
+            assert_eq!(wcg.has_edge(op, r), naive.edges[op.index()][r]);
+        }
+    }
+    let words = wcg.op_mask_words();
+    for r in 0..naive.latencies.len() {
+        let expected = naive.ops_for(r);
+        assert_eq!(wcg.resource_edge_count(r), expected.len());
+        let column = &wcg.resource_columns()[r * words..][..words];
+        for op in graph.op_ids() {
+            let bit = column[op.index() / 64] >> (op.index() % 64) & 1 == 1;
+            assert_eq!(bit, expected.contains(&op));
+        }
+        assert_eq!(wcg.ops_for(r), expected);
+    }
+    assert_eq!(wcg.num_edges(), edges);
 }
 
 /// Deterministic bit source for subset sampling (no `rand` dev-dependency
@@ -81,179 +220,162 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A pseudo-random subset of the operations.
+fn sample_subset(graph: &SequencingGraph, state: &mut u64) -> Vec<OpId> {
+    let bits = [splitmix(state), splitmix(state)];
+    graph
+        .op_ids()
+        .filter(|o| bits[(o.index() / 64) % 2] & (1 << (o.index() % 64)) != 0)
+        .collect()
+}
+
+fn mask_of(ops: &[OpId], words: usize) -> Vec<u64> {
+    let mut mask = vec![0u64; words];
+    for op in ops {
+        mask[op.index() / 64] |= 1 << (op.index() % 64);
+    }
+    mask
+}
+
+/// A graph with an ASAP schedule under its upper bounds, and the naive
+/// model of the same state.
+fn scheduled(graph: &SequencingGraph) -> (WordlengthCompatibilityGraph, Naive) {
+    let mut wcg = WordlengthCompatibilityGraph::new(graph, &SonicCostModel::default());
+    let mut naive = Naive::new(graph, &wcg);
+    let upper = wcg.upper_bound_latencies();
+    wcg.attach_schedule(&asap(graph, &upper), &upper);
+    naive.attach(graph, &upper);
+    (wcg, naive)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Structural queries agree between the kernels: edge probes, candidate
-    /// lists, per-resource operation lists and edge counts, and the
-    /// cheapest-common-resource selection for arbitrary op subsets.
+    /// Structural queries match the naive edge relation, and
+    /// `cheapest_common_resource` matches a scan over all resources for
+    /// arbitrary op subsets (the empty subset included).
     #[test]
-    fn structure_queries_match_oracle(case in case_strategy(), subset_seed in any::<u64>()) {
+    fn structure_queries_match_naive(case in case_strategy(), subset_seed in any::<u64>()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
+        let (wcg, naive) = scheduled(&graph);
+        assert_structure(&graph, &wcg, &naive);
 
-        for op in graph.op_ids() {
-            prop_assert_eq!(bitset.resources_for(op), oracle.resources_for(op));
-            for r in 0..bitset.resources().len() {
-                prop_assert_eq!(bitset.has_edge(op, r), oracle.has_edge(op, r));
-            }
-        }
-        for r in 0..bitset.resources().len() {
-            prop_assert_eq!(bitset.ops_for(r), oracle.ops_for(r));
-            prop_assert_eq!(bitset.resource_edge_count(r), oracle.resource_edge_count(r));
-        }
-
+        prop_assert_eq!(wcg.cheapest_common_resource(&[]), naive.cheapest_common(&[]));
         let mut state = subset_seed;
-        let ids: Vec<OpId> = graph.op_ids().collect();
         for _ in 0..8 {
-            let mask = splitmix(&mut state);
-            let subset: Vec<OpId> = ids
-                .iter()
-                .copied()
-                .filter(|o| mask & (1 << (o.index() % 64)) != 0)
-                .collect();
+            let subset = sample_subset(&graph, &mut state);
             prop_assert_eq!(
-                bitset.cheapest_common_resource(&subset),
-                oracle.cheapest_common_resource(&subset)
+                wcg.cheapest_common_resource(&subset),
+                naive.cheapest_common(&subset)
             );
         }
     }
 
-    /// `is_chain` agrees with the sort-based oracle on arbitrary subsets
-    /// (both through the mode dispatch and via `is_chain_oracle` directly),
-    /// and the mask form agrees with the slice form.
+    /// `is_chain` and `mask_is_chain` match the pairwise interval test on
+    /// arbitrary subsets and on real chains.
     #[test]
-    fn is_chain_matches_oracle(case in case_strategy(), subset_seed in any::<u64>()) {
+    fn chain_tests_match_naive(case in case_strategy(), subset_seed in any::<u64>()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
-        let ids: Vec<OpId> = graph.op_ids().collect();
-
+        let (wcg, naive) = scheduled(&graph);
+        let words = wcg.op_mask_words();
         let mut state = subset_seed;
-        let words = bitset.op_mask_words();
         for round in 0..12 {
-            let sample = splitmix(&mut state);
-            let subset: Vec<OpId> = ids
-                .iter()
-                .copied()
-                .filter(|o| sample & (1 << (o.index() % 64)) != 0)
-                .collect();
             // Mix in real chains so the `true` branch is exercised, not just
             // random (usually incompatible) subsets.
-            let subset = if round % 3 == 0 && !bitset.resources().is_empty() {
+            let subset = if round % 3 == 0 {
                 let covered = vec![false; graph.len()];
-                bitset.max_chain(round % bitset.resources().len(), &covered)
+                naive.max_chain(round % naive.latencies.len(), &covered)
             } else {
-                subset
+                sample_subset(&graph, &mut state)
             };
-            let expected = oracle.is_chain(&subset);
-            prop_assert_eq!(bitset.is_chain(&subset), expected);
-            prop_assert_eq!(bitset.is_chain_oracle(&subset), expected);
-
-            let mut mask = vec![0u64; words];
-            for &op in &subset {
-                mask[op.index() / 64] |= 1 << (op.index() % 64);
-            }
-            prop_assert_eq!(bitset.mask_is_chain(&mask), expected);
+            let expected = naive.is_chain(&subset);
+            prop_assert_eq!(wcg.is_chain(&subset), expected);
+            prop_assert_eq!(wcg.mask_is_chain(&mask_of(&subset, words)), expected);
         }
     }
 
-    /// `max_chain_into` produces the identical chain under both kernels, for
-    /// every resource and for arbitrary covered sets — and a warm scratch
-    /// (reused across every query) is indistinguishable from a fresh one.
+    /// `max_chain_into` returns the naive longest chain for every resource
+    /// and arbitrary covered sets — and a warm scratch (reused across every
+    /// query) is indistinguishable from a fresh one.
     #[test]
-    fn max_chain_matches_oracle_warm_and_fresh(
+    fn max_chain_matches_naive_warm_and_fresh(
         case in case_strategy(),
         covered_seed in any::<u64>(),
     ) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
-
+        let (wcg, naive) = scheduled(&graph);
         let mut state = covered_seed;
         let mut warm = ChainScratch::default();
         let mut warm_chain = Vec::new();
         for round in 0..4 {
-            let sample = splitmix(&mut state);
-            let covered: Vec<bool> = (0..graph.len())
-                .map(|i| round > 0 && sample & (1 << (i % 64)) != 0)
-                .collect();
-            for r in 0..bitset.resources().len() {
-                let expected = oracle.max_chain(r, &covered);
-                prop_assert_eq!(&bitset.max_chain(r, &covered), &expected);
-                bitset.max_chain_into(r, &covered, &mut warm, &mut warm_chain);
+            let mut covered = vec![false; graph.len()];
+            if round > 0 {
+                for op in sample_subset(&graph, &mut state) {
+                    covered[op.index()] = true;
+                }
+            }
+            for r in 0..naive.latencies.len() {
+                let expected = naive.max_chain(r, &covered);
+                prop_assert_eq!(&wcg.max_chain(r, &covered), &expected);
+                wcg.max_chain_into(r, &covered, &mut warm, &mut warm_chain);
                 prop_assert_eq!(&warm_chain, &expected);
             }
         }
     }
 
-    /// The mask-form clique-growth primitives agree with their scalar
-    /// definitions: `mask_covered_by` ⇔ every masked op has the H edge,
-    /// `mask_candidate_count` = |mask ∩ O(r)|.
+    /// The mask kernels match their scalar definitions: `mask_covered_by`
+    /// ⇔ every masked op has the `H` edge, `mask_candidate_count` =
+    /// |mask ∩ O(r)|.
     #[test]
-    fn mask_primitives_match_scalar_definitions(
-        case in case_strategy(),
-        mask_seed in any::<u64>(),
-    ) {
+    fn mask_kernels_match_naive(case in case_strategy(), mask_seed in any::<u64>()) {
         let graph = build(&case);
-        let cost = SonicCostModel::default();
-        let (bitset, oracle) = scheduled_twins(&graph, &cost);
-        let ids: Vec<OpId> = graph.op_ids().collect();
-        let words = bitset.op_mask_words();
-
+        let (wcg, naive) = scheduled(&graph);
+        let words = wcg.op_mask_words();
         let mut state = mask_seed;
         for _ in 0..8 {
-            let sample = splitmix(&mut state);
-            let subset: Vec<OpId> = ids
-                .iter()
-                .copied()
-                .filter(|o| sample & (1 << (o.index() % 64)) != 0)
-                .collect();
-            let mut mask = vec![0u64; words];
-            for &op in &subset {
-                mask[op.index() / 64] |= 1 << (op.index() % 64);
-            }
-            for r in 0..bitset.resources().len() {
+            let subset = sample_subset(&graph, &mut state);
+            let mask = mask_of(&subset, words);
+            for r in 0..naive.latencies.len() {
                 prop_assert_eq!(
-                    bitset.mask_covered_by(&mask, r),
-                    subset.iter().all(|&op| oracle.has_edge(op, r))
+                    wcg.mask_covered_by(&mask, r),
+                    subset.iter().all(|o| naive.edges[o.index()][r])
                 );
                 prop_assert_eq!(
-                    bitset.mask_candidate_count(&mask, r),
-                    subset.iter().filter(|&&op| oracle.has_edge(op, r)).count()
+                    wcg.mask_candidate_count(&mask, r),
+                    subset.iter().filter(|o| naive.edges[o.index()][r]).count()
                 );
             }
         }
     }
 
-    /// Refinement keeps the kernels in lock-step: driving the identical
-    /// refinement sequence through both modes preserves upper bounds,
-    /// candidate lists and the whole edge relation after every step.
+    /// Refinement follows the naive rule step for step — removed counts,
+    /// upper bounds and the whole edge relation — and a snapshot restore
+    /// brings back the unrefined graph with no schedule attached.
     #[test]
-    fn refinement_keeps_kernels_identical(case in case_strategy()) {
+    fn refinement_and_restore_match_naive(case in case_strategy()) {
         let graph = build(&case);
         let cost = SonicCostModel::default();
-        let mut bitset = WordlengthCompatibilityGraph::new(&graph, &cost);
-        let mut oracle = WordlengthCompatibilityGraph::new(&graph, &cost);
-        oracle.set_kernel_mode(KernelMode::Oracle);
+        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+        let mut naive = Naive::new(&graph, &wcg);
+        wcg.snapshot_pristine();
+        let upper = wcg.upper_bound_latencies();
+        wcg.attach_schedule(&asap(&graph, &upper), &upper);
 
         for op in graph.op_ids() {
-            while bitset.refinable(op) {
-                prop_assert!(oracle.refinable(op));
-                prop_assert_eq!(bitset.refine_op(op), oracle.refine_op(op));
-                prop_assert_eq!(
-                    bitset.upper_bound_latency(op),
-                    oracle.upper_bound_latency(op)
-                );
-                prop_assert_eq!(bitset.resources_for(op), oracle.resources_for(op));
+            loop {
+                let removed = wcg.refine_op(op);
+                prop_assert_eq!(removed, naive.refine(op));
+                prop_assert_eq!(wcg.upper_bound_latency(op), naive.upper(op));
+                if removed == 0 {
+                    break;
+                }
             }
-            prop_assert!(!oracle.refinable(op));
+            prop_assert!(!wcg.refinable(op));
         }
-        for op in graph.op_ids() {
-            for r in 0..bitset.resources().len() {
-                prop_assert_eq!(bitset.has_edge(op, r), oracle.has_edge(op, r));
-            }
-        }
+        assert_structure(&graph, &wcg, &naive);
+
+        wcg.restore_pristine();
+        prop_assert!(!wcg.has_schedule());
+        assert_structure(&graph, &wcg, &Naive::new(&graph, &wcg));
     }
 }
