@@ -8,8 +8,11 @@
 
 use std::time::Instant;
 
-use mwl_driver::{run_batch, BatchJob, BatchOptions, BatchReport, LatencySpec};
+use mwl_driver::{
+    area_breakdown_json, run_batch, BatchJob, BatchOptions, BatchReport, LatencySpec,
+};
 use mwl_model::SonicCostModel;
+use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 /// One scenario family: a name, a graph recipe and a λ budget.
@@ -237,50 +240,40 @@ impl BatchSweepResults {
         out
     }
 
-    /// Renders the machine-readable `results/BENCH_batch.json` document.
+    /// The machine-readable `results/BENCH_batch.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let summary = self.reference.summary();
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"jobs\": {},\n  \"succeeded\": {},\n  \"failed\": {},\n  \"all_identical\": {},\n",
-            self.jobs,
-            summary.succeeded,
-            summary.failed,
-            self.all_identical()
-        ));
-        out.push_str(&format!(
-            "  \"total_area\": {},\n  \"area_breakdown\": {{\"fu\": {}, \"register\": {}, \"mux\": {}}},\n",
-            summary.total_area,
-            summary.area_breakdown.fu,
-            summary.area_breakdown.register,
-            summary.area_breakdown.mux
-        ));
-        out.push_str("  \"families\": [\n");
-        for (i, f) in self.families.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"jobs\": {}, \"succeeded\": {}, \"total_area\": {}, \"total_merges\": {}}}{}\n",
-                f.name,
-                f.jobs,
-                f.succeeded,
-                f.total_area,
-                f.total_merges,
-                if i + 1 < self.families.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n  \"throughput\": [\n");
-        for (i, t) in self.throughput.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workers\": {}, \"seconds\": {:.6}, \"graphs_per_sec\": {:.3}, \"identical\": {}}}{}\n",
-                t.workers,
-                t.seconds,
-                t.graphs_per_sec,
-                t.identical,
-                if i + 1 < self.throughput.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let families = self.families.iter().map(|f| {
+            ObjectBuilder::new()
+                .field("name", f.name)
+                .field("jobs", f.jobs)
+                .field("succeeded", f.succeeded)
+                .field("total_area", f.total_area)
+                .field("total_merges", f.total_merges)
+                .build()
+        });
+        let throughput = self.throughput.iter().map(|t| {
+            ObjectBuilder::new()
+                .field("workers", t.workers)
+                .field("seconds", rounded(t.seconds, 6))
+                .field("graphs_per_sec", rounded(t.graphs_per_sec, 3))
+                .field("identical", t.identical)
+                .build()
+        });
+        ObjectBuilder::new()
+            .field("jobs", self.jobs)
+            .field("succeeded", summary.succeeded)
+            .field("failed", summary.failed)
+            .field("all_identical", self.all_identical())
+            .field("total_area", summary.total_area)
+            .field(
+                "area_breakdown",
+                area_breakdown_json(&summary.area_breakdown),
+            )
+            .field("families", families.collect::<Json>())
+            .field("throughput", throughput.collect::<Json>())
+            .build()
     }
 }
 
@@ -382,7 +375,7 @@ mod tests {
     #[test]
     fn json_lists_every_family_and_worker_count() {
         let results = run_batch_sweep(&BatchSweepConfig::smoke());
-        let json = results.to_json();
+        let json = results.to_json().encode_pretty();
         assert!(json.contains("\"all_identical\": true"));
         assert!(json.contains("\"area_breakdown\": {\"fu\": "));
         for family in scenario_families() {

@@ -25,7 +25,7 @@ fn main() {
     );
     let results = run_batch_sweep(&config);
     println!("{}", results.render_text());
-    let json = results.to_json();
+    let json = results.to_json().encode_pretty();
     if let Err(e) = std::fs::create_dir_all("results")
         .and_then(|()| std::fs::write("results/BENCH_batch.json", &json))
     {

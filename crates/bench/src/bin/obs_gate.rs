@@ -24,7 +24,7 @@ fn main() {
     let results = run_obs_gate(&config);
     println!("{}", results.render_text());
 
-    let json = results.to_json();
+    let json = results.to_json().encode_pretty();
     if let Err(e) = std::fs::write(&out_path, &json) {
         eprintln!("ERROR: could not write {out_path}: {e}");
         std::process::exit(1);

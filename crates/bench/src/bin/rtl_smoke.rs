@@ -12,8 +12,9 @@
 use std::process::ExitCode;
 
 use mwl_core::BindingCertificate;
-use mwl_driver::{run_batch, BatchJob, BatchOptions, LatencySpec};
+use mwl_driver::{area_breakdown_json, run_batch, BatchJob, BatchOptions, LatencySpec};
 use mwl_model::SonicCostModel;
+use mwl_obs::json::ObjectBuilder;
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 fn main() -> ExitCode {
@@ -86,20 +87,19 @@ fn main() -> ExitCode {
         BindingCertificate::Heuristic
     };
 
-    let json = format!(
-        "{{\n  \"jobs\": {}, \"failed\": {}, \"rtl_checked\": {}, \"rtl_passed\": {},\n  \
-         \"area_breakdown\": {{\"fu\": {}, \"register\": {}, \"mux\": {}}}, \"certificate\": \"{}\",\n  \
-         \"report\": {}}}\n",
-        summary.jobs,
-        summary.failed,
-        summary.rtl_checked,
-        summary.rtl_passed,
-        summary.area_breakdown.fu,
-        summary.area_breakdown.register,
-        summary.area_breakdown.mux,
-        certificate.as_str(),
-        report.to_json()
-    );
+    let json = ObjectBuilder::new()
+        .field("jobs", summary.jobs)
+        .field("failed", summary.failed)
+        .field("rtl_checked", summary.rtl_checked)
+        .field("rtl_passed", summary.rtl_passed)
+        .field(
+            "area_breakdown",
+            area_breakdown_json(&summary.area_breakdown),
+        )
+        .field("certificate", certificate.as_str())
+        .field("report", report.to_json())
+        .build()
+        .encode_pretty();
     std::fs::create_dir_all("results").expect("create results dir");
     std::fs::write("results/RTL_smoke.json", json).expect("write RTL_smoke.json");
     println!("wrote results/RTL_smoke.json");

@@ -35,6 +35,7 @@ use std::time::Instant;
 
 use mwl_driver::{run_batch, run_batch_traced, BatchOptions, BatchReport};
 use mwl_model::SonicCostModel;
+use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_obs::{ObsMode, TraceSink};
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
@@ -240,41 +241,41 @@ impl ObsGateResults {
         out
     }
 
-    /// Renders the schema-stable `BENCH_obs.json` document.
+    /// The schema-stable `BENCH_obs.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mwl_obs_gate_v1\",\n");
-        out.push_str(&format!(
-            "  \"scenario\": \"{}\",\n  \"jobs\": {},\n  \"cores\": {},\n  \"repetitions\": {},\n",
-            self.scenario, self.jobs, self.cores, self.repetitions
-        ));
-        out.push_str(&format!(
-            "  \"seconds\": {{\"off\": {:.6}, \"off_again\": {:.6}, \"stages\": {:.6}, \"trace\": {:.6}}},\n",
-            self.off_seconds, self.off_again_seconds, self.stages_seconds, self.trace_seconds
-        ));
-        out.push_str(&format!(
-            "  \"bit_identical\": {{\"off\": {}, \"stages_stripped\": {}, \"trace_stripped\": {}}},\n",
-            self.identical_off, self.identical_stages_stripped, self.identical_trace_stripped
-        ));
-        out.push_str(&format!(
-            "  \"disabled\": {{\"delta\": {:.6}, \"noise_limit\": {DISABLED_NOISE_LIMIT}, \"statistically_zero\": {}}},\n",
-            self.disabled_delta(),
-            self.statistically_zero_disabled(),
-        ));
-        out.push_str(&format!(
-            "  \"enabled\": {{\"stages_overhead\": {:.6}, \"trace_overhead\": {:.6}, \"stages_limit\": {ENABLED_OVERHEAD_LIMIT}, \"trace_limit\": {TRACE_OVERHEAD_LIMIT}, \"within_limit\": {}}},\n",
-            self.stages_overhead(),
-            self.trace_overhead(),
-            self.within_enabled_limit(),
-        ));
-        out.push_str(&format!(
-            "  \"trace_events\": {},\n  \"status\": \"{}\"\n",
-            self.trace_events,
-            self.status().as_str()
-        ));
-        out.push_str("}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let seconds = ObjectBuilder::new()
+            .field("off", rounded(self.off_seconds, 6))
+            .field("off_again", rounded(self.off_again_seconds, 6))
+            .field("stages", rounded(self.stages_seconds, 6))
+            .field("trace", rounded(self.trace_seconds, 6));
+        let bit_identical = ObjectBuilder::new()
+            .field("off", self.identical_off)
+            .field("stages_stripped", self.identical_stages_stripped)
+            .field("trace_stripped", self.identical_trace_stripped);
+        let disabled = ObjectBuilder::new()
+            .field("delta", rounded(self.disabled_delta(), 6))
+            .field("noise_limit", DISABLED_NOISE_LIMIT)
+            .field("statistically_zero", self.statistically_zero_disabled());
+        let enabled = ObjectBuilder::new()
+            .field("stages_overhead", rounded(self.stages_overhead(), 6))
+            .field("trace_overhead", rounded(self.trace_overhead(), 6))
+            .field("stages_limit", ENABLED_OVERHEAD_LIMIT)
+            .field("trace_limit", TRACE_OVERHEAD_LIMIT)
+            .field("within_limit", self.within_enabled_limit());
+        ObjectBuilder::new()
+            .field("schema", "mwl_obs_gate_v1")
+            .field("scenario", self.scenario)
+            .field("jobs", self.jobs)
+            .field("cores", self.cores)
+            .field("repetitions", self.repetitions)
+            .field("seconds", seconds.build())
+            .field("bit_identical", bit_identical.build())
+            .field("disabled", disabled.build())
+            .field("enabled", enabled.build())
+            .field("trace_events", self.trace_events)
+            .field("status", self.status().as_str())
+            .build()
     }
 }
 
@@ -375,7 +376,7 @@ mod tests {
     #[test]
     fn json_is_schema_stable() {
         let results = run_obs_gate(&tiny());
-        let json = results.to_json();
+        let json = results.to_json().encode_pretty();
         for key in [
             "\"schema\": \"mwl_obs_gate_v1\"",
             "\"scenario\": \"test_tiny\"",

@@ -32,8 +32,9 @@ use std::time::Instant;
 use mwl_core::{
     reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, CachedCostModel, DpAllocator,
 };
-use mwl_driver::{run_batch, BatchJob, BatchOptions};
+use mwl_driver::{area_breakdown_json, run_batch, BatchJob, BatchOptions};
 use mwl_model::{AreaBreakdown, SonicCostModel};
+use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_obs::{ObsMode, Stage, StageNanos};
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
@@ -223,67 +224,62 @@ impl PerfGateResults {
         out
     }
 
-    /// Renders the schema-stable `BENCH_alloc.json` document.
+    /// The schema-stable `BENCH_alloc.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mwl_perf_gate_v3\",\n");
-        out.push_str(&format!(
-            "  \"scenario\": \"{}\",\n  \"jobs\": {},\n  \"cores\": {},\n  \"repetitions\": {},\n",
-            self.scenario, self.jobs, self.cores, self.repetitions
-        ));
-        out.push_str(&format!(
-            "  \"total_area\": {},\n  \"area_breakdown\": {{\"fu\": {}, \"register\": {}, \"mux\": {}}},\n",
-            self.total_area,
-            self.area_breakdown.fu,
-            self.area_breakdown.register,
-            self.area_breakdown.mux,
-        ));
-        out.push_str(&format!(
-            "  \"single_thread\": {{\"reference_graphs_per_sec\": {:.3}, \"optimized_graphs_per_sec\": {:.3}, \"speedup\": {:.3}, \"target_speedup\": {SINGLE_THREAD_TARGET:.1}, \"meets_target\": {}}},\n",
-            self.reference_graphs_per_sec,
-            self.optimized_graphs_per_sec,
-            self.speedup,
-            self.meets_single_thread_target(),
-        ));
-        out.push_str(&format!(
-            "  \"bit_identical\": {{\"merging_on\": {}, \"merging_off\": {}, \"workers\": {}}},\n",
-            self.identical_merging_on,
-            self.identical_merging_off,
-            self.workers.iter().all(|w| w.identical),
-        ));
-        out.push_str("  \"throughput\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"workers\": {}, \"seconds\": {:.6}, \"graphs_per_sec\": {:.3}, \"identical\": {}, \"status\": \"{}\"}}{}\n",
-                w.workers,
-                w.seconds,
-                w.graphs_per_sec,
-                w.identical,
-                w.status,
-                if i + 1 < self.workers.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"stages\": [\n");
-        for (i, s) in self.stages.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"stage\": \"{}\", \"ns\": {}}}{}\n",
-                s.stage,
-                s.ns,
-                if i + 1 < self.stages.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"multi_core\": {{\"target_speedup\": {MULTI_CORE_TARGET:.1}, \"at_workers\": 4, \"achieved_speedup\": {}, \"status\": \"{}\"}}\n",
-            self.multi_core_speedup
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "null".into()),
-            self.multi_core_status.as_str(),
-        ));
-        out.push_str("}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let single_thread = ObjectBuilder::new()
+            .field(
+                "reference_graphs_per_sec",
+                rounded(self.reference_graphs_per_sec, 3),
+            )
+            .field(
+                "optimized_graphs_per_sec",
+                rounded(self.optimized_graphs_per_sec, 3),
+            )
+            .field("speedup", rounded(self.speedup, 3))
+            .field("target_speedup", SINGLE_THREAD_TARGET)
+            .field("meets_target", self.meets_single_thread_target());
+        let bit_identical = ObjectBuilder::new()
+            .field("merging_on", self.identical_merging_on)
+            .field("merging_off", self.identical_merging_off)
+            .field("workers", self.workers.iter().all(|w| w.identical));
+        let throughput = self.workers.iter().map(|w| {
+            ObjectBuilder::new()
+                .field("workers", w.workers)
+                .field("seconds", rounded(w.seconds, 6))
+                .field("graphs_per_sec", rounded(w.graphs_per_sec, 3))
+                .field("identical", w.identical)
+                .field("status", w.status)
+                .build()
+        });
+        let stages = self.stages.iter().map(|s| {
+            ObjectBuilder::new()
+                .field("stage", s.stage)
+                .field("ns", s.ns)
+                .build()
+        });
+        let multi_core = ObjectBuilder::new()
+            .field("target_speedup", MULTI_CORE_TARGET)
+            .field("at_workers", 4u64)
+            .field(
+                "achieved_speedup",
+                self.multi_core_speedup.map(|s| rounded(s, 3)),
+            )
+            .field("status", self.multi_core_status.as_str());
+        ObjectBuilder::new()
+            .field("schema", "mwl_perf_gate_v3")
+            .field("scenario", self.scenario)
+            .field("jobs", self.jobs)
+            .field("cores", self.cores)
+            .field("repetitions", self.repetitions)
+            .field("total_area", self.total_area)
+            .field("area_breakdown", area_breakdown_json(&self.area_breakdown))
+            .field("single_thread", single_thread.build())
+            .field("bit_identical", bit_identical.build())
+            .field("throughput", throughput.collect::<Json>())
+            .field("stages", stages.collect::<Json>())
+            .field("multi_core", multi_core.build())
+            .build()
     }
 }
 
@@ -530,7 +526,7 @@ mod tests {
     #[test]
     fn json_is_schema_stable() {
         let results = run_perf_gate(&tiny());
-        let json = results.to_json();
+        let json = results.to_json().encode_pretty();
         for key in [
             "\"schema\": \"mwl_perf_gate_v3\"",
             "\"scenario\": \"test_tiny\"",

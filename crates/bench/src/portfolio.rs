@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use mwl_core::{run_portfolio, AllocConfig, PortfolioSpec};
 use mwl_model::SonicCostModel;
+use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_optimal::IlpAllocator;
 use mwl_tgff::{TgffConfig, TgffGenerator};
 
@@ -283,77 +284,67 @@ impl PortfolioGateResults {
         out
     }
 
-    /// Renders the schema-stable `BENCH_portfolio.json` document.
+    /// The schema-stable `BENCH_portfolio.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema\": \"mwl_portfolio_gate_v1\",\n");
-        out.push_str(&format!(
-            "  \"scenario\": \"{}\",\n  \"seed\": {},\n  \"variants\": {},\n  \"jobs\": {},\n  \"solved\": {},\n  \"improved\": {},\n  \"regressed\": {},\n",
-            self.scenario, self.seed, self.variants, self.jobs, self.solved, self.improved, self.regressed
-        ));
-        out.push_str(&format!(
-            "  \"area\": {{\"baseline\": {}, \"portfolio\": {}, \"saved\": {}}},\n",
-            self.baseline_area(),
-            self.portfolio_area(),
-            self.area_saved()
-        ));
-        out.push_str(&format!(
-            "  \"determinism\": {{\"worker_counts\": [{}], \"runs\": {}, \"ok\": {}}},\n",
-            self.worker_counts
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", "),
-            self.determinism_runs,
-            self.determinism_ok
-        ));
-        out.push_str("  \"families\": [\n");
-        for (i, f) in self.families.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"jobs\": {}, \"solved\": {}, \"improved\": {}, \"regressed\": {}, \"baseline_area\": {}, \"portfolio_area\": {}, \"area_saved\": {}}}{}\n",
-                f.name,
-                f.jobs,
-                f.solved,
-                f.improved,
-                f.regressed,
-                f.baseline_area,
-                f.portfolio_area,
-                f.area_saved(),
-                if i + 1 < self.families.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"ilp\": [\n");
-        for (i, r) in self.ilp.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"ops\": {}, \"graphs\": {}, \"proven\": {}, \"timed_out\": {}, \"matched_optimal\": {}, \"baseline_gap\": {}, \"portfolio_gap\": {}, \"unsound\": {}}}{}\n",
-                r.ops,
-                r.graphs,
-                r.proven,
-                r.timed_out,
-                r.matched_optimal,
-                r.baseline_gap,
-                r.portfolio_gap,
-                r.unsound,
-                if i + 1 < self.ilp.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"gap_closed_percent\": {},\n",
-            self.gap_closed_percent()
-                .map(|p| format!("{p:.3}"))
-                .unwrap_or_else(|| "null".into())
-        ));
-        out.push_str(&format!(
-            "  \"gates\": {{\"never_worse\": {}, \"improved_somewhere\": {}, \"deterministic\": {}}}\n",
-            self.never_worse(),
-            self.improved_somewhere(),
-            self.determinism_ok
-        ));
-        out.push_str("}\n");
-        out
+    pub fn to_json(&self) -> Json {
+        let area = ObjectBuilder::new()
+            .field("baseline", self.baseline_area())
+            .field("portfolio", self.portfolio_area())
+            .field("saved", self.area_saved());
+        let determinism = ObjectBuilder::new()
+            .field(
+                "worker_counts",
+                self.worker_counts.iter().copied().collect::<Json>(),
+            )
+            .field("runs", self.determinism_runs)
+            .field("ok", self.determinism_ok);
+        let families = self.families.iter().map(|f| {
+            ObjectBuilder::new()
+                .field("name", f.name.as_str())
+                .field("jobs", f.jobs)
+                .field("solved", f.solved)
+                .field("improved", f.improved)
+                .field("regressed", f.regressed)
+                .field("baseline_area", f.baseline_area)
+                .field("portfolio_area", f.portfolio_area)
+                .field("area_saved", f.area_saved())
+                .build()
+        });
+        let ilp = self.ilp.iter().map(|r| {
+            ObjectBuilder::new()
+                .field("ops", r.ops)
+                .field("graphs", r.graphs)
+                .field("proven", r.proven)
+                .field("timed_out", r.timed_out)
+                .field("matched_optimal", r.matched_optimal)
+                .field("baseline_gap", r.baseline_gap)
+                .field("portfolio_gap", r.portfolio_gap)
+                .field("unsound", r.unsound)
+                .build()
+        });
+        let gates = ObjectBuilder::new()
+            .field("never_worse", self.never_worse())
+            .field("improved_somewhere", self.improved_somewhere())
+            .field("deterministic", self.determinism_ok);
+        ObjectBuilder::new()
+            .field("schema", "mwl_portfolio_gate_v1")
+            .field("scenario", self.scenario)
+            .field("seed", self.seed)
+            .field("variants", self.variants)
+            .field("jobs", self.jobs)
+            .field("solved", self.solved)
+            .field("improved", self.improved)
+            .field("regressed", self.regressed)
+            .field("area", area.build())
+            .field("determinism", determinism.build())
+            .field("families", families.collect::<Json>())
+            .field("ilp", ilp.collect::<Json>())
+            .field(
+                "gap_closed_percent",
+                self.gap_closed_percent().map(|p| rounded(p, 3)),
+            )
+            .field("gates", gates.build())
+            .build()
     }
 }
 
@@ -543,7 +534,7 @@ mod tests {
     #[test]
     fn json_is_schema_stable() {
         let results = run_portfolio_gate(&tiny());
-        let json = results.to_json();
+        let json = results.to_json().encode_pretty();
         for needle in [
             "\"schema\": \"mwl_portfolio_gate_v1\"",
             "\"area\": {\"baseline\": ",

@@ -75,4 +75,4 @@ mod report;
 pub use engine::{run_batch, run_batch_traced};
 pub use exec::{batch_cache, solve_job, width_grid_cache};
 pub use job::{BatchJob, BatchOptions, LatencySpec};
-pub use report::{BatchReport, BatchSummary, JobOutcome, JobStats, RtlCheck};
+pub use report::{area_breakdown_json, BatchReport, BatchSummary, JobOutcome, JobStats, RtlCheck};

@@ -4,6 +4,7 @@ use std::fmt;
 
 use mwl_core::{AllocError, BindingCertificate, PortfolioStats};
 use mwl_model::{Area, AreaBreakdown, Cycles};
+use mwl_obs::json::{Json, ObjectBuilder};
 use mwl_obs::StageNanos;
 
 /// The outcome of the opt-in RTL equivalence oracle for one job
@@ -181,119 +182,114 @@ impl BatchReport {
         self.outcomes.iter().filter(|o| o.result.is_err()).collect()
     }
 
-    /// Renders the report as a compact JSON document (no external
-    /// serialisation dependency; see the crate docs of the vendored `serde`
-    /// stand-in for why).
+    /// The report as a JSON value; [`Json::encode_pretty`] prints it with
+    /// one line per outcome.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let s = self.summary();
-        let mut out = String::from("{\n  \"summary\": {");
-        out.push_str(&format!(
-            "\"jobs\": {}, \"succeeded\": {}, \"failed\": {}, \"total_area\": {}, \
-             \"area_breakdown\": {{\"fu\": {}, \"register\": {}, \"mux\": {}}}, \
-             \"total_latency\": {}, \"total_instances\": {}, \"total_refinements\": {}, \
-             \"total_escalations\": {}, \"total_merges\": {}, \"rtl_checked\": {}, \
-             \"rtl_passed\": {}, \"portfolio_jobs\": {}, \"portfolio_improved\": {}, \
-             \"portfolio_area_saved\": {}",
-            s.jobs,
-            s.succeeded,
-            s.failed,
-            s.total_area,
-            s.area_breakdown.fu,
-            s.area_breakdown.register,
-            s.area_breakdown.mux,
-            s.total_latency,
-            s.total_instances,
-            s.total_refinements,
-            s.total_escalations,
-            s.total_merges,
-            s.rtl_checked,
-            s.rtl_passed,
-            s.portfolio_jobs,
-            s.portfolio_improved,
-            s.portfolio_area_saved
-        ));
+        let mut summary = ObjectBuilder::new()
+            .field("jobs", s.jobs)
+            .field("succeeded", s.succeeded)
+            .field("failed", s.failed)
+            .field("total_area", s.total_area)
+            .field("area_breakdown", area_breakdown_json(&s.area_breakdown))
+            .field("total_latency", s.total_latency)
+            .field("total_instances", s.total_instances)
+            .field("total_refinements", s.total_refinements)
+            .field("total_escalations", s.total_escalations)
+            .field("total_merges", s.total_merges)
+            .field("rtl_checked", s.rtl_checked)
+            .field("rtl_passed", s.rtl_passed)
+            .field("portfolio_jobs", s.portfolio_jobs)
+            .field("portfolio_improved", s.portfolio_improved)
+            .field("portfolio_area_saved", s.portfolio_area_saved);
         if !s.stages.is_zero() {
-            out.push_str(&format!(", \"stages\": {}", stages_json(&s.stages)));
+            summary = summary.field("stages", s.stages.to_json());
         }
-        out.push_str("},\n  \"outcomes\": [\n");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            out.push_str("    {");
-            out.push_str(&format!(
-                "\"index\": {}, \"label\": {}",
-                o.index,
-                json_string(&o.label)
-            ));
-            match &o.result {
-                Ok(st) => {
-                    out.push_str(&format!(
-                        ", \"ok\": true, \"lambda\": {}, \"area\": {}, \
-                         \"area_breakdown\": {{\"fu\": {}, \"register\": {}, \"mux\": {}}}, \
-                         \"certificate\": \"{}\", \
-                         \"latency\": {}, \"instances\": {}, \"refinements\": {}, \
-                         \"escalations\": {}, \"merges\": {}",
-                        st.lambda,
-                        st.area,
-                        st.area_breakdown.fu,
-                        st.area_breakdown.register,
-                        st.area_breakdown.mux,
-                        st.certificate.as_str(),
-                        st.latency,
-                        st.instances,
-                        st.refinements,
-                        st.bound_escalations,
-                        st.merges
-                    ));
-                    if let Some(rtl) = &st.rtl {
-                        out.push_str(&format!(
-                            ", \"rtl\": {{\"passed\": {}, \"vectors\": {}, \
-                             \"registers\": {}, \"mux_arms\": {}, \"adapters\": {}",
-                            rtl.passed, rtl.vectors, rtl.registers, rtl.mux_arms, rtl.adapters
-                        ));
-                        if let Some(cert) = rtl.certificate {
-                            out.push_str(&format!(", \"certificate\": \"{}\"", cert.as_str()));
-                        }
-                        if let Some(failure) = &rtl.failure {
-                            out.push_str(&format!(", \"failure\": {}", json_string(failure)));
-                        }
-                        out.push('}');
-                    }
-                    if let Some(p) = &st.portfolio {
-                        out.push_str(&format!(
-                            ", \"portfolio\": {{\"seed\": {}, \"variants\": {}, \
-                             \"solved\": {}, \"failed\": {}, \"winner\": {}, \
-                             \"winner_label\": {}, \"area_saved\": {}",
-                            p.seed,
-                            p.variants,
-                            p.solved,
-                            p.failed,
-                            p.winner,
-                            json_string(&p.winner_label),
-                            p.area_saved
-                        ));
-                        if let Some(v0) = p.variant0_area {
-                            out.push_str(&format!(", \"variant0_area\": {v0}"));
-                        }
-                        out.push('}');
-                    }
-                    if let Some(stages) = &st.stages {
-                        out.push_str(&format!(", \"stages\": {}", stages_json(stages)));
-                    }
-                }
-                Err(e) => out.push_str(&format!(
-                    ", \"ok\": false, \"error\": {}",
-                    json_string(&e.to_string())
-                )),
-            }
-            out.push('}');
-            if i + 1 < self.outcomes.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+        ObjectBuilder::new()
+            .field("summary", summary.build())
+            .field(
+                "outcomes",
+                self.outcomes
+                    .iter()
+                    .map(JobOutcome::to_json)
+                    .collect::<Json>(),
+            )
+            .build()
     }
+}
+
+impl JobOutcome {
+    /// The outcome as one JSON object of the batch report.
+    fn to_json(&self) -> Json {
+        let outcome = ObjectBuilder::new()
+            .field("index", self.index)
+            .field("label", self.label.as_str());
+        let st = match &self.result {
+            Ok(st) => st,
+            Err(e) => {
+                return outcome
+                    .field("ok", false)
+                    .field("error", e.to_string())
+                    .build()
+            }
+        };
+        let mut outcome = outcome
+            .field("ok", true)
+            .field("lambda", st.lambda)
+            .field("area", st.area)
+            .field("area_breakdown", area_breakdown_json(&st.area_breakdown))
+            .field("certificate", st.certificate.as_str())
+            .field("latency", st.latency)
+            .field("instances", st.instances)
+            .field("refinements", st.refinements)
+            .field("escalations", st.bound_escalations)
+            .field("merges", st.merges);
+        if let Some(rtl) = &st.rtl {
+            let mut check = ObjectBuilder::new()
+                .field("passed", rtl.passed)
+                .field("vectors", rtl.vectors)
+                .field("registers", rtl.registers)
+                .field("mux_arms", rtl.mux_arms)
+                .field("adapters", rtl.adapters);
+            if let Some(cert) = rtl.certificate {
+                check = check.field("certificate", cert.as_str());
+            }
+            if let Some(failure) = &rtl.failure {
+                check = check.field("failure", failure.as_str());
+            }
+            outcome = outcome.field("rtl", check.build());
+        }
+        if let Some(p) = &st.portfolio {
+            let mut portfolio = ObjectBuilder::new()
+                .field("seed", p.seed)
+                .field("variants", p.variants)
+                .field("solved", p.solved)
+                .field("failed", p.failed)
+                .field("winner", p.winner)
+                .field("winner_label", p.winner_label.as_str())
+                .field("area_saved", p.area_saved);
+            if let Some(v0) = p.variant0_area {
+                portfolio = portfolio.field("variant0_area", v0);
+            }
+            outcome = outcome.field("portfolio", portfolio.build());
+        }
+        if let Some(stages) = &st.stages {
+            outcome = outcome.field("stages", stages.to_json());
+        }
+        outcome.build()
+    }
+}
+
+/// An area breakdown as the `{"fu", "register", "mux"}` object every
+/// report file and the wire protocol carry.
+#[must_use]
+pub fn area_breakdown_json(b: &AreaBreakdown) -> Json {
+    ObjectBuilder::new()
+        .field("fu", b.fu)
+        .field("register", b.register)
+        .field("mux", b.mux)
+        .build()
 }
 
 impl fmt::Display for BatchReport {
@@ -334,39 +330,6 @@ impl fmt::Display for BatchReport {
         }
         Ok(())
     }
-}
-
-/// Renders a stage breakdown as a JSON object with `<stage>_ns` keys in
-/// report order.
-fn stages_json(stages: &StageNanos) -> String {
-    let mut out = String::from("{");
-    for (i, (stage, nanos)) in stages.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{}_ns\": {nanos}", stage.name()));
-    }
-    out.push('}');
-    out
-}
-
-/// Escapes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -455,7 +418,7 @@ mod tests {
 
     #[test]
     fn json_is_well_formed_enough() {
-        let json = sample_report().to_json();
+        let json = sample_report().to_json().encode_pretty();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"jobs\": 2"));
         assert!(json.contains("\\\"quoted\\\""));
@@ -506,7 +469,10 @@ mod tests {
         assert_eq!(s.portfolio_improved, 0);
         assert_eq!(s.portfolio_area_saved, 0);
         assert!(r.to_string().contains("portfolio =baseline"));
-        assert!(r.to_json().contains("\"winner_label\": \"baseline\""));
+        assert!(r
+            .to_json()
+            .encode_pretty()
+            .contains("\"winner_label\": \"baseline\""));
     }
 
     #[test]
@@ -528,14 +494,17 @@ mod tests {
         assert_eq!(s.rtl_passed, 0);
         // The diagnostic reaches both the human-readable and JSON reports.
         assert!(r.to_string().contains("rtl FAIL (vector 1 diverged)"));
-        assert!(r.to_json().contains("\"passed\": false"));
-        assert!(r.to_json().contains("\"failure\": \"vector 1 diverged\""));
+        assert!(r.to_json().encode_pretty().contains("\"passed\": false"));
+        assert!(r
+            .to_json()
+            .encode_pretty()
+            .contains("\"failure\": \"vector 1 diverged\""));
     }
 
     #[test]
     fn stage_breakdowns_reach_the_json_report_only_when_present() {
         let without = sample_report();
-        assert!(!without.to_json().contains("\"stages\""));
+        assert!(!without.to_json().encode_pretty().contains("\"stages\""));
         assert!(without.summary().stages.is_zero());
 
         let mut with = sample_report();
@@ -548,7 +517,7 @@ mod tests {
         let summary = with.summary();
         assert_eq!(summary.stages.get(mwl_obs::Stage::Schedule), 1_500);
         assert_eq!(summary.stages.get(mwl_obs::Stage::Solve), 4_000);
-        let json = with.to_json();
+        let json = with.to_json().encode_pretty();
         assert!(json.contains("\"stages\": {\"schedule_ns\": 1500, \"bind_ns\": 0"));
         assert!(json.contains("\"solve_ns\": 4000}"));
         // Stripping the breakdowns restores the obs-off report exactly.
@@ -558,10 +527,24 @@ mod tests {
         assert_eq!(with.to_json(), without.to_json());
     }
 
+    /// The report's bytes are pinned: this is the document the batch
+    /// driver wrote before it was built on the JSON codec.
     #[test]
-    fn json_string_escapes() {
-        assert_eq!(json_string("x"), "\"x\"");
-        assert_eq!(json_string("a\nb"), "\"a\\nb\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn json_report_bytes_are_pinned() {
+        let golden = concat!(
+            "{\n",
+            "  \"summary\": {\"jobs\": 2, \"succeeded\": 1, \"failed\": 1, \"total_area\": 100, \"area_breakdown\": {\"fu\": 100, \"register\": 24, \"mux\": 12}, \"total_latency\": 9, \"total_instances\": 3, \"total_refinements\": 2, \"total_escalations\": 1, \"total_merges\": 1, \"rtl_checked\": 1, \"rtl_passed\": 1, \"portfolio_jobs\": 1, \"portfolio_improved\": 1, \"portfolio_area_saved\": 12},\n",
+            "  \"outcomes\": [\n",
+            "    {\"index\": 0, \"label\": \"a\", \"ok\": true, \"lambda\": 10, \"area\": 100, \"area_breakdown\": {\"fu\": 100, \"register\": 24, \"mux\": 12}, \"certificate\": \"optimal\", \"latency\": 9, \"instances\": 3, \"refinements\": 2, \"escalations\": 1, \"merges\": 1, \"rtl\": {\"passed\": true, \"vectors\": 4, \"registers\": 3, \"mux_arms\": 6, \"adapters\": 2, \"certificate\": \"optimal\"}, \"portfolio\": {\"seed\": 42, \"variants\": 6, \"solved\": 5, \"failed\": 1, \"winner\": 3, \"winner_label\": \"no_growth+merge_shuffle\", \"area_saved\": 12, \"variant0_area\": 112}},\n",
+            "    {\"index\": 1, \"label\": \"b\\\"quoted\\\"\", \"ok\": false, \"error\": \"latency constraint 1 is below the minimum achievable latency 5\"}\n",
+            "  ]\n",
+            "}\n",
+        );
+        assert_eq!(sample_report().to_json().encode_pretty(), golden);
+        let empty = BatchReport { outcomes: vec![] };
+        assert!(empty
+            .to_json()
+            .encode_pretty()
+            .ends_with("\"outcomes\": [\n  ]\n}\n"));
     }
 }

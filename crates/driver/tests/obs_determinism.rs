@@ -135,7 +135,7 @@ fn trace_events_render_to_chrome_json() {
         assert!(!event.cat.is_empty());
     }
 
-    let json = chrome_trace_json(&events);
+    let json = chrome_trace_json(&events).encode();
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("\"solve\""));
@@ -152,13 +152,16 @@ fn json_report_is_stable_under_obs() {
         generator.generate(),
         LatencySpec::RelaxSteps(2),
     )];
-    let off = run_batch(&jobs, &cost, &BatchOptions::sequential()).to_json();
+    let off = run_batch(&jobs, &cost, &BatchOptions::sequential())
+        .to_json()
+        .encode_pretty();
     let off_explicit = run_batch(
         &jobs,
         &cost,
         &BatchOptions::sequential().with_obs(ObsMode::Off),
     )
-    .to_json();
+    .to_json()
+    .encode_pretty();
     assert_eq!(off, off_explicit);
     assert!(!off.contains("\"stages\""));
 
@@ -167,7 +170,8 @@ fn json_report_is_stable_under_obs() {
         &cost,
         &BatchOptions::sequential().with_obs(ObsMode::Stages),
     )
-    .to_json();
+    .to_json()
+    .encode_pretty();
     assert!(on.contains("\"stages\""));
     assert!(on.contains("\"schedule_ns\""));
     assert!(on.contains("\"solve_ns\""));

@@ -1,19 +1,37 @@
-//! A minimal hand-rolled JSON value, parser and printer.
+//! The workspace's one JSON codec: a value type, a strict parser, and the
+//! two encoders every document is written with.
 //!
 //! The workspace's vendored `serde` stand-in is a no-op (see `vendor/serde`),
-//! so the wire protocol cannot rely on derived serialisation; this module is
-//! the self-contained replacement.  It supports exactly what a line-delimited
-//! control protocol needs: objects with ordered keys, arrays, strings with
-//! full escape handling (including `\uXXXX` and surrogate pairs), `i64`
-//! integers, booleans and `null`.  Floating-point literals are parsed and
-//! re-printed, but the protocol itself only ever emits integers so that
-//! encoded payloads are byte-stable.
+//! so nothing can rely on derived serialisation; this module is the
+//! self-contained replacement.  It supports objects with ordered keys,
+//! arrays, strings with full escape handling (including `\uXXXX` and
+//! surrogate pairs), `i64` integers, finite floats, booleans and `null`.
+//!
+//! Every JSON document the stack writes is built as a [`Json`] value and
+//! printed here, so there is one string escaper, one number spelling and
+//! one layout policy:
+//!
+//! * [`Json::encode`] — compact, no insignificant whitespace: the
+//!   `mwl_serve` wire protocol, one message per line.
+//! * [`Json::encode_pretty`] — the layout of the committed report files
+//!   (the batch report, the `BENCH_*.json` gates, Chrome traces).
+//!
+//! Floats print in their shortest round-trip form; a writer that wants
+//! fewer digits rounds through [`rounded`] first.
 //!
 //! Parsing is strict: a [`Json::parse`] call must consume the entire input
 //! (ignoring surrounding whitespace) or it fails — a half-valid line is a
-//! protocol error, not a prefix.
+//! protocol error, not a prefix.  Nesting is bounded by [`MAX_DEPTH`], so a
+//! hostile document cannot exhaust the parsing thread's stack.
 
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// Legitimate documents nest at most four deep (a submit's
+/// `graph → edges → [from, to]`); anything past this bound is rejected
+/// with a [`JsonError`] instead of recursing further.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 ///
@@ -28,7 +46,7 @@ pub enum Json {
     Bool(bool),
     /// An integer (the protocol's only numeric type).
     Int(i64),
-    /// A non-integral number; accepted on input for robustness.
+    /// A finite floating-point number (measurements in report files).
     Float(f64),
     /// A string.
     Str(String),
@@ -60,11 +78,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] with the byte offset of the first problem.
+    /// Returns a [`JsonError`] with the byte offset of the first problem,
+    /// including nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -79,11 +100,49 @@ impl Json {
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.encode_into(&mut out);
+        self.encode_into(&mut out, ",", ":");
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Prints the value in the layout of the workspace's report files,
+    /// with a trailing newline.
+    ///
+    /// A root object puts each member on its own line at a 2-space
+    /// indent, and an array member of the root puts each element on its
+    /// own line at a 4-space indent.  Everything below that is printed
+    /// inline with `", "` and `": "` separators.  A root that is not an
+    /// object prints inline.
+    #[must_use]
+    pub fn encode_pretty(&self) -> String {
+        let mut out = String::new();
+        let Json::Object(pairs) = self else {
+            self.encode_into(&mut out, ", ", ": ");
+            out.push('\n');
+            return out;
+        };
+        out.push_str("{\n");
+        for (i, (key, value)) in pairs.iter().enumerate() {
+            out.push_str("  ");
+            encode_string(key, &mut out);
+            out.push_str(": ");
+            if let Json::Array(items) = value {
+                out.push_str("[\n");
+                for (j, item) in items.iter().enumerate() {
+                    out.push_str("    ");
+                    item.encode_into(&mut out, ", ", ": ");
+                    out.push_str(if j + 1 < items.len() { ",\n" } else { "\n" });
+                }
+                out.push_str("  ]");
+            } else {
+                value.encode_into(&mut out, ", ", ": ");
+            }
+            out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("}\n");
+        out
+    }
+
+    fn encode_into(&self, out: &mut String, comma: &str, colon: &str) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -102,9 +161,9 @@ impl Json {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
-                    item.encode_into(out);
+                    item.encode_into(out, comma, colon);
                 }
                 out.push(']');
             }
@@ -112,11 +171,11 @@ impl Json {
                 out.push('{');
                 for (i, (key, value)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push_str(comma);
                     }
                     encode_string(key, out);
-                    out.push(':');
-                    value.encode_into(out);
+                    out.push_str(colon);
+                    value.encode_into(out, comma, colon);
                 }
                 out.push('}');
             }
@@ -178,7 +237,73 @@ impl Json {
     }
 }
 
-/// Escapes and quotes a string.
+/// `x` rounded to `decimals` places, as a [`Json::Float`]: the one way a
+/// writer limits the digits a measurement prints with.
+///
+/// ```
+/// use mwl_obs::json::{rounded, Json};
+///
+/// assert_eq!(rounded(5.3801, 3).encode(), "5.38");
+/// assert_eq!(rounded(2.0, 1), Json::Float(2.0));
+/// ```
+#[must_use]
+pub fn rounded(x: f64, decimals: i32) -> Json {
+    let scale = 10f64.powi(decimals);
+    Json::Float((x * scale).round() / scale)
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Self {
+        Json::Bool(b)
+    }
+}
+
+/// Unsigned counts; values above `i64::MAX` saturate, and no count or
+/// counter gets there.
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(u: $t) -> Self {
+                Json::Int(i64::try_from(u).unwrap_or(i64::MAX))
+            }
+        }
+    )*};
+}
+from_unsigned!(u32, u64, usize);
+
+impl From<f64> for Json {
+    fn from(x: f64) -> Self {
+        Json::Float(x)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Self {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Self {
+        Json::Str(s)
+    }
+}
+
+/// `None` prints as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(value: Option<T>) -> Self {
+        value.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Collects values into a [`Json::Array`].
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Json::Array(iter.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Escapes and quotes a string: the workspace's only JSON string escaper.
 fn encode_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -200,8 +325,11 @@ fn encode_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -213,12 +341,14 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn skip_digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
         }
     }
 
@@ -246,8 +376,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
@@ -321,84 +462,64 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => {
-                            out.push('"');
-                            self.pos += 1;
-                        }
-                        Some(b'\\') => {
-                            out.push('\\');
-                            self.pos += 1;
-                        }
-                        Some(b'/') => {
-                            out.push('/');
-                            self.pos += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.pos += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.pos += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.pos += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{8}');
-                            self.pos += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{c}');
-                            self.pos += 1;
-                        }
+                    let escaped = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
                             self.pos += 1;
-                            let unit = self.hex4()?;
-                            let c = if (0xD800..=0xDBFF).contains(&unit) {
-                                // High surrogate: a \uXXXX low surrogate must
-                                // follow to form one supplementary character.
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.eat(b'u')?;
-                                } else {
-                                    return Err(self.error("unpaired high surrogate"));
-                                }
-                                let low = self.hex4()?;
-                                if !(0xDC00..=0xDFFF).contains(&low) {
-                                    return Err(self.error("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid surrogate pair"))?
-                            } else if (0xDC00..=0xDFFF).contains(&unit) {
-                                return Err(self.error("unpaired low surrogate"));
-                            } else {
-                                char::from_u32(unit)
-                                    .ok_or_else(|| self.error("invalid \\u escape"))?
-                            };
-                            out.push(c);
+                            out.push(self.unicode_escape()?);
+                            continue;
                         }
                         _ => return Err(self.error("invalid escape sequence")),
-                    }
+                    };
+                    self.pos += 1;
+                    out.push(escaped);
                 }
                 Some(b) if b < 0x20 => {
                     return Err(self.error("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += len;
+                    // One whole character: `pos` only ever advances past
+                    // complete characters, so it sits on a char boundary.
+                    let rest = self.input.get(self.pos..).unwrap_or_default();
+                    let c = rest
+                        .chars()
+                        .next()
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// Decodes the `XXXX` after `\\u`, joining a surrogate pair.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let unit = self.hex4()?;
+        if (0xDC00..=0xDFFF).contains(&unit) {
+            return Err(self.error("unpaired low surrogate"));
+        }
+        if !(0xD800..=0xDBFF).contains(&unit) {
+            return char::from_u32(unit).ok_or_else(|| self.error("invalid \\u escape"));
+        }
+        // High surrogate: a \uXXXX low surrogate must follow to form one
+        // supplementary character.
+        if !self.bytes[self.pos..].starts_with(b"\\u") {
+            return Err(self.error("unpaired high surrogate"));
+        }
+        self.pos += 2;
+        let low = self.hex4()?;
+        if !(0xDC00..=0xDFFF).contains(&low) {
+            return Err(self.error("invalid low surrogate"));
+        }
+        let code = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+        char::from_u32(code).ok_or_else(|| self.error("invalid surrogate pair"))
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -421,16 +542,12 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.skip_digits();
         let mut is_float = false;
         if self.peek() == Some(b'.') {
             is_float = true;
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             is_float = true;
@@ -438,31 +555,22 @@ impl Parser<'_> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.skip_digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.input[start..self.pos];
         if is_float {
-            text.parse::<f64>()
-                .map(Json::Float)
-                .map_err(|_| self.error("invalid number"))
+            // An overflowing literal (`1e999`) has no finite value and no
+            // encoding to round-trip through, so it is out of range.
+            match text.parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(Json::Float(x)),
+                Ok(_) => Err(self.error("number out of range")),
+                Err(_) => Err(self.error("invalid number")),
+            }
         } else {
             text.parse::<i64>()
                 .map(Json::Int)
                 .map_err(|_| self.error("integer out of range"))
         }
-    }
-}
-
-/// Length in bytes of the UTF-8 sequence starting with the given byte.
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
     }
 }
 
@@ -477,36 +585,11 @@ impl ObjectBuilder {
         ObjectBuilder(Vec::new())
     }
 
-    /// Appends a field.
+    /// Appends a field of any type with a [`Json`] conversion.
     #[must_use]
-    pub fn field(mut self, key: &str, value: Json) -> Self {
-        self.0.push((key.to_string(), value));
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Self {
+        self.0.push((key.to_string(), value.into()));
         self
-    }
-
-    /// Appends an integer field.
-    #[must_use]
-    pub fn int(self, key: &str, value: i64) -> Self {
-        self.field(key, Json::Int(value))
-    }
-
-    /// Appends a `u64` field (values above `i64::MAX` saturate; the
-    /// protocol's counters never get there).
-    #[must_use]
-    pub fn uint(self, key: &str, value: u64) -> Self {
-        self.field(key, Json::Int(i64::try_from(value).unwrap_or(i64::MAX)))
-    }
-
-    /// Appends a string field.
-    #[must_use]
-    pub fn str(self, key: &str, value: &str) -> Self {
-        self.field(key, Json::Str(value.to_string()))
-    }
-
-    /// Appends a boolean field.
-    #[must_use]
-    pub fn bool(self, key: &str, value: bool) -> Self {
-        self.field(key, Json::Bool(value))
     }
 
     /// Finishes the object.
@@ -548,6 +631,7 @@ mod tests {
         let original = "line\nquote\"back\\slash\ttab\u{1}control\u{1F600}emoji";
         let encoded = Json::Str(original.to_string()).encode();
         assert_eq!(Json::parse(&encoded).unwrap().as_str(), Some(original));
+        assert_eq!(Json::from("a\nb\u{1}").encode(), r#""a\nb\u0001""#);
     }
 
     #[test]
@@ -577,6 +661,8 @@ mod tests {
             "nul",
             "01a",
             "9223372036854775808",
+            "1e999",
+            "-1e400",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -585,9 +671,9 @@ mod tests {
     #[test]
     fn encode_is_parse_inverse_on_protocol_values() {
         let value = ObjectBuilder::new()
-            .str("type", "submit")
-            .int("id", 7)
-            .bool("ok", true)
+            .field("type", "submit")
+            .field("id", 7u64)
+            .field("ok", true)
             .field("xs", Json::Array(vec![Json::Int(1), Json::Null]))
             .build();
         let encoded = value.encode();
@@ -601,5 +687,70 @@ mod tests {
             let encoded = Json::Int(v).encode();
             assert_eq!(Json::parse(&encoded).unwrap(), Json::Int(v));
         }
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn a_million_open_brackets_fail_without_recursing() {
+        let err = Json::parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn pretty_layout_matches_the_report_files() {
+        let value = ObjectBuilder::new()
+            .field("schema", "s")
+            .field("speedup", rounded(5.380_4, 3))
+            .field("limit", 0.05)
+            .field("target", 6.0)
+            .field("missing", None::<u64>)
+            .field(
+                "block",
+                ObjectBuilder::new()
+                    .field("xs", [1u64, 2, 4].into_iter().collect::<Json>())
+                    .field("empty", Json::Object(vec![]))
+                    .build(),
+            )
+            .field(
+                "rows",
+                [1u64, 2]
+                    .into_iter()
+                    .map(|w| ObjectBuilder::new().field("workers", w).build())
+                    .collect::<Json>(),
+            )
+            .field("none", Json::Array(vec![]))
+            .build();
+        assert_eq!(
+            value.encode_pretty(),
+            "{\n  \"schema\": \"s\",\n  \"speedup\": 5.38,\n  \"limit\": 0.05,\n  \
+             \"target\": 6.0,\n  \"missing\": null,\n  \
+             \"block\": {\"xs\": [1, 2, 4], \"empty\": {}},\n  \"rows\": [\n    \
+             {\"workers\": 1},\n    {\"workers\": 2}\n  ],\n  \"none\": [\n  ]\n}\n"
+        );
+        assert_eq!(Json::parse(&value.encode_pretty()).unwrap(), value);
+        assert_eq!(Json::Int(3).encode_pretty(), "3\n");
+    }
+
+    #[test]
+    fn floats_print_shortest_round_trip() {
+        for (x, text) in [(2.5, "2.5"), (1.0, "1.0"), (0.020_96, "0.02096")] {
+            assert_eq!(Json::Float(x).encode(), text);
+            assert_eq!(Json::parse(text).unwrap(), Json::Float(x));
+        }
+        assert_eq!(rounded(2_347.689_4, 3).encode(), "2347.689");
+        assert_eq!(rounded(0.468_64, 4).encode(), "0.4686");
+        assert_eq!(Json::Float(f64::NAN).encode(), "null");
     }
 }

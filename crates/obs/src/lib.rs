@@ -17,12 +17,14 @@
 //!   refine, merge, storage, rtl, variant, solve) and a `Copy` accumulator
 //!   of per-stage nanoseconds.
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
-//!   [`Histogram`]s (p50/p95/p99) behind atomics; snapshots render to a
-//!   stable JSON document.
+//!   [`Histogram`]s (p50/p95/p99) behind atomics; name-sorted snapshots
+//!   (the daemon's `metrics` wire command digests them).
 //! * [`TraceEvent`] / [`TraceSink`] / [`chrome_trace_json`] — a Chrome
-//!   trace-event JSON writer whose output loads in `chrome://tracing` and
-//!   [Perfetto](https://ui.perfetto.dev) and parses with the workspace's
-//!   own strict JSON parser.
+//!   trace-event document whose output loads in `chrome://tracing` and
+//!   [Perfetto](https://ui.perfetto.dev).
+//! * [`json`] — the workspace's one JSON codec: the [`json::Json`] value,
+//!   a strict depth-bounded parser, and the compact (wire) and pretty
+//!   (report file) encoders every JSON writer in the stack prints with.
 //!
 //! No dependencies, no `unsafe`, no global state: recorders live inside the
 //! allocator's scratch space, registries inside the server that owns them,
@@ -54,17 +56,20 @@
 //! h.record(1_500);
 //! h.record(2_500);
 //! assert!(h.percentile(99.0) >= h.percentile(50.0));
-//! let json = registry.snapshot().to_json();
-//! assert!(json.contains("\"mwl_obs_metrics_v1\""));
+//! let snapshot = registry.snapshot();
+//! assert_eq!(snapshot.counters, vec![("jobs".to_string(), 1)]);
+//! assert_eq!(snapshot.histograms[0].1.count, 2);
 //!
-//! // Tracing: events render to Chrome trace-event JSON.
-//! assert!(chrome_trace_json(&[]).contains("traceEvents"));
+//! // Tracing: events render to a Chrome trace-event JSON document.
+//! let trace = chrome_trace_json(&[]).encode_pretty();
+//! assert!(trace.contains("\"traceEvents\""));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod json;
 mod metrics;
 mod stage;
 mod trace;

@@ -364,65 +364,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
-impl MetricsSnapshot {
-    fn escape(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-
-    /// Renders the machine-readable snapshot document (schema
-    /// `mwl_obs_metrics_v1`): integer-only values, so it parses with any
-    /// strict JSON reader.  Histograms report count/sum/min/max and
-    /// p50/p95/p99.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\":\"mwl_obs_metrics_v1\",\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            Self::escape(name, &mut out);
-            out.push_str(&format!("\":{value}"));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            Self::escape(name, &mut out);
-            out.push_str(&format!("\":{value}"));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            Self::escape(name, &mut out);
-            out.push_str(&format!(
-                "\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0)
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_is_name_sorted_and_json_renders() {
+    fn registry_snapshot_is_name_sorted() {
         let r = MetricsRegistry::new();
         r.counter("z.count").add(2);
         r.counter("a.count").add(1);
@@ -528,12 +469,9 @@ mod tests {
             vec![("a.count".to_string(), 2), ("z.count".to_string(), 2)]
         );
         assert_eq!(snap.gauges, vec![("depth".to_string(), -4)]);
-        let json = snap.to_json();
-        assert!(json.contains("\"schema\":\"mwl_obs_metrics_v1\""));
-        assert!(json.contains("\"a.count\":2"));
-        assert!(json.contains("\"depth\":-4"));
-        assert!(json.contains("\"count\":1"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].0, "lat_ns");
+        assert_eq!(snap.histograms[0].1.count, 1);
     }
 
     #[test]

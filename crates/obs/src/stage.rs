@@ -9,6 +9,7 @@
 
 use std::time::Instant;
 
+use crate::json::Json;
 use crate::trace::{ArgValue, TraceEvent};
 
 /// What a [`StageRecorder`] records.
@@ -141,6 +142,17 @@ impl StageNanos {
     /// Iterates `(stage, nanos)` pairs in report order.
     pub fn iter(&self) -> impl Iterator<Item = (Stage, u64)> + '_ {
         Stage::ALL.into_iter().map(move |s| (s, self.get(s)))
+    }
+
+    /// The breakdown as a JSON object with `<stage>_ns` keys in report
+    /// order.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::Object(
+            self.iter()
+                .map(|(stage, nanos)| (format!("{}_ns", stage.name()), nanos.into()))
+                .collect(),
+        )
     }
 }
 

@@ -3,14 +3,16 @@
 //! [`chrome_trace_json`] renders complete (`"ph":"X"`) duration events in
 //! the [Trace Event Format] consumed by `chrome://tracing` and
 //! [Perfetto](https://ui.perfetto.dev).  Timestamps and durations are
-//! written as microseconds with nanosecond precision (three decimals), the
-//! format's native unit.  The output also parses with the strict
-//! hand-rolled JSON parser in `mwl_serve` (`crates/serve/src/json.rs`),
-//! which the round-trip suite pins.
+//! written as microseconds (nanoseconds / 1000 as floats), the format's
+//! native unit.  The document is a [`Json`] value, so it is printed and
+//! re-parsed by the workspace's one codec ([`crate::json`]), which the
+//! round-trip suite pins.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use std::sync::Mutex;
+
+use crate::json::{Json, ObjectBuilder};
 
 /// A trace-event argument value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,7 +91,7 @@ impl TraceSink {
     /// Renders the collected events as a Chrome trace-event JSON document.
     #[must_use]
     pub fn to_chrome_json(&self) -> String {
-        chrome_trace_json(&self.snapshot())
+        chrome_trace_json(&self.snapshot()).encode_pretty()
     }
 }
 
@@ -99,73 +101,45 @@ fn sort_events(events: &mut [TraceEvent]) {
     });
 }
 
-/// Microseconds with three decimals (nanosecond precision): the trace
-/// format's native unit, written as an exact decimal so strict parsers read
-/// it back losslessly.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders events as a complete Chrome trace-event JSON document.
+/// Builds the Chrome trace-event document for `events`.
 ///
 /// The document is an object with a `traceEvents` array of `"ph":"X"`
-/// events — directly loadable in `chrome://tracing` or Perfetto.
+/// events — directly loadable in `chrome://tracing` or Perfetto once
+/// printed with [`Json::encode_pretty`], one event per line.
 #[must_use]
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
+    ObjectBuilder::new()
+        .field("displayTimeUnit", "ms")
+        .field(
+            "traceEvents",
+            events.iter().map(TraceEvent::to_json).collect::<Json>(),
+        )
+        .build()
+}
+
+impl TraceEvent {
+    /// The event as one Chrome trace-event object.
+    fn to_json(&self) -> Json {
+        let mut event = ObjectBuilder::new()
+            .field("name", self.name)
+            .field("cat", self.cat)
+            .field("ph", "X")
+            .field("pid", 0u64)
+            .field("tid", self.tid)
+            .field("ts", self.ts_ns as f64 / 1_000.0)
+            .field("dur", self.dur_ns as f64 / 1_000.0);
+        if !self.args.is_empty() {
+            let args = self.args.iter().map(|(key, value)| {
+                let value = match value {
+                    ArgValue::Int(v) => Json::Int(*v),
+                    ArgValue::Str(s) => Json::Str(s.clone()),
+                };
+                ((*key).to_string(), value)
+            });
+            event = event.field("args", Json::Object(args.collect()));
         }
-        out.push_str("\n{\"name\":\"");
-        escape_json(e.name, &mut out);
-        out.push_str("\",\"cat\":\"");
-        escape_json(e.cat, &mut out);
-        out.push_str("\",\"ph\":\"X\",\"pid\":0,\"tid\":");
-        out.push_str(&e.tid.to_string());
-        out.push_str(",\"ts\":");
-        out.push_str(&micros(e.ts_ns));
-        out.push_str(",\"dur\":");
-        out.push_str(&micros(e.dur_ns));
-        if !e.args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (key, value)) in e.args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push('"');
-                escape_json(key, &mut out);
-                out.push_str("\":");
-                match value {
-                    ArgValue::Int(v) => out.push_str(&v.to_string()),
-                    ArgValue::Str(s) => {
-                        out.push('"');
-                        escape_json(s, &mut out);
-                        out.push('"');
-                    }
-                }
-            }
-            out.push('}');
-        }
-        out.push('}');
+        event.build()
     }
-    out.push_str("\n]}\n");
-    out
 }
 
 #[cfg(test)]
@@ -186,17 +160,21 @@ mod tests {
     #[test]
     fn empty_trace_is_a_valid_document() {
         let json = chrome_trace_json(&[]);
-        assert!(json.starts_with('{'));
-        assert!(json.contains("\"traceEvents\":["));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.get("traceEvents"), Some(&Json::Array(Vec::new())));
+        assert_eq!(Json::parse(&json.encode_pretty()).unwrap(), json);
     }
 
     #[test]
-    fn micros_are_exact_decimals() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(999), "0.999");
-        assert_eq!(micros(1_000), "1.000");
-        assert_eq!(micros(1_234_567), "1234.567");
+    fn micros_are_nanoseconds_over_a_thousand() {
+        for (ns, micros) in [
+            (0, "0.0"),
+            (999, "0.999"),
+            (1_000, "1.0"),
+            (1_234_567, "1234.567"),
+        ] {
+            let json = chrome_trace_json(&[event("e", ns, 0)]).encode();
+            assert!(json.contains(&format!("\"ts\":{micros},")), "{json}");
+        }
     }
 
     #[test]
@@ -206,11 +184,11 @@ mod tests {
             ("variant", ArgValue::Int(-2)),
             ("label", ArgValue::Str("a\"b\\c\n".to_string())),
         ];
-        let json = chrome_trace_json(&[e]);
+        let json = chrome_trace_json(&[e]).encode();
         assert!(json.contains("\"name\":\"schedule\""));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"tid\":3"));
-        assert!(json.contains("\"ts\":2.500"));
+        assert!(json.contains("\"ts\":2.5"));
         assert!(json.contains("\"dur\":1.234"));
         assert!(json.contains("\"variant\":-2"));
         assert!(json.contains("\"label\":\"a\\\"b\\\\c\\n\""));

@@ -82,7 +82,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let json = report.to_json();
+    let json = report.to_json().encode_pretty();
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("loadgen: cannot write {out}: {e}");
         return ExitCode::FAILURE;

@@ -7,12 +7,12 @@
 //!
 //! Prints one `listening on ADDR` line to stdout once the socket is bound
 //! (scripts wait for it), serves until a client sends `shutdown` (graceful
-//! drain) and then prints the final statistics as JSON.
+//! drain) and then prints the final statistics as one `stats` wire line.
 
 use std::process::ExitCode;
 
 use mwl_model::SonicCostModel;
-use mwl_serve::{Server, ServerConfig};
+use mwl_serve::{Response, Server, ServerConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -67,16 +67,6 @@ fn main() -> ExitCode {
     }
     let cost = SonicCostModel::default();
     let stats = server.serve(&cost);
-    println!(
-        "{{\"accepted\": {}, \"completed\": {}, \"failed\": {}, \"cancelled\": {}, \
-         \"rejected\": {}, \"dedup_hits\": {}, \"dedup_misses\": {}}}",
-        stats.accepted,
-        stats.completed,
-        stats.failed,
-        stats.cancelled,
-        stats.rejected,
-        stats.dedup_hits,
-        stats.dedup_misses,
-    );
+    println!("{}", Response::Stats(stats).encode());
     ExitCode::SUCCESS
 }

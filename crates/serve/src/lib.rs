@@ -23,10 +23,11 @@
 //!   error responses and never poison the worker pool or the cache
 //!   (`tests/faults.rs`).
 //! * **Wire stability** — every request/response round-trips losslessly
-//!   through the hand-rolled JSON layer (`tests/wire_roundtrip.rs`).
+//!   through the workspace's JSON codec (`tests/wire_roundtrip.rs`).
 //!
 //! No external dependencies: sockets are `std::net`, the JSON layer is
-//! [`json`], concurrency is scoped threads plus mutex/condvar.
+//! [`json`] (re-exported from `mwl_obs`, whose parser bounds nesting
+//! depth), concurrency is scoped threads plus mutex/condvar.
 //!
 //! *Pipeline position:* the outermost layer of the workspace — drives
 //! `mwl_driver`'s submission core; the `serve` and `loadgen` binaries wrap
@@ -76,7 +77,6 @@
 
 pub mod client;
 pub mod dedup;
-pub mod json;
 pub mod loadgen;
 pub mod net;
 pub mod server;
@@ -85,6 +85,8 @@ pub mod wire;
 pub use client::{Client, ClientError, SubmitAck};
 pub use dedup::{job_key, DedupCache};
 pub use loadgen::{run_loadgen, LoadReport, LoadgenConfig};
+/// The wire codec: the workspace's one JSON module, defined in `mwl_obs`.
+pub use mwl_obs::json;
 pub use server::{Server, ServerConfig, ServerControl, SpawnedServer};
 pub use wire::{
     MetricsReply, Request, Response, StatsSnapshot, SubmitRequest, WireGraph, WireHistogram,

@@ -20,8 +20,9 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use mwl_bench::{scenario_jobs, BatchSweepConfig};
-use mwl_driver::BatchJob;
+use mwl_driver::{area_breakdown_json, BatchJob};
 use mwl_model::AreaBreakdown;
+use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_obs::{nearest_rank, Histogram, HistogramSnapshot};
 
 use crate::client::{Client, ClientError, SubmitAck};
@@ -168,57 +169,78 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Renders the schema-stable `BENCH_serve.json` document.
+    /// The schema-stable `BENCH_serve.json` document.
     #[must_use]
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let s = &self.server;
         let h = &self.latency_hist;
-        format!(
-            "{{\n  \"schema\": \"mwl_serve_loadgen/v5\",\n  \"jobs\": {{\"submitted\": {}, \"ok_waves\": {}, \"ok_faults\": {}, \"failed\": {}, \"cancelled\": {}}},\n  \"area_breakdown\": {{\"fu\": {}, \"register\": {}, \"mux\": {}}},\n  \"certificate\": \"{}\",\n  \"latency_ms\": {{\"p50\": {:.3}, \"p99\": {:.3}, \"mean\": {:.3}}},\n  \"latency_histogram_ns\": {{\"count\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}},\n  \"throughput\": {{\"wall_seconds\": {:.6}, \"graphs_per_sec\": {:.3}}},\n  \"dedup\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}},\n  \"portfolio\": {{\"jobs\": {}, \"improved\": {}, \"area_saved\": {}}},\n  \"rejections\": {{\"total\": {}, \"queue_full\": {}}},\n  \"faults\": {{\"queue_full_exercised\": {}, \"skipped_large_queue\": {}, \"cancellation_exercised\": {}, \"malformed_line_answered\": {}}},\n  \"shutdown\": {{\"requested\": {}, \"drained\": {}}},\n  \"server\": {{\"accepted\": {}, \"completed\": {}, \"failed\": {}, \"cancelled\": {}, \"rejected\": {}, \"dedup_hits\": {}, \"dedup_misses\": {}, \"workers\": {}, \"queue_capacity\": {}}}\n}}\n",
-            self.submitted,
-            self.ok_waves,
-            self.ok_faults,
-            self.failed,
-            self.cancelled,
-            self.area_breakdown.fu,
-            self.area_breakdown.register,
-            self.area_breakdown.mux,
-            self.certificate,
-            self.p50_ms,
-            self.p99_ms,
-            self.mean_ms,
-            h.count,
-            h.min,
-            h.max,
-            h.percentile(50.0),
-            h.percentile(95.0),
-            h.percentile(99.0),
-            self.wall_seconds,
-            self.graphs_per_sec,
-            s.dedup_hits,
-            s.dedup_misses,
-            self.dedup_hit_rate,
-            self.portfolio_jobs,
-            self.portfolio_improved,
-            self.portfolio_area_saved,
-            self.rejections,
-            self.queue_full_rejections,
-            self.faults.queue_full_exercised,
-            self.faults.skipped_large_queue,
-            self.faults.cancellation_exercised,
-            self.faults.malformed_line_answered,
-            self.drained > 0,
-            self.drained,
-            s.accepted,
-            s.completed,
-            s.failed,
-            s.cancelled,
-            s.rejected,
-            s.dedup_hits,
-            s.dedup_misses,
-            s.workers,
-            s.queue_capacity,
-        )
+        let jobs = ObjectBuilder::new()
+            .field("submitted", self.submitted)
+            .field("ok_waves", self.ok_waves)
+            .field("ok_faults", self.ok_faults)
+            .field("failed", self.failed)
+            .field("cancelled", self.cancelled);
+        let latency_ms = ObjectBuilder::new()
+            .field("p50", rounded(self.p50_ms, 3))
+            .field("p99", rounded(self.p99_ms, 3))
+            .field("mean", rounded(self.mean_ms, 3));
+        let latency_histogram_ns = ObjectBuilder::new()
+            .field("count", h.count)
+            .field("min", h.min)
+            .field("max", h.max)
+            .field("p50", h.percentile(50.0))
+            .field("p95", h.percentile(95.0))
+            .field("p99", h.percentile(99.0));
+        let throughput = ObjectBuilder::new()
+            .field("wall_seconds", rounded(self.wall_seconds, 6))
+            .field("graphs_per_sec", rounded(self.graphs_per_sec, 3));
+        let dedup = ObjectBuilder::new()
+            .field("hits", s.dedup_hits)
+            .field("misses", s.dedup_misses)
+            .field("hit_rate", rounded(self.dedup_hit_rate, 4));
+        let portfolio = ObjectBuilder::new()
+            .field("jobs", self.portfolio_jobs)
+            .field("improved", self.portfolio_improved)
+            .field("area_saved", self.portfolio_area_saved);
+        let rejections = ObjectBuilder::new()
+            .field("total", self.rejections)
+            .field("queue_full", self.queue_full_rejections);
+        let faults = ObjectBuilder::new()
+            .field("queue_full_exercised", self.faults.queue_full_exercised)
+            .field("skipped_large_queue", self.faults.skipped_large_queue)
+            .field("cancellation_exercised", self.faults.cancellation_exercised)
+            .field(
+                "malformed_line_answered",
+                self.faults.malformed_line_answered,
+            );
+        let shutdown = ObjectBuilder::new()
+            .field("requested", self.drained > 0)
+            .field("drained", self.drained);
+        let server = ObjectBuilder::new()
+            .field("accepted", s.accepted)
+            .field("completed", s.completed)
+            .field("failed", s.failed)
+            .field("cancelled", s.cancelled)
+            .field("rejected", s.rejected)
+            .field("dedup_hits", s.dedup_hits)
+            .field("dedup_misses", s.dedup_misses)
+            .field("workers", s.workers)
+            .field("queue_capacity", s.queue_capacity);
+        ObjectBuilder::new()
+            .field("schema", "mwl_serve_loadgen/v5")
+            .field("jobs", jobs.build())
+            .field("area_breakdown", area_breakdown_json(&self.area_breakdown))
+            .field("certificate", self.certificate.as_str())
+            .field("latency_ms", latency_ms.build())
+            .field("latency_histogram_ns", latency_histogram_ns.build())
+            .field("throughput", throughput.build())
+            .field("dedup", dedup.build())
+            .field("portfolio", portfolio.build())
+            .field("rejections", rejections.build())
+            .field("faults", faults.build())
+            .field("shutdown", shutdown.build())
+            .field("server", server.build())
+            .build()
     }
 }
 
@@ -684,7 +706,7 @@ mod tests {
                 queue_capacity: 64,
             },
         };
-        let json = report.to_json();
+        let json = report.to_json().encode_pretty();
         for key in [
             "\"schema\": \"mwl_serve_loadgen/v5\"",
             "\"jobs\": {\"submitted\": 10, \"ok_waves\": 10, \"ok_faults\": 6, \"failed\": 0, \"cancelled\": 1}",
@@ -705,7 +727,7 @@ mod tests {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The document parses with the crate's own JSON parser.
-        assert!(crate::json::Json::parse(&json).is_ok());
+        // The document parses back to the value it was printed from.
+        assert_eq!(Json::parse(&json).unwrap(), report.to_json());
     }
 }

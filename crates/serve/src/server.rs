@@ -594,6 +594,9 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
     let tasks: TaskRegistry = Mutex::new(HashMap::new());
     let mut next_ordinal: u64 = 0;
     let mut buffer: Vec<u8> = Vec::new();
+    // `buffer[..scanned]` is known to hold no newline, so each received
+    // byte is searched once however long a line grows.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
 
     'conn: loop {
@@ -607,10 +610,13 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
                 // Manual line splitting: a read timeout must not drop the
                 // partial line already received, so bytes stay buffered
                 // until their newline arrives.
-                while let Some(pos) = buffer.iter().position(|&b| b == b'\n') {
-                    let line_bytes: Vec<u8> = buffer.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line_bytes);
-                    let line = line.trim_end_matches(['\n', '\r']).trim();
+                let mut start = 0;
+                while let Some(pos) = buffer[scanned..].iter().position(|&b| b == b'\n') {
+                    let end = scanned + pos;
+                    scanned = end + 1;
+                    let line = String::from_utf8_lossy(&buffer[start..end]);
+                    let line = line.trim();
+                    start = scanned;
                     if line.is_empty() {
                         continue;
                     }
@@ -618,6 +624,8 @@ fn connection_loop(shared: &Shared, stream: TcpStream) {
                         break 'conn;
                     }
                 }
+                buffer.drain(..start);
+                scanned = buffer.len();
                 if buffer.len() > MAX_LINE_BYTES {
                     out.send_line(
                         &Response::Error {

@@ -11,7 +11,7 @@
 //! a parsed message reproduces the original line.
 
 use mwl_core::{AllocConfig, BindingCertificate, PortfolioSpec};
-use mwl_driver::{JobStats, LatencySpec};
+use mwl_driver::{area_breakdown_json, JobStats, LatencySpec};
 use mwl_model::{
     AreaBreakdown, Cycles, ModelError, OpKind, OpShape, ResourceClass, SequencingGraph,
 };
@@ -112,13 +112,13 @@ impl WireGraph {
             .iter()
             .map(|shape| match *shape {
                 OpShape::Additive { kind, width } => ObjectBuilder::new()
-                    .str("op", if kind == OpKind::Add { "add" } else { "sub" })
-                    .int("width", i64::from(width))
+                    .field("op", if kind == OpKind::Add { "add" } else { "sub" })
+                    .field("width", width)
                     .build(),
                 OpShape::Multiplicative { a, b } => ObjectBuilder::new()
-                    .str("op", "mul")
-                    .int("a", i64::from(a))
-                    .int("b", i64::from(b))
+                    .field("op", "mul")
+                    .field("a", a)
+                    .field("b", b)
                     .build(),
             })
             .collect();
@@ -278,24 +278,24 @@ impl JobConfig {
 
     fn to_json(&self) -> Json {
         let mut b = ObjectBuilder::new()
-            .bool("instance_merging", self.instance_merging)
-            .bool("grow_cliques", self.grow_cliques)
-            .bool("input_order_priority", self.input_order_priority)
-            .bool("first_refinable", self.first_refinable);
+            .field("instance_merging", self.instance_merging)
+            .field("grow_cliques", self.grow_cliques)
+            .field("input_order_priority", self.input_order_priority)
+            .field("first_refinable", self.first_refinable);
         if let Some(n) = self.adder_bound {
-            b = b.uint("adder_bound", n);
+            b = b.field("adder_bound", n);
         }
         if let Some(n) = self.multiplier_bound {
-            b = b.uint("multiplier_bound", n);
+            b = b.field("multiplier_bound", n);
         }
         if let Some(n) = self.max_iterations {
-            b = b.uint("max_iterations", n);
+            b = b.field("max_iterations", n);
         }
         if let Some(n) = self.portfolio_seed {
-            b = b.uint("portfolio_seed", n);
+            b = b.field("portfolio_seed", n);
         }
         if let Some(n) = self.portfolio_variants {
-            b = b.uint("portfolio_variants", n);
+            b = b.field("portfolio_variants", n);
         }
         b.build()
     }
@@ -337,8 +337,8 @@ fn latency_to_json(latency: &LatencySpec) -> Json {
         LatencySpec::RelaxPercent(v) => ("relax_percent", v),
     };
     ObjectBuilder::new()
-        .str("kind", kind)
-        .int("value", i64::from(value))
+        .field("kind", kind)
+        .field("value", value)
         .build()
 }
 
@@ -406,11 +406,13 @@ impl Request {
     pub fn encode(&self) -> String {
         match self {
             Request::Submit(s) => {
-                let mut b = ObjectBuilder::new().str("type", "submit").uint("id", s.id);
+                let mut b = ObjectBuilder::new()
+                    .field("type", "submit")
+                    .field("id", s.id);
                 if let Some(label) = &s.label {
-                    b = b.str("label", label);
+                    b = b.field("label", label.as_str());
                 }
-                b.int("priority", s.priority)
+                b.field("priority", Json::Int(s.priority))
                     .field("graph", s.graph.to_json())
                     .field("latency", latency_to_json(&s.latency))
                     .field("config", s.config.to_json())
@@ -418,15 +420,18 @@ impl Request {
                     .encode()
             }
             Request::Cancel { id } => ObjectBuilder::new()
-                .str("type", "cancel")
-                .uint("id", *id)
+                .field("type", "cancel")
+                .field("id", *id)
                 .build()
                 .encode(),
-            Request::Stats => ObjectBuilder::new().str("type", "stats").build().encode(),
-            Request::Metrics => ObjectBuilder::new().str("type", "metrics").build().encode(),
-            Request::Ping => ObjectBuilder::new().str("type", "ping").build().encode(),
+            Request::Stats => ObjectBuilder::new().field("type", "stats").build().encode(),
+            Request::Metrics => ObjectBuilder::new()
+                .field("type", "metrics")
+                .build()
+                .encode(),
+            Request::Ping => ObjectBuilder::new().field("type", "ping").build().encode(),
             Request::Shutdown => ObjectBuilder::new()
-                .str("type", "shutdown")
+                .field("type", "shutdown")
                 .build()
                 .encode(),
         }
@@ -747,86 +752,81 @@ impl Response {
     pub fn encode(&self) -> String {
         match self {
             Response::Accepted { id } => ObjectBuilder::new()
-                .str("type", "accepted")
-                .uint("id", *id)
+                .field("type", "accepted")
+                .field("id", *id)
                 .build()
                 .encode(),
             Response::Rejected { id, code, reason } => ObjectBuilder::new()
-                .str("type", "rejected")
-                .uint("id", *id)
-                .int("code", i64::from(*code))
-                .str("reason", reason)
+                .field("type", "rejected")
+                .field("id", *id)
+                .field("code", *code)
+                .field("reason", reason.as_str())
                 .build()
                 .encode(),
             Response::Result { id, outcome } => {
-                let b = ObjectBuilder::new().str("type", "result").uint("id", *id);
+                let b = ObjectBuilder::new()
+                    .field("type", "result")
+                    .field("id", *id);
                 match outcome {
                     WireOutcome::Ok(s) => {
                         let mut stats = ObjectBuilder::new()
-                            .int("lambda", i64::from(s.lambda))
-                            .uint("area", s.area)
-                            .field(
-                                "area_breakdown",
-                                ObjectBuilder::new()
-                                    .uint("fu", s.area_breakdown.fu)
-                                    .uint("register", s.area_breakdown.register)
-                                    .uint("mux", s.area_breakdown.mux)
-                                    .build(),
-                            )
-                            .str("certificate", s.certificate.as_str())
-                            .int("latency", i64::from(s.latency))
-                            .uint("instances", s.instances)
-                            .uint("refinements", s.refinements)
-                            .uint("escalations", s.escalations)
-                            .uint("merges", s.merges);
+                            .field("lambda", s.lambda)
+                            .field("area", s.area)
+                            .field("area_breakdown", area_breakdown_json(&s.area_breakdown))
+                            .field("certificate", s.certificate.as_str())
+                            .field("latency", s.latency)
+                            .field("instances", s.instances)
+                            .field("refinements", s.refinements)
+                            .field("escalations", s.escalations)
+                            .field("merges", s.merges);
                         if let Some(p) = &s.portfolio {
                             let mut portfolio = ObjectBuilder::new()
-                                .uint("seed", p.seed)
-                                .uint("variants", p.variants)
-                                .uint("solved", p.solved)
-                                .uint("failed", p.failed)
-                                .uint("winner", p.winner)
-                                .str("winner_label", &p.winner_label);
+                                .field("seed", p.seed)
+                                .field("variants", p.variants)
+                                .field("solved", p.solved)
+                                .field("failed", p.failed)
+                                .field("winner", p.winner)
+                                .field("winner_label", p.winner_label.as_str());
                             if let Some(v0) = p.variant0_area {
-                                portfolio = portfolio.uint("variant0_area", v0);
+                                portfolio = portfolio.field("variant0_area", v0);
                             }
                             stats = stats.field(
                                 "portfolio",
-                                portfolio.uint("area_saved", p.area_saved).build(),
+                                portfolio.field("area_saved", p.area_saved).build(),
                             );
                         }
-                        b.str("status", "ok")
+                        b.field("status", "ok")
                             .field("stats", stats.build())
                             .build()
                             .encode()
                     }
                     WireOutcome::Failed { error } => b
-                        .str("status", "failed")
-                        .str("error", error)
+                        .field("status", "failed")
+                        .field("error", error.as_str())
                         .build()
                         .encode(),
-                    WireOutcome::Cancelled => b.str("status", "cancelled").build().encode(),
+                    WireOutcome::Cancelled => b.field("status", "cancelled").build().encode(),
                 }
             }
             Response::CancelAck { id, outcome } => ObjectBuilder::new()
-                .str("type", "cancel_ack")
-                .uint("id", *id)
-                .str("outcome", outcome.as_str())
+                .field("type", "cancel_ack")
+                .field("id", *id)
+                .field("outcome", outcome.as_str())
                 .build()
                 .encode(),
             Response::Stats(s) => ObjectBuilder::new()
-                .str("type", "stats")
-                .uint("accepted", s.accepted)
-                .uint("completed", s.completed)
-                .uint("failed", s.failed)
-                .uint("cancelled", s.cancelled)
-                .uint("rejected", s.rejected)
-                .uint("dedup_hits", s.dedup_hits)
-                .uint("dedup_misses", s.dedup_misses)
-                .uint("queue_depth", s.queue_depth)
-                .uint("in_flight", s.in_flight)
-                .uint("workers", s.workers)
-                .uint("queue_capacity", s.queue_capacity)
+                .field("type", "stats")
+                .field("accepted", s.accepted)
+                .field("completed", s.completed)
+                .field("failed", s.failed)
+                .field("cancelled", s.cancelled)
+                .field("rejected", s.rejected)
+                .field("dedup_hits", s.dedup_hits)
+                .field("dedup_misses", s.dedup_misses)
+                .field("queue_depth", s.queue_depth)
+                .field("in_flight", s.in_flight)
+                .field("workers", s.workers)
+                .field("queue_capacity", s.queue_capacity)
                 .build()
                 .encode(),
             Response::Metrics(m) => {
@@ -835,34 +835,34 @@ impl Response {
                     .iter()
                     .map(|h| {
                         ObjectBuilder::new()
-                            .str("name", &h.name)
-                            .uint("count", h.count)
-                            .uint("sum", h.sum)
-                            .uint("min", h.min)
-                            .uint("max", h.max)
-                            .uint("p50", h.p50)
-                            .uint("p95", h.p95)
-                            .uint("p99", h.p99)
+                            .field("name", h.name.as_str())
+                            .field("count", h.count)
+                            .field("sum", h.sum)
+                            .field("min", h.min)
+                            .field("max", h.max)
+                            .field("p50", h.p50)
+                            .field("p95", h.p95)
+                            .field("p99", h.p99)
                             .build()
                     })
                     .collect();
                 ObjectBuilder::new()
-                    .str("type", "metrics")
-                    .uint("dedup_hits", m.dedup_hits)
-                    .uint("dedup_misses", m.dedup_misses)
+                    .field("type", "metrics")
+                    .field("dedup_hits", m.dedup_hits)
+                    .field("dedup_misses", m.dedup_misses)
                     .field("histograms", Json::Array(histograms))
                     .build()
                     .encode()
             }
-            Response::Pong => ObjectBuilder::new().str("type", "pong").build().encode(),
+            Response::Pong => ObjectBuilder::new().field("type", "pong").build().encode(),
             Response::ShutdownAck { drained } => ObjectBuilder::new()
-                .str("type", "shutdown_ack")
-                .uint("drained", *drained)
+                .field("type", "shutdown_ack")
+                .field("drained", *drained)
                 .build()
                 .encode(),
             Response::Error { message } => ObjectBuilder::new()
-                .str("type", "error")
-                .str("message", message)
+                .field("type", "error")
+                .field("message", message.as_str())
                 .build()
                 .encode(),
         }

@@ -4,6 +4,7 @@
 //! documented error response and never poison the worker pool or the dedup
 //! cache.
 
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
@@ -559,6 +560,97 @@ fn grid_width_above_the_ceiling_is_refused() {
     assert!(!output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("grid width 100000"), "{stderr}");
+}
+
+/// Sends one raw line and reads the daemon's one-line reply, waiting at
+/// most `timeout`.
+fn exchange(
+    writer: &mut std::net::TcpStream,
+    reader: &mut impl BufRead,
+    line: &[u8],
+    timeout: Duration,
+) -> Response {
+    writer
+        .set_read_timeout(Some(timeout))
+        .expect("read timeout");
+    writer.write_all(line).expect("send line");
+    writer.flush().expect("flush");
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a reply line");
+    Response::parse(reply.trim()).expect("a protocol reply")
+}
+
+/// Kills the spawned daemon if the test fails before the daemon exits.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A line nesting 500 000 arrays is answered with an error instead of
+/// overflowing the connection thread's stack: the real binary keeps serving
+/// on the same connection and stays alive.
+#[test]
+fn deeply_nested_line_is_answered_and_the_daemon_survives() {
+    let mut child = KillOnDrop(
+        std::process::Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("run the serve binary"),
+    );
+    let mut stdout = BufReader::new(child.0.stdout.take().expect("stdout"));
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).expect("listening line");
+    let addr = banner
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"));
+
+    let mut writer = std::net::TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let timeout = Duration::from_secs(20);
+    let mut nested = vec![b'['; 500_000];
+    nested.push(b'\n');
+    let reply = exchange(&mut writer, &mut reader, &nested, timeout);
+    assert!(matches!(reply, Response::Error { .. }), "{reply:?}");
+    let ping = format!("{}\n", Request::Ping.encode());
+    assert_eq!(
+        exchange(&mut writer, &mut reader, ping.as_bytes(), timeout),
+        Response::Pong
+    );
+    assert!(
+        child.0.try_wait().expect("poll").is_none(),
+        "the daemon died"
+    );
+
+    let shutdown = format!("{}\n", Request::Shutdown.encode());
+    let ack = exchange(&mut writer, &mut reader, shutdown.as_bytes(), timeout);
+    assert!(matches!(ack, Response::ShutdownAck { .. }), "{ack:?}");
+    assert!(child.0.wait().expect("exit").success());
+}
+
+/// A line longer than the 8 MiB protocol limit is answered with the limit
+/// error promptly: each received byte is searched for a newline once, not
+/// once per read.
+#[test]
+fn oversized_line_is_answered_with_the_limit_error() {
+    let server = SpawnedServer::start(ServerConfig::default()).expect("start");
+    let mut writer = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let line = vec![b' '; 8 * 1024 * 1024 + 1];
+    match exchange(&mut writer, &mut reader, &line, Duration::from_secs(20)) {
+        Response::Error { message } => assert!(message.contains("8 MiB"), "{message}"),
+        other => panic!("oversized line answered with {other:?}"),
+    }
+
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.ping().expect("the server still answers");
+    client.shutdown().expect("shutdown");
+    let _ = server.join();
 }
 
 /// Waits for a previously sent `shutdown` request's ack.

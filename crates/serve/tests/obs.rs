@@ -1,13 +1,12 @@
 //! Service-level observability: the `metrics` wire command reports the
-//! request-lifecycle histograms and dedup counters, and every telemetry
-//! document the stack emits (Chrome traces, metrics snapshots) parses with
-//! the crate's own strict JSON parser.
+//! request-lifecycle histograms and dedup counters, and the Chrome trace
+//! document parses with the workspace's strict JSON parser.
 
 mod common;
 
 use mwl_driver::{run_batch_traced, BatchJob, BatchOptions, LatencySpec};
 use mwl_model::SonicCostModel;
-use mwl_obs::{MetricsRegistry, ObsMode, TraceSink};
+use mwl_obs::{ObsMode, TraceSink};
 use mwl_serve::json::Json;
 use mwl_serve::wire::{JobConfig, SubmitRequest, WireGraph};
 use mwl_serve::{Client, ServerConfig, SpawnedServer, SubmitAck};
@@ -110,43 +109,8 @@ fn chrome_trace_json_parses_with_the_strict_parser() {
         assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
         assert!(event.get("name").and_then(Json::as_str).is_some());
         assert!(event.get("tid").and_then(Json::as_u64).is_some());
-        // Microsecond timestamps render as exact three-decimal floats.
+        // Microsecond timestamps render as floats (nanoseconds / 1000).
         assert!(matches!(event.get("ts"), Some(Json::Float(_))));
         assert!(matches!(event.get("dur"), Some(Json::Float(_))));
     }
-}
-
-/// The metrics snapshot document (schema `mwl_obs_metrics_v1`) is strict
-/// JSON too.
-#[test]
-fn metrics_snapshot_json_parses_with_the_strict_parser() {
-    let registry = MetricsRegistry::new();
-    registry.counter("jobs.completed").add(3);
-    registry.gauge("queue.depth").set(-1);
-    let h = registry.histogram("serve.alloc_ns");
-    h.record(1_000);
-    h.record(250_000);
-
-    let doc = Json::parse(&registry.snapshot().to_json()).expect("snapshot parses");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("mwl_obs_metrics_v1")
-    );
-    let hists = doc.get("histograms").expect("histograms object");
-    let alloc = hists.get("serve.alloc_ns").expect("alloc histogram");
-    assert_eq!(alloc.get("count").and_then(Json::as_u64), Some(2));
-    assert_eq!(alloc.get("min").and_then(Json::as_u64), Some(1_000));
-    assert!(alloc.get("p99").and_then(Json::as_u64).is_some());
-    assert_eq!(
-        doc.get("counters")
-            .and_then(|c| c.get("jobs.completed"))
-            .and_then(Json::as_u64),
-        Some(3)
-    );
-    assert_eq!(
-        doc.get("gauges")
-            .and_then(|g| g.get("queue.depth"))
-            .and_then(Json::as_i64),
-        Some(-1)
-    );
 }

@@ -1,6 +1,6 @@
 //! Property tests of the wire protocol: every request and response type
-//! round-trips losslessly (and canonically) through the hand-rolled JSON
-//! layer, including escape-heavy strings and every error variant, and no
+//! round-trips losslessly (and canonically) through the workspace's JSON
+//! codec, including escape-heavy strings and every error variant, and no
 //! corrupted line is ever mis-parsed into a message.
 
 use proptest::prelude::*;

@@ -89,8 +89,8 @@ pub mod model {
 }
 
 /// Zero-dependency telemetry: hierarchical stage spans, a metrics registry
-/// (counters, gauges, log-bucketed histograms), Chrome trace-event and
-/// metrics-snapshot JSON writers.
+/// (counters, gauges, log-bucketed histograms), a Chrome trace-event
+/// document, and the workspace's one JSON codec (`mwl::obs::json`).
 ///
 /// The defining invariant — pinned by `crates/core/tests/obs_identity.rs`
 /// and `crates/driver/tests/obs_determinism.rs`, and measured by the
@@ -126,7 +126,7 @@ pub mod model {
 /// # }
 /// ```
 ///
-/// Aggregate service-style metrics and render the snapshot document:
+/// Aggregate service-style metrics and read back a snapshot:
 ///
 /// ```
 /// use mwl::obs::{MetricsRegistry, Stopwatch};
@@ -137,7 +137,8 @@ pub mod model {
 /// registry.counter("requests").add(1);
 /// latency.record(clock.elapsed_ns().max(1));
 /// let snapshot = registry.snapshot();
-/// assert!(snapshot.to_json().contains("\"schema\":\"mwl_obs_metrics_v1\""));
+/// assert_eq!(snapshot.counters, vec![("requests".to_string(), 1)]);
+/// assert_eq!(snapshot.histograms[0].1.count, 1);
 /// ```
 pub mod obs {
     pub use mwl_obs::*;
