@@ -3,10 +3,9 @@
 //! Builds a reproducible job set spanning seven scenario families — the
 //! paper's TGFF-style layered graphs plus wide/deep/diamond shapes, tight
 //! and loose λ budgets, and bimodal "mixed" wordlength spreads — runs it
-//! through [`mwl_driver::run_batch`] at several worker counts, verifies the
-//! reports are bit-identical, and reports throughput in graphs per second.
-
-use std::time::Instant;
+//! through [`mwl_driver::run_batch`] at several worker counts (one
+//! [`measure::worker_sweep`]), verifies the reports are bit-identical, and
+//! reports throughput in graphs per second.
 
 use mwl_driver::{
     area_breakdown_json, run_batch, BatchJob, BatchOptions, BatchReport, LatencySpec,
@@ -14,6 +13,8 @@ use mwl_driver::{
 use mwl_model::SonicCostModel;
 use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
+
+use crate::measure::{self, worker_sweep, WorkerRow};
 
 /// One scenario family: a name, a graph recipe and a λ budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +87,8 @@ pub struct BatchSweepConfig {
     pub sizes: Vec<usize>,
     /// Seed of the first graph (job `i` of a family uses `seed + i`).
     pub seed: u64,
-    /// Worker counts to measure, in order.  `1` is always measured first as
-    /// the reference run.
+    /// Worker counts to measure, in order; every report is checked against
+    /// the 1-worker reference run.
     pub worker_counts: Vec<usize>,
 }
 
@@ -96,8 +97,7 @@ impl BatchSweepConfig {
     /// mean something, measured at 1, 2, 4 and all-hardware-threads workers.
     #[must_use]
     pub fn quick() -> Self {
-        let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let mut worker_counts = vec![1, 2, 4, hw];
+        let mut worker_counts = vec![1, 2, 4, measure::cores()];
         worker_counts.sort_unstable();
         worker_counts.dedup();
         BatchSweepConfig {
@@ -182,19 +182,6 @@ pub struct FamilyResult {
     pub total_merges: usize,
 }
 
-/// One measured worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputRow {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock duration of the run in seconds.
-    pub seconds: f64,
-    /// Jobs solved per second.
-    pub graphs_per_sec: f64,
-    /// Whether the run's report was bit-identical to the 1-worker reference.
-    pub identical: bool,
-}
-
 /// The full result of a batch sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchSweepResults {
@@ -203,7 +190,7 @@ pub struct BatchSweepResults {
     /// Per-family aggregates from the reference run.
     pub families: Vec<FamilyResult>,
     /// One row per measured worker count.
-    pub throughput: Vec<ThroughputRow>,
+    pub throughput: Vec<WorkerRow>,
     /// The reference (1-worker) report.
     pub reference: BatchReport,
 }
@@ -278,35 +265,13 @@ impl BatchSweepResults {
 }
 
 /// Runs the sweep: builds the job set, measures each configured worker
-/// count, and verifies every report against the 1-worker reference.
+/// count once, and verifies every report against the 1-worker reference.
 #[must_use]
 pub fn run_batch_sweep(config: &BatchSweepConfig) -> BatchSweepResults {
     let cost = SonicCostModel::default();
     let jobs = scenario_jobs(config);
-
-    let started = Instant::now();
     let reference = run_batch(&jobs, &cost, &BatchOptions::sequential());
-    let reference_seconds = started.elapsed().as_secs_f64();
-
-    let mut throughput = Vec::new();
-    for &workers in &config.worker_counts {
-        let (seconds, identical) = if workers == 1 {
-            (reference_seconds, true)
-        } else {
-            let started = Instant::now();
-            let report = run_batch(&jobs, &cost, &BatchOptions::with_workers(workers));
-            (started.elapsed().as_secs_f64(), report == reference)
-        };
-        // Clamp away a zero-duration reading (coarse clocks on tiny smoke
-        // batches) so the JSON never contains a non-finite number.
-        let seconds = seconds.max(1e-9);
-        throughput.push(ThroughputRow {
-            workers,
-            seconds,
-            graphs_per_sec: jobs.len() as f64 / seconds,
-            identical,
-        });
-    }
+    let throughput = worker_sweep(&jobs, &cost, &config.worker_counts, 1, &reference);
 
     let mut families = Vec::new();
     for family in scenario_families() {

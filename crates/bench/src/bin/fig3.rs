@@ -1,12 +1,21 @@
 //! Regenerates Figure 3 of the paper: area penalty of the two-stage
-//! approach [4] over the heuristic, vs problem size and latency slack.
+//! approach \[4\] over the heuristic, vs problem size and latency slack.
 //!
 //! Usage: `cargo run -p mwl_bench --release --bin fig3 [-- --paper | --graphs N]`
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{run_fig3, Fig3Config};
 
 fn main() {
-    let config = configure();
+    let args = Args::from_env("fig3 [--paper] [--graphs N]", &["--paper"], &["--graphs"]);
+    let mut config = if args.flag("--paper") {
+        Fig3Config::paper()
+    } else {
+        Fig3Config::quick()
+    };
+    if let Some(n) = args.count("--graphs") {
+        config.sweep = config.sweep.with_graphs(n);
+    }
     eprintln!(
         "running Figure 3 sweep ({} sizes x {} relaxations x {} graphs)...",
         config.sizes.len(),
@@ -15,25 +24,5 @@ fn main() {
     );
     let results = run_fig3(&config);
     println!("{}", results.render_text());
-    let csv = results.to_csv();
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig3.csv", &csv).is_ok()
-    {
-        eprintln!("wrote results/fig3.csv");
-    }
-}
-
-fn configure() -> Fig3Config {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--paper") {
-        Fig3Config::paper()
-    } else {
-        Fig3Config::quick()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--graphs") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            config.sweep = config.sweep.with_graphs(n);
-        }
-    }
-    config
+    write_output("results/fig3.csv", &results.to_csv());
 }

@@ -1,12 +1,21 @@
 //! Regenerates Figure 4 of the paper: area premium of the heuristic over the
-//! ILP optimum [5], vs problem size (λ = λ_min).
+//! ILP optimum \[5\], vs problem size (λ = λ_min).
 //!
 //! Usage: `cargo run -p mwl_bench --release --bin fig4 [-- --paper | --graphs N]`
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{run_fig4, Fig4Config};
 
 fn main() {
-    let config = configure();
+    let args = Args::from_env("fig4 [--paper] [--graphs N]", &["--paper"], &["--graphs"]);
+    let mut config = if args.flag("--paper") {
+        Fig4Config::paper()
+    } else {
+        Fig4Config::quick()
+    };
+    if let Some(n) = args.count("--graphs") {
+        config.sweep = config.sweep.with_graphs(n);
+    }
     eprintln!(
         "running Figure 4 sweep ({} sizes x {} graphs)...",
         config.sizes.len(),
@@ -14,25 +23,5 @@ fn main() {
     );
     let results = run_fig4(&config);
     println!("{}", results.render_text());
-    let csv = results.to_csv();
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig4.csv", &csv).is_ok()
-    {
-        eprintln!("wrote results/fig4.csv");
-    }
-}
-
-fn configure() -> Fig4Config {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--paper") {
-        Fig4Config::paper()
-    } else {
-        Fig4Config::quick()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--graphs") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            config.sweep = config.sweep.with_graphs(n);
-        }
-    }
-    config
+    write_output("results/fig4.csv", &results.to_csv());
 }

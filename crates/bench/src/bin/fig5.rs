@@ -3,10 +3,19 @@
 //!
 //! Usage: `cargo run -p mwl_bench --release --bin fig5 [-- --paper | --graphs N]`
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{run_fig5, Fig5Config};
 
 fn main() {
-    let config = configure();
+    let args = Args::from_env("fig5 [--paper] [--graphs N]", &["--paper"], &["--graphs"]);
+    let mut config = if args.flag("--paper") {
+        Fig5Config::paper()
+    } else {
+        Fig5Config::quick()
+    };
+    if let Some(n) = args.count("--graphs") {
+        config.sweep = config.sweep.with_graphs(n);
+    }
     eprintln!(
         "running Figure 5 sweep ({} ILP sizes, {} heuristic-only sizes, {} graphs each)...",
         config.sizes.len(),
@@ -15,25 +24,5 @@ fn main() {
     );
     let results = run_fig5(&config);
     println!("{}", results.render_text());
-    let csv = results.to_csv();
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/fig5.csv", &csv).is_ok()
-    {
-        eprintln!("wrote results/fig5.csv");
-    }
-}
-
-fn configure() -> Fig5Config {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--paper") {
-        Fig5Config::paper()
-    } else {
-        Fig5Config::quick()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--graphs") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            config.sweep = config.sweep.with_graphs(n);
-        }
-    }
-    config
+    write_output("results/fig5.csv", &results.to_csv());
 }

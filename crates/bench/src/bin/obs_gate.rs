@@ -10,13 +10,28 @@
 //! 1 a hard gate failed (an obs mode perturbed a report, or a sound
 //! measurement put an enabled mode over the overhead limit); 2 usage error.
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{
     run_obs_gate, ObsGateConfig, ObsGateStatus, DISABLED_NOISE_LIMIT, ENABLED_OVERHEAD_LIMIT,
     TRACE_OVERHEAD_LIMIT,
 };
 
 fn main() {
-    let (config, out_path) = configure();
+    let args = Args::from_env(
+        "obs_gate [--smoke | --quick] [--reps N] [--out PATH]",
+        &["--smoke", "--quick"],
+        &["--reps", "--out"],
+    );
+    let mut config = if args.flag("--quick") {
+        ObsGateConfig::quick()
+    } else {
+        // --smoke is the default (and the CI mode).
+        ObsGateConfig::smoke()
+    };
+    if let Some(n) = args.count("--reps") {
+        config.repetitions = n;
+    }
+    let out_path = args.value("--out").unwrap_or("BENCH_obs.json");
     eprintln!(
         "running obs gate ({}, best of {} interleaved reps)...",
         config.scenario, config.repetitions
@@ -24,12 +39,7 @@ fn main() {
     let results = run_obs_gate(&config);
     println!("{}", results.render_text());
 
-    let json = results.to_json().encode_pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("ERROR: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_output(out_path, &results.to_json().encode_pretty());
 
     let mut failed = false;
     if !results.all_identical() {
@@ -60,34 +70,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn configure() -> (ObsGateConfig, String) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--quick") {
-        ObsGateConfig::quick()
-    } else {
-        // --smoke is the default (and the CI mode).
-        ObsGateConfig::smoke()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--reps") {
-        match args.get(pos + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => config.repetitions = n,
-            _ => usage_error("--reps expects a positive integer"),
-        }
-    }
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(path) => path.clone(),
-            None => usage_error("--out expects a path"),
-        },
-        None => "BENCH_obs.json".to_string(),
-    };
-    (config, out_path)
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("ERROR: {message}");
-    eprintln!("usage: obs_gate [--smoke | --quick] [--reps N] [--out PATH]");
-    std::process::exit(2);
 }

@@ -8,12 +8,27 @@
 //! multi-core ≥2× check failed on a ≥4-core machine, or `--enforce` and the
 //! single-thread speedup is below 6×); 2 usage error.
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{
     run_perf_gate, MultiCoreStatus, PerfGateConfig, MULTI_CORE_TARGET, SINGLE_THREAD_TARGET,
 };
 
 fn main() {
-    let (config, enforce, out_path) = configure();
+    let args = Args::from_env(
+        "perf_gate [--smoke | --quick] [--reps N] [--enforce] [--out PATH]",
+        &["--smoke", "--quick", "--enforce"],
+        &["--reps", "--out"],
+    );
+    let mut config = if args.flag("--quick") {
+        PerfGateConfig::quick()
+    } else {
+        // --smoke is the default (and the CI mode).
+        PerfGateConfig::smoke()
+    };
+    if let Some(n) = args.count("--reps") {
+        config.repetitions = n;
+    }
+    let out_path = args.value("--out").unwrap_or("BENCH_alloc.json");
     eprintln!(
         "running perf gate ({}, best of {} reps at {:?} workers)...",
         config.scenario, config.repetitions, config.worker_counts
@@ -21,12 +36,7 @@ fn main() {
     let results = run_perf_gate(&config);
     println!("{}", results.render_text());
 
-    let json = results.to_json().encode_pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("ERROR: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_output(out_path, &results.to_json().encode_pretty());
 
     let mut failed = false;
     if !results.all_identical() {
@@ -40,7 +50,7 @@ fn main() {
         );
         failed = true;
     }
-    if enforce && !results.meets_single_thread_target() {
+    if args.flag("--enforce") && !results.meets_single_thread_target() {
         eprintln!(
             "ERROR: single-thread speedup {:.2}x is below the {SINGLE_THREAD_TARGET:.1}x target",
             results.speedup
@@ -50,35 +60,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn configure() -> (PerfGateConfig, bool, String) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--quick") {
-        PerfGateConfig::quick()
-    } else {
-        // --smoke is the default (and the CI mode).
-        PerfGateConfig::smoke()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--reps") {
-        match args.get(pos + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => config.repetitions = n,
-            _ => usage_error("--reps expects a positive integer"),
-        }
-    }
-    let enforce = args.iter().any(|a| a == "--enforce");
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(path) => path.clone(),
-            None => usage_error("--out expects a path"),
-        },
-        None => "BENCH_alloc.json".to_string(),
-    };
-    (config, enforce, out_path)
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("ERROR: {message}");
-    eprintln!("usage: perf_gate [--smoke | --quick] [--reps N] [--enforce] [--out PATH]");
-    std::process::exit(2);
 }

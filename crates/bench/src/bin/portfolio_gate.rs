@@ -9,10 +9,25 @@
 //! lost to variant 0 or undercut a proven optimum, or no scenario family
 //! improved at all); 2 usage error.
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{run_portfolio_gate, PortfolioGateConfig};
 
 fn main() {
-    let (config, out_path) = configure();
+    let args = Args::from_env(
+        "portfolio_gate [--smoke | --quick] [--variants N] [--out PATH]",
+        &["--smoke", "--quick"],
+        &["--variants", "--out"],
+    );
+    let mut config = if args.flag("--quick") {
+        PortfolioGateConfig::quick()
+    } else {
+        // --smoke is the default (and the CI mode).
+        PortfolioGateConfig::smoke()
+    };
+    if let Some(n) = args.count("--variants") {
+        config.variants = n;
+    }
+    let out_path = args.value("--out").unwrap_or("BENCH_portfolio.json");
     eprintln!(
         "running portfolio gate ({}, {} variants, seed {}, determinism at {:?} workers)...",
         config.scenario, config.variants, config.seed, config.worker_counts
@@ -20,12 +35,7 @@ fn main() {
     let results = run_portfolio_gate(&config);
     println!("{}", results.render_text());
 
-    let json = results.to_json().encode_pretty();
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("ERROR: could not write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_output(out_path, &results.to_json().encode_pretty());
 
     let mut failed = false;
     if !results.determinism_ok {
@@ -47,34 +57,4 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-}
-
-fn configure() -> (PortfolioGateConfig, String) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--quick") {
-        PortfolioGateConfig::quick()
-    } else {
-        // --smoke is the default (and the CI mode).
-        PortfolioGateConfig::smoke()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--variants") {
-        match args.get(pos + 1).map(|s| s.parse::<usize>()) {
-            Some(Ok(n)) if n > 0 => config.variants = n,
-            _ => usage_error("--variants expects a positive integer"),
-        }
-    }
-    let out_path = match args.iter().position(|a| a == "--out") {
-        Some(pos) => match args.get(pos + 1) {
-            Some(path) => path.clone(),
-            None => usage_error("--out expects a path"),
-        },
-        None => "BENCH_portfolio.json".to_string(),
-    };
-    (config, out_path)
-}
-
-fn usage_error(message: &str) -> ! {
-    eprintln!("ERROR: {message}");
-    eprintln!("usage: portfolio_gate [--smoke | --quick] [--variants N] [--out PATH]");
-    std::process::exit(2);
 }

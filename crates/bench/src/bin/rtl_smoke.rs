@@ -11,6 +11,7 @@
 
 use std::process::ExitCode;
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_core::BindingCertificate;
 use mwl_driver::{area_breakdown_json, run_batch, BatchJob, BatchOptions, LatencySpec};
 use mwl_model::SonicCostModel;
@@ -18,22 +19,9 @@ use mwl_obs::json::ObjectBuilder;
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 fn main() -> ExitCode {
-    let mut graphs_per_family = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--graphs" => {
-                graphs_per_family = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--graphs needs a positive integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other} (supported: --graphs N)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let graphs_per_family = Args::from_env("rtl_smoke [--graphs N]", &[], &["--graphs"])
+        .count("--graphs")
+        .unwrap_or(4);
 
     let families: &[(&str, GraphShape, WidthProfile, u32)] = &[
         ("layered", GraphShape::Layered, WidthProfile::Uniform, 2),
@@ -100,9 +88,7 @@ fn main() -> ExitCode {
         .field("report", report.to_json())
         .build()
         .encode_pretty();
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/RTL_smoke.json", json).expect("write RTL_smoke.json");
-    println!("wrote results/RTL_smoke.json");
+    write_output("results/RTL_smoke.json", &json);
 
     if summary.failed != 0 {
         eprintln!("FAIL: {} jobs failed to allocate", summary.failed);

@@ -3,10 +3,19 @@
 //!
 //! Usage: `cargo run -p mwl_bench --release --bin table2 [-- --paper | --graphs N]`
 
+use mwl_bench::cli::{write_output, Args};
 use mwl_bench::{run_table2, Table2Config};
 
 fn main() {
-    let config = configure();
+    let args = Args::from_env("table2 [--paper] [--graphs N]", &["--paper"], &["--graphs"]);
+    let mut config = if args.flag("--paper") {
+        Table2Config::paper()
+    } else {
+        Table2Config::quick()
+    };
+    if let Some(n) = args.count("--graphs") {
+        config.sweep = config.sweep.with_graphs(n);
+    }
     eprintln!(
         "running Table 2 sweep ({} relaxations x {} graphs of {} operations)...",
         config.relaxations.len(),
@@ -15,25 +24,5 @@ fn main() {
     );
     let results = run_table2(&config);
     println!("{}", results.render_text());
-    let csv = results.to_csv();
-    if std::fs::create_dir_all("results").is_ok()
-        && std::fs::write("results/table2.csv", &csv).is_ok()
-    {
-        eprintln!("wrote results/table2.csv");
-    }
-}
-
-fn configure() -> Table2Config {
-    let args: Vec<String> = std::env::args().collect();
-    let mut config = if args.iter().any(|a| a == "--paper") {
-        Table2Config::paper()
-    } else {
-        Table2Config::quick()
-    };
-    if let Some(pos) = args.iter().position(|a| a == "--graphs") {
-        if let Some(n) = args.get(pos + 1).and_then(|s| s.parse().ok()) {
-            config.sweep = config.sweep.with_graphs(n);
-        }
-    }
-    config
+    write_output("results/table2.csv", &results.to_csv());
 }

@@ -17,6 +17,10 @@
 //! | Portfolio gate: racing-allocator determinism, never-worse and ILP gap-closed checks, committed `BENCH_portfolio.json` | [`run_portfolio_gate`] | `portfolio_gate` |
 //! | Observability gate: telemetry non-perturbation and overhead bounds, committed `BENCH_obs.json` | [`run_obs_gate`] | `obs_gate` |
 //!
+//! The gates and the batch sweep time their code through [`measure`], the
+//! crate's one measurement harness, and every binary reads its arguments
+//! through [`cli::Args`].
+//!
 //! The paper runs 200 random graphs per data point on a Pentium III 450;
 //! [`SweepConfig::paper`] reproduces those counts, while
 //! [`SweepConfig::quick`] uses smaller counts so the whole suite runs in
@@ -33,9 +37,11 @@
 #![warn(missing_debug_implementations)]
 
 mod batch;
+pub mod cli;
 mod fig3;
 mod fig4;
 mod fig5;
+pub mod measure;
 mod obs;
 mod perf;
 mod portfolio;
@@ -44,7 +50,7 @@ mod table2;
 
 pub use batch::{
     run_batch_sweep, scenario_families, scenario_jobs, BatchSweepConfig, BatchSweepResults,
-    FamilyResult, ScenarioFamily, ThroughputRow,
+    FamilyResult, ScenarioFamily,
 };
 pub use fig3::{run_fig3, Fig3Cell, Fig3Config, Fig3Results};
 pub use fig4::{run_fig4, Fig4Config, Fig4Results, Fig4Row};
@@ -54,8 +60,8 @@ pub use obs::{
     ENABLED_OVERHEAD_LIMIT, TRACE_OVERHEAD_LIMIT,
 };
 pub use perf::{
-    run_perf_gate, MultiCoreStatus, PerfGateConfig, PerfGateResults, StageRow, WorkerRow,
-    MULTI_CORE_TARGET, SINGLE_THREAD_TARGET,
+    run_perf_gate, MultiCoreStatus, PerfGateConfig, PerfGateResults, StageRow, MULTI_CORE_TARGET,
+    SINGLE_THREAD_TARGET,
 };
 pub use portfolio::{
     run_portfolio_gate, FamilyGateRow, IlpGapRow, PortfolioGateConfig, PortfolioGateResults,

@@ -2,8 +2,8 @@
 //! free when on.
 //!
 //! Runs the `batch_sweep` scenario mix through the batch driver four ways —
-//! observability off, off again, stage-timing mode, and full tracing — with
-//! the arms interleaved repetition by repetition so they share whatever
+//! observability off, off again, stage-timing mode, and full tracing — as
+//! the arms of one [`measure::interleaved`] call, so they share whatever
 //! clock or scheduler drift the machine has.  The gate then checks, in
 //! decreasing order of hardness:
 //!
@@ -31,14 +31,13 @@
 //! not failed* (`status: "noisy_skipped"`), while the bit-identity gate
 //! still applies.  Results land in the committed `BENCH_obs.json`.
 
-use std::time::Instant;
-
 use mwl_driver::{run_batch, run_batch_traced, BatchOptions, BatchReport};
 use mwl_model::SonicCostModel;
 use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_obs::{ObsMode, TraceSink};
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
+use crate::measure;
 
 /// Maximum relative overhead of stage-timing mode over the obs-off baseline
 /// (before the measured noise floor is added to the allowance).
@@ -300,49 +299,46 @@ pub fn run_obs_gate(config: &ObsGateConfig) -> ObsGateResults {
     let jobs = scenario_jobs(&config.sweep);
     let reference = run_batch(&jobs, &cost, &BatchOptions::sequential());
 
-    let off = BatchOptions::sequential();
-    let stages = BatchOptions::sequential().with_obs(ObsMode::Stages);
-    let trace = BatchOptions::sequential().with_obs(ObsMode::Trace);
-
-    let mut best = [f64::INFINITY; 4];
-    let mut identical_off = true;
-    let mut identical_stages_stripped = true;
-    let mut identical_trace_stripped = true;
+    // Arms: off, off again, stages, trace.
+    const TRACE: usize = 3;
+    let options = [ObsMode::Off, ObsMode::Off, ObsMode::Stages, ObsMode::Trace]
+        .map(|mode| BatchOptions::sequential().with_obs(mode));
+    let mut identical = [true; 4];
     let mut trace_events = 0;
-    for _ in 0..config.repetitions.max(1) {
-        for (arm, slot) in best.iter_mut().enumerate() {
-            let started = Instant::now();
-            let report = match arm {
-                0 | 1 => run_batch(&jobs, &cost, &off),
-                2 => run_batch(&jobs, &cost, &stages),
-                _ => {
-                    let sink = TraceSink::new();
-                    let report = run_batch_traced(&jobs, &cost, &trace, Some(&sink));
-                    trace_events = sink.len();
-                    report
-                }
-            };
-            *slot = slot.min(started.elapsed().as_secs_f64().max(1e-9));
-            match arm {
-                0 | 1 => identical_off &= report == reference,
-                2 => identical_stages_stripped &= strip_stages(&report) == reference,
-                _ => identical_trace_stripped &= strip_stages(&report) == reference,
+    let timings = measure::interleaved(
+        options.len(),
+        config.repetitions,
+        |arm| {
+            if arm == TRACE {
+                let sink = TraceSink::new();
+                let report = run_batch_traced(&jobs, &cost, &options[arm], Some(&sink));
+                trace_events = sink.len();
+                report
+            } else {
+                run_batch(&jobs, &cost, &options[arm])
             }
-        }
-    }
+        },
+        |arm, report| {
+            identical[arm] &= if options[arm].obs == ObsMode::Off {
+                report == reference
+            } else {
+                strip_stages(&report) == reference
+            };
+        },
+    );
 
     ObsGateResults {
         scenario: config.scenario,
         jobs: jobs.len(),
-        cores: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        cores: measure::cores(),
         repetitions: config.repetitions,
-        off_seconds: best[0],
-        off_again_seconds: best[1],
-        stages_seconds: best[2],
-        trace_seconds: best[3],
-        identical_off,
-        identical_stages_stripped,
-        identical_trace_stripped,
+        off_seconds: timings.best(0),
+        off_again_seconds: timings.best(1),
+        stages_seconds: timings.best(2),
+        trace_seconds: timings.best(TRACE),
+        identical_off: identical[0] && identical[1],
+        identical_stages_stripped: identical[2],
+        identical_trace_stripped: identical[TRACE],
         trace_events,
     }
 }

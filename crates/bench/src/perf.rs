@@ -23,11 +23,11 @@
 //! [`mwl_obs::ObsMode::Stages`] and the fastest repetition's
 //! [`mwl_obs::StageNanos`] land as one `{"stage", "ns"}` row per exercised
 //! stage.  The artifact has one baseline, the frozen reference behind the
-//! speedup.  Timed regions measure the allocator only: per-job latency-spec
-//! resolution and config setup happen once, before any clock starts, and
-//! are shared by every measurement.
-
-use std::time::Instant;
+//! speedup.  The reference, optimized and stage passes are the three arms
+//! of one [`measure::interleaved`] call, so every repetition times all
+//! three under the same machine conditions.  Timed regions measure the
+//! allocator only: per-job latency-spec resolution and config setup happen
+//! once, before any clock starts, and are shared by every measurement.
 
 use mwl_core::{
     reference, AllocConfig, AllocError, AllocOutcome, AllocScratch, CachedCostModel, DpAllocator,
@@ -38,6 +38,7 @@ use mwl_obs::json::{rounded, Json, ObjectBuilder};
 use mwl_obs::{ObsMode, Stage, StageNanos};
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
+use crate::measure::{self, worker_sweep, WorkerRow};
 
 /// Required single-thread speedup of the optimized allocator over the frozen
 /// reference (the PR's headline acceptance criterion, raised from 3× by the
@@ -83,23 +84,6 @@ impl PerfGateConfig {
             worker_counts: vec![1, 2, 4],
         }
     }
-}
-
-/// One measured worker count (driver throughput).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerRow {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Wall-clock seconds of the fastest repetition.
-    pub seconds: f64,
-    /// Jobs solved per second.
-    pub graphs_per_sec: f64,
-    /// Whether the report was bit-identical to the 1-worker reference run.
-    pub identical: bool,
-    /// `"ok"`, or `"noise_limited"` when the machine has fewer cores than
-    /// workers — the row's throughput then measures scheduler noise, not
-    /// scaling, and must not be read as a regression.
-    pub status: &'static str,
 }
 
 /// Fastest-repetition nanoseconds of one stage of the live allocator.
@@ -321,57 +305,6 @@ fn job_outcomes(
         .collect()
 }
 
-/// Times one single-thread pass over the mix, returning the fastest
-/// repetition in seconds.  Configs are pre-resolved; the clock covers only
-/// the allocator.
-fn time_single_thread(
-    jobs: &[BatchJob],
-    configs: &[AllocConfig],
-    cache: &CachedCostModel<'_>,
-    repetitions: usize,
-    optimized: bool,
-) -> f64 {
-    let mut scratch = AllocScratch::new();
-    let mut best = f64::INFINITY;
-    for _ in 0..repetitions.max(1) {
-        let started = Instant::now();
-        let outcomes = job_outcomes(jobs, configs, cache, optimized, &mut scratch);
-        let elapsed = started.elapsed().as_secs_f64();
-        assert_eq!(outcomes.len(), jobs.len());
-        best = best.min(elapsed);
-    }
-    best.max(1e-9)
-}
-
-/// Stage-attributed nanoseconds of the fastest full pass of the live
-/// allocator over the mix, recorded via [`ObsMode::Stages`].
-fn stage_profile(
-    jobs: &[BatchJob],
-    configs: &[AllocConfig],
-    cache: &CachedCostModel<'_>,
-    repetitions: usize,
-) -> StageNanos {
-    let mut scratch = AllocScratch::new();
-    // Warm pass: fault in every scratch buffer before the measured reps.
-    let _ = job_outcomes(jobs, configs, cache, true, &mut scratch);
-    scratch.obs.set_mode(ObsMode::Stages);
-    let mut best_wall = f64::INFINITY;
-    let mut best = StageNanos::default();
-    for _ in 0..repetitions.max(1) {
-        scratch.obs.take_stages();
-        let started = Instant::now();
-        let outcomes = job_outcomes(jobs, configs, cache, true, &mut scratch);
-        let elapsed = started.elapsed().as_secs_f64();
-        assert_eq!(outcomes.len(), jobs.len());
-        let nanos = scratch.obs.take_stages();
-        if elapsed < best_wall {
-            best_wall = elapsed;
-            best = nanos;
-        }
-    }
-    best
-}
-
 /// The stage profile as [`StageRow`]s, keeping only stages the allocator
 /// loop exercised.
 fn stage_rows(nanos: &StageNanos) -> Vec<StageRow> {
@@ -401,52 +334,51 @@ pub fn run_perf_gate(config: &PerfGateConfig) -> PerfGateResults {
     let merging_on = resolved_configs(&jobs, &cache, true);
     let merging_off = resolved_configs(&jobs, &cache, false);
 
-    // Bit-identity, merging on and off (the hard gate).
+    // Bit-identity, merging on and off (the hard gate).  These passes also
+    // warm the scratch the timed arms share.
     let mut scratch = AllocScratch::new();
     let identical_merging_on = job_outcomes(&jobs, &merging_on, &cache, true, &mut scratch)
         == job_outcomes(&jobs, &merging_on, &cache, false, &mut scratch);
     let identical_merging_off = job_outcomes(&jobs, &merging_off, &cache, true, &mut scratch)
         == job_outcomes(&jobs, &merging_off, &cache, false, &mut scratch);
 
-    // Single-thread throughput, frozen reference vs optimized.
-    let reference_seconds =
-        time_single_thread(&jobs, &merging_on, &cache, config.repetitions, false);
-    let optimized_seconds =
-        time_single_thread(&jobs, &merging_on, &cache, config.repetitions, true);
-    let reference_graphs_per_sec = jobs.len() as f64 / reference_seconds;
-    let optimized_graphs_per_sec = jobs.len() as f64 / optimized_seconds;
-
-    // Per-stage attribution of the live allocator, fastest repetition.
-    let stages = stage_rows(&stage_profile(
-        &jobs,
-        &merging_on,
-        &cache,
+    // Single-thread throughput of the frozen reference and the optimized
+    // allocator, and the optimized allocator's stage profile, per repetition.
+    const REFERENCE: usize = 0;
+    const OPTIMIZED: usize = 1;
+    const STAGES: usize = 2;
+    let mut stage_reps = Vec::with_capacity(config.repetitions);
+    let timings = measure::interleaved(
+        3,
         config.repetitions,
-    ));
+        |arm| match arm {
+            REFERENCE => job_outcomes(&jobs, &merging_on, &cache, false, &mut scratch),
+            OPTIMIZED => job_outcomes(&jobs, &merging_on, &cache, true, &mut scratch),
+            _ => {
+                scratch.obs.set_mode(ObsMode::Stages);
+                let outcomes = job_outcomes(&jobs, &merging_on, &cache, true, &mut scratch);
+                scratch.obs.set_mode(ObsMode::Off);
+                stage_reps.push(scratch.obs.take_stages());
+                outcomes
+            }
+        },
+        |_, outcomes| assert_eq!(outcomes.len(), jobs.len()),
+    );
+    let reference_graphs_per_sec = jobs.len() as f64 / timings.best(REFERENCE);
+    let optimized_graphs_per_sec = jobs.len() as f64 / timings.best(OPTIMIZED);
+    let stages = stage_rows(&stage_reps[timings.fastest(STAGES)]);
 
     // Driver throughput per worker count, identity-checked against the
     // 1-worker report.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let cores = measure::cores();
     let reference_report = run_batch(&jobs, &cost, &BatchOptions::sequential());
-    let mut workers = Vec::new();
-    for &count in &config.worker_counts {
-        let mut best = f64::INFINITY;
-        let mut identical = true;
-        for _ in 0..config.repetitions.max(1) {
-            let started = Instant::now();
-            let report = run_batch(&jobs, &cost, &BatchOptions::with_workers(count));
-            best = best.min(started.elapsed().as_secs_f64());
-            identical &= report == reference_report;
-        }
-        let seconds = best.max(1e-9);
-        workers.push(WorkerRow {
-            workers: count,
-            seconds,
-            graphs_per_sec: jobs.len() as f64 / seconds,
-            identical,
-            status: if cores < count { "noise_limited" } else { "ok" },
-        });
-    }
+    let workers = worker_sweep(
+        &jobs,
+        &cost,
+        &config.worker_counts,
+        config.repetitions,
+        &reference_report,
+    );
     let gps_at = |count: usize| {
         workers
             .iter()
@@ -516,10 +448,6 @@ mod tests {
                 .find(|s| s.stage == name)
                 .unwrap_or_else(|| panic!("missing stage row {name}"));
             assert!(row.ns > 0, "empty stage row for {name}");
-        }
-        for w in &results.workers {
-            assert!(w.status == "ok" || w.status == "noise_limited");
-            assert_eq!(w.status == "noise_limited", results.cores < w.workers);
         }
     }
 

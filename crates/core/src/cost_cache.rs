@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mwl_model::fixedpoint::MAX_SIM_WORDLENGTH;
 use mwl_model::{
     Area, CostModel, Cycles, OperandWidths, ResourceClass, ResourceType, SequencingGraph,
+    StorageCosts,
 };
 
 /// A pre-computed area/latency entry; latency 0 marks an empty cell.
@@ -283,11 +284,16 @@ impl CostModel for CachedCostModel<'_> {
     }
 
     // Forwarded verbatim rather than memoised: a wrapped model may override
-    // the trait's default (latency of the smallest cover), and the cache must
-    // answer exactly like the model it wraps.
+    // the trait's defaults (latency of the smallest cover, free storage), and
+    // the cache must answer exactly like the model it wraps.
     #[inline]
     fn native_latency(&self, shape: mwl_model::OpShape) -> Cycles {
         self.inner.native_latency(shape)
+    }
+
+    #[inline]
+    fn storage_costs(&self) -> StorageCosts {
+        self.inner.storage_costs()
     }
 }
 
@@ -594,6 +600,13 @@ mod tests {
         let shape = OpShape::multiplier(8, 8);
         assert_eq!(cache.native_latency(shape), inner.native_latency(shape));
         assert_eq!(cache.native_latency(shape), 1);
+    }
+
+    #[test]
+    fn storage_costs_are_forwarded() {
+        let inner = SonicCostModel::default().with_storage_costs(StorageCosts::new(2, 1));
+        let cache = CachedCostModel::new(&inner);
+        assert_eq!(cache.storage_costs(), StorageCosts::new(2, 1));
     }
 
     #[test]

@@ -22,12 +22,11 @@ use crate::report::{BatchReport, JobOutcome};
 /// ([`mwl_core::AllocError`]) are captured per job and never abort the rest
 /// of the batch.
 ///
-/// When [`BatchOptions::shared_cost_cache`] is set (the default), the
-/// resource costs of every job graph are pre-computed once into a read-only
-/// [`CachedCostModel`](mwl_core::CachedCostModel) that all workers share
-/// without locking.  With one effective worker the worker loop runs on the
-/// calling thread; more workers each get a scoped thread running the same
-/// loop.
+/// The resource costs of every job graph are pre-computed once into a
+/// read-only [`CachedCostModel`](mwl_core::CachedCostModel) that all workers
+/// share without locking.  With one effective worker the worker loop runs on
+/// the calling thread; more workers each get a scoped thread running the
+/// same loop.
 pub fn run_batch<C: CostModel + Sync>(
     jobs: &[BatchJob],
     cost: &C,
@@ -58,14 +57,7 @@ pub fn run_batch_traced<C: CostModel + Sync>(
         };
     }
 
-    let mut cache = None;
-    if options.shared_cost_cache {
-        cache = Some(batch_cache(cost, jobs));
-    }
-    let model: &(dyn CostModel + Sync) = match &cache {
-        Some(c) => c,
-        None => cost,
-    };
+    let cache = batch_cache(cost, jobs);
 
     let workers = options.workers.max(1).min(jobs.len());
     let cursor = AtomicUsize::new(0);
@@ -89,7 +81,7 @@ pub fn run_batch_traced<C: CostModel + Sync>(
             let Some(job) = jobs.get(index) else { break };
             local.push((
                 index,
-                solve_job(index, job, model, options.rtl_vectors, &mut scratch),
+                solve_job(index, job, &cache, options.rtl_vectors, &mut scratch),
             ));
             if let Some(sink) = sink {
                 sink.append(scratch.obs.drain_events());
@@ -122,7 +114,7 @@ mod tests {
     use super::*;
     use crate::job::LatencySpec;
     use mwl_core::AllocError;
-    use mwl_model::SonicCostModel;
+    use mwl_model::{SonicCostModel, StorageCosts};
     use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator};
 
     fn job_set() -> Vec<BatchJob> {
@@ -182,32 +174,28 @@ mod tests {
         }
     }
 
-    /// Records the threads that query it.
+    /// Records the thread of every `storage_costs` query, which the shared
+    /// cost cache forwards and `solve_job` makes once per solved job.  Cost
+    /// queries are answered by the cache, warmed on the calling thread, so
+    /// they are not recorded.
     #[derive(Debug, Default)]
     struct ThreadRecorder {
         inner: SonicCostModel,
         threads: std::sync::Mutex<Vec<thread::ThreadId>>,
     }
 
-    impl ThreadRecorder {
-        fn record(&self) {
-            let id = thread::current().id();
-            let mut threads = self.threads.lock().unwrap();
-            if !threads.contains(&id) {
-                threads.push(id);
-            }
-        }
-    }
-
     impl CostModel for ThreadRecorder {
         fn area(&self, resource: &mwl_model::ResourceType) -> mwl_model::Area {
-            self.record();
             self.inner.area(resource)
         }
 
         fn latency(&self, resource: &mwl_model::ResourceType) -> mwl_model::Cycles {
-            self.record();
             self.inner.latency(resource)
+        }
+
+        fn storage_costs(&self) -> StorageCosts {
+            self.threads.lock().unwrap().push(thread::current().id());
+            self.inner.storage_costs()
         }
     }
 
@@ -215,30 +203,50 @@ mod tests {
     fn one_worker_solves_on_the_calling_thread() {
         let jobs = job_set();
         let caller = thread::current().id();
-        // Without the shared cache every allocator query reaches the model.
         let inline = ThreadRecorder::default();
-        let options = BatchOptions::sequential().with_shared_cost_cache(false);
-        assert_eq!(run_batch(&jobs, &inline, &options).summary().failed, 0);
-        assert_eq!(*inline.threads.lock().unwrap(), vec![caller]);
+        assert_eq!(
+            run_batch(&jobs, &inline, &BatchOptions::sequential())
+                .summary()
+                .failed,
+            0
+        );
+        assert_eq!(*inline.threads.lock().unwrap(), vec![caller; jobs.len()]);
 
         let pooled = ThreadRecorder::default();
-        let options = BatchOptions::with_workers(2).with_shared_cost_cache(false);
-        assert_eq!(run_batch(&jobs, &pooled, &options).summary().failed, 0);
+        assert_eq!(
+            run_batch(&jobs, &pooled, &BatchOptions::with_workers(2))
+                .summary()
+                .failed,
+            0
+        );
         let threads = pooled.threads.lock().unwrap();
-        assert!(!threads.is_empty() && !threads.contains(&caller));
+        assert_eq!(threads.len(), jobs.len());
+        assert!(!threads.contains(&caller));
     }
 
+    /// The shared cost cache is transparent, storage prices included: a
+    /// batch under a model that prices registers and muxes equals direct
+    /// solves against the raw model, and so does `solve_job` through the
+    /// batch's cache.
     #[test]
-    fn cache_on_and_off_agree() {
-        let cost = SonicCostModel::default();
+    fn priced_batch_equals_direct_solves_against_the_raw_model() {
+        let cost = SonicCostModel::default().with_storage_costs(StorageCosts::new(2, 1));
         let jobs = job_set();
-        let cached = run_batch(&jobs, &cost, &BatchOptions::default());
-        let uncached = run_batch(
-            &jobs,
-            &cost,
-            &BatchOptions::default().with_shared_cost_cache(false),
-        );
-        assert_eq!(cached, uncached);
+        let vectors = BatchOptions::default().rtl_vectors;
+        let cache = batch_cache(&cost, &jobs);
+        let mut scratch = AllocScratch::new();
+        let mut direct = Vec::new();
+        for (index, job) in jobs.iter().enumerate() {
+            let raw = solve_job(index, job, &cost, vectors, &mut scratch);
+            assert_eq!(solve_job(index, job, &cache, vectors, &mut scratch), raw);
+            direct.push(raw);
+        }
+        for workers in [1, 2] {
+            let report = run_batch(&jobs, &cost, &BatchOptions::with_workers(workers));
+            assert_eq!(report.outcomes, direct, "{workers} workers");
+            let breakdown = report.summary().area_breakdown;
+            assert!(breakdown.register > 0 && breakdown.mux > 0, "{breakdown:?}");
+        }
     }
 
     #[test]

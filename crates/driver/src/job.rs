@@ -125,10 +125,6 @@ pub struct BatchOptions {
     /// Number of worker threads.  Clamped to `1..=jobs.len()` when the batch
     /// runs; the *results* are guaranteed identical for every value.
     pub workers: usize,
-    /// Pre-compute a shared read-only resource-cost cache over all job
-    /// graphs before spawning workers (see [`mwl_core::CachedCostModel`]).
-    /// On by default.
-    pub shared_cost_cache: bool,
     /// Number of random stimulus vectors simulated per job when
     /// [`BatchJob::verify_rtl`] is set (clamped to at least 1 at run time).
     pub rtl_vectors: usize,
@@ -156,13 +152,6 @@ impl BatchOptions {
         BatchOptions::with_workers(1)
     }
 
-    /// Enables or disables the shared cost cache.
-    #[must_use]
-    pub fn with_shared_cost_cache(mut self, enabled: bool) -> Self {
-        self.shared_cost_cache = enabled;
-        self
-    }
-
     /// Sets the number of stimulus vectors per RTL-checked job.
     #[must_use]
     pub fn with_rtl_vectors(mut self, vectors: usize) -> Self {
@@ -179,12 +168,11 @@ impl BatchOptions {
 }
 
 impl Default for BatchOptions {
-    /// One worker per available hardware thread, shared cost cache on, four
-    /// stimulus vectors per RTL-checked job.
+    /// One worker per available hardware thread and four stimulus vectors
+    /// per RTL-checked job.
     fn default() -> Self {
         BatchOptions {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            shared_cost_cache: true,
             rtl_vectors: 4,
             obs: ObsMode::Off,
         }
@@ -221,12 +209,6 @@ mod tests {
         assert_eq!(BatchOptions::with_workers(0).workers, 1);
         assert_eq!(BatchOptions::sequential().workers, 1);
         assert!(BatchOptions::default().workers >= 1);
-        assert!(BatchOptions::default().shared_cost_cache);
-        assert!(
-            !BatchOptions::sequential()
-                .with_shared_cost_cache(false)
-                .shared_cost_cache
-        );
         assert_eq!(BatchOptions::default().rtl_vectors, 4);
         assert_eq!(BatchOptions::default().with_rtl_vectors(0).rtl_vectors, 1);
         assert_eq!(BatchOptions::default().with_rtl_vectors(9).rtl_vectors, 9);

@@ -4,9 +4,9 @@
 
 use proptest::prelude::*;
 
-use mwl_core::AllocConfig;
-use mwl_driver::{run_batch, BatchJob, BatchOptions, LatencySpec};
-use mwl_model::SonicCostModel;
+use mwl_core::{AllocConfig, AllocScratch};
+use mwl_driver::{batch_cache, run_batch, solve_job, BatchJob, BatchOptions, LatencySpec};
+use mwl_model::{SonicCostModel, StorageCosts};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 /// A random job: shape family, size, seed and λ budget.
@@ -42,7 +42,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The core guarantee: any worker count reproduces the sequential report
-    /// bit for bit, with and without the shared cost cache.
+    /// bit for bit.
     #[test]
     fn n_workers_equal_one_worker(
         jobs in proptest::collection::vec(job_strategy(), 1..10),
@@ -52,13 +52,22 @@ proptest! {
         let sequential = run_batch(&jobs, &cost, &BatchOptions::sequential());
         let parallel = run_batch(&jobs, &cost, &BatchOptions::with_workers(workers));
         prop_assert_eq!(&sequential, &parallel);
+    }
 
-        let uncached = run_batch(
-            &jobs,
-            &cost,
-            &BatchOptions::with_workers(workers).with_shared_cost_cache(false),
-        );
-        prop_assert_eq!(&sequential, &uncached);
+    /// The shared cost cache is transparent: under a model that prices
+    /// storage, `solve_job` through the batch's cache equals `solve_job`
+    /// against the raw model.
+    #[test]
+    fn batch_cache_is_transparent_under_a_priced_model(
+        jobs in proptest::collection::vec(job_strategy(), 1..6),
+    ) {
+        let cost = SonicCostModel::default().with_storage_costs(StorageCosts::new(2, 1));
+        let cache = batch_cache(&cost, &jobs);
+        let mut scratch = AllocScratch::new();
+        for (index, job) in jobs.iter().enumerate() {
+            let raw = solve_job(index, job, &cost, 1, &mut scratch);
+            prop_assert_eq!(solve_job(index, job, &cache, 1, &mut scratch), raw);
+        }
     }
 
     /// Every successful outcome respects its resolved budget, and the

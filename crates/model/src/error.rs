@@ -31,7 +31,7 @@ pub enum ModelError {
     },
     /// A wordlength of zero bits was supplied.
     ZeroWordlength,
-    /// A wordlength larger than [`crate::op::MAX_WORDLENGTH`] was supplied.
+    /// A wordlength larger than `MAX_WORDLENGTH` (1024 bits) was supplied.
     WordlengthTooLarge(u32),
     /// The graph has no operations.
     EmptyGraph,

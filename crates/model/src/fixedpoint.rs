@@ -14,7 +14,7 @@
 //! (1 through [`MAX_SIM_WORDLENGTH`]) round-trips losslessly.
 
 /// Largest wordlength the bit-true helpers (and therefore the RTL backend)
-/// support.  [`crate::MAX_WORDLENGTH`] is far larger because the *cost*
+/// support.  `MAX_WORDLENGTH` (1024 bits) is far larger because the *cost*
 /// models never materialise values; simulation does, and packs each value
 /// into an `i64`.
 pub const MAX_SIM_WORDLENGTH: u32 = 64;

@@ -200,7 +200,7 @@ impl OpShape {
     ///
     /// Returns [`ModelError::ZeroWordlength`] if any operand width is zero
     /// and [`ModelError::WordlengthTooLarge`] if any operand width exceeds
-    /// [`MAX_WORDLENGTH`].
+    /// `MAX_WORDLENGTH`.
     pub fn validate(&self) -> Result<(), ModelError> {
         let (a, b) = self.widths();
         for w in [a, b] {

@@ -3,8 +3,8 @@
 //!
 //! The paper's sequencing graph `P(O, S)` carries *precedence* edges; to give
 //! the allocated datapath a bit-true meaning, the backend fixes a dataflow
-//! interpretation shared by the reference evaluator ([`crate::reference`])
-//! and the netlist lowering ([`crate::lower`]):
+//! interpretation shared by the reference evaluator (`reference`)
+//! and the netlist lowering (`lower`):
 //!
 //! * Every operation is **binary**: it has exactly two operand ports.  An
 //!   additive operation of width `w` has two `w`-bit ports; an `a×b`-bit

@@ -97,7 +97,7 @@ pub struct FaultChecks {
     /// A queue-full (429) rejection was observed.
     pub queue_full_exercised: bool,
     /// The queue-full burst was skipped because the server reported a queue
-    /// deeper than [`MAX_BURST_CAPACITY`]; `queue_full_exercised` is
+    /// deeper than `MAX_BURST_CAPACITY` (1024); `queue_full_exercised` is
     /// legitimately false in that case.
     pub skipped_large_queue: bool,
     /// A cancellation was acknowledged and its result came back cancelled.

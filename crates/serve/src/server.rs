@@ -12,7 +12,7 @@
 //!   [`CODE_QUEUE_FULL`] rejection rather than blocking the connection.
 //! * **Ordering**: each connection's results stream back in submission
 //!   order.  Workers complete in any order; a per-connection reorder buffer
-//!   ([`ConnOut`]) holds early results until their predecessors are written.
+//!   (`ConnOut`) holds early results until their predecessors are written.
 //! * **Determinism**: workers run the same [`mwl_driver::solve_job`] path as
 //!   the batch driver against a shared read-only width-grid cost cache, with
 //!   one persistent [`AllocScratch`] per worker — so result payloads are
@@ -68,7 +68,7 @@ pub struct ServerConfig {
     /// [`CODE_QUEUE_FULL`]: crate::wire::CODE_QUEUE_FULL
     pub queue_capacity: usize,
     /// Maximum operations per submitted graph; larger graphs are rejected
-    /// with [`CODE_GRAPH_TOO_LARGE`](crate::wire::CODE_GRAPH_TOO_LARGE).
+    /// with [`CODE_GRAPH_TOO_LARGE`].
     pub max_ops: usize,
     /// Memoise completed results under a content hash and answer repeat
     /// submissions from the cache.
