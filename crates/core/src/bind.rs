@@ -95,7 +95,6 @@ pub(crate) fn bind_select_with_scratch(
     let BindScratch {
         covered,
         chain,
-        chain_buf,
         best_chain,
         clique_ops,
         clique_res,
@@ -103,6 +102,7 @@ pub(crate) fn bind_select_with_scratch(
         new_mask,
         union_mask,
         uncovered_mask,
+        uncovered_ranks,
         clique_count: clique_slot,
     } = scratch;
     covered.clear();
@@ -114,6 +114,9 @@ pub(crate) fn bind_select_with_scratch(
     for i in 0..n {
         uncovered_mask[i / 64] |= 1u64 << (i % 64);
     }
+    // End ranks are a permutation of `0..n`, so the end-rank mask starts
+    // full too.
+    uncovered_ranks.clone_from(uncovered_mask);
     let mut remaining = n;
     // Selected cliques live in the pooled parallel arrays `clique_ops` /
     // `clique_res` / `clique_masks` (one `words`-sized chunk per clique);
@@ -122,15 +125,17 @@ pub(crate) fn bind_select_with_scratch(
     let mut clique_count = 0usize;
 
     while remaining > 0 {
-        // Find, per resource type, a maximum clique of uncovered operations
-        // and keep the one with the best |p_r| / cost(r) ratio.
+        // Find, per resource type, the size of a maximum clique of uncovered
+        // operations and keep the resource with the best |p_r| / cost(r)
+        // ratio.  The key reads only the clique's length, so the chain itself
+        // is built once, for the winner, after the scan.
         let mut best: Option<usize> = None;
         let mut best_key = (0.0f64, 0usize, u64::MAX);
         for r in 0..wcg.resources().len() {
             // The uncovered candidate count bounds any chain's length, so a
             // resource whose count/area ratio already falls short of the
             // incumbent (beyond the tie tolerance) cannot win — skip it
-            // without running the chain DP.  A zero count means no chain.
+            // without counting its chain.  A zero count means no chain.
             let count = wcg.mask_candidate_count(uncovered_mask, r);
             if count == 0 {
                 continue;
@@ -139,9 +144,8 @@ pub(crate) fn bind_select_with_scratch(
             if best.is_some() && (count as f64 / area as f64) < best_key.0 - f64::EPSILON {
                 continue;
             }
-            wcg.max_chain_into(r, covered, chain, chain_buf);
-            let ratio = chain_buf.len() as f64 / area as f64;
-            let key = (ratio, chain_buf.len(), u64::MAX - area);
+            let len = wcg.max_chain_len(r, uncovered_ranks);
+            let key = (len as f64 / area as f64, len, u64::MAX - area);
             let better = match &best {
                 None => true,
                 Some(_) => {
@@ -153,7 +157,6 @@ pub(crate) fn bind_select_with_scratch(
             if better {
                 best_key = key;
                 best = Some(r);
-                std::mem::swap(best_chain, chain_buf);
             }
         }
 
@@ -166,14 +169,16 @@ pub(crate) fn bind_select_with_scratch(
             return Err(AllocError::UncoverableOperation(op));
         };
 
+        wcg.max_chain_into(resource, covered, chain, best_chain);
         for &op in best_chain.iter() {
             covered[op.index()] = true;
             uncovered_mask[op.index() / 64] &= !(1u64 << (op.index() % 64));
+            let rank = wcg.end_rank(op);
+            uncovered_ranks[rank / 64] &= !(1u64 << (rank % 64));
         }
         remaining -= best_chain.len();
         // The new clique grows in `best_chain` itself (the next selection
-        // round overwrites it via the swap above); its operation bitset
-        // lives in `new_mask`.
+        // round overwrites it); its operation bitset lives in `new_mask`.
         new_mask.clear();
         new_mask.resize(words, 0);
         for &op in best_chain.iter() {

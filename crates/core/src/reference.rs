@@ -1,11 +1,12 @@
 //! The **frozen pre-optimization allocator**: a self-contained, verbatim
 //! copy of the whole `DPAlloc` vertical slice — compatibility graph,
-//! scheduling-set cover, the sparse Eqn (3) constraint, `BindSelect`,
-//! refinement rule and merging pass — exactly as it stood before the
-//! hot-path rewrite.  Nothing here is shared with the live crates: the
-//! sparse constraint lives only in this module, and so does the cover's
-//! mask-free greedy for instances with more than 64 coverable items (the
-//! `u64` masks of the exact and small greedy solvers cannot hold them).
+//! scheduling-set cover, the sparse Eqn (3) constraint, the rescanning list
+//! scheduler, `BindSelect`, refinement rule and merging pass — exactly as it
+//! stood before the hot-path rewrite.  Nothing here is shared with the live
+//! crates: the sparse constraint and the list scheduler live only in this
+//! module, and so does the cover's mask-free greedy for instances with more
+//! than 64 coverable items (the `u64` masks of the exact and small greedy
+//! solvers cannot hold them).
 //!
 //! This module serves two purposes:
 //!
@@ -20,7 +21,8 @@
 //!   pre-rewrite **cost profile**: `BTreeSet`-backed adjacency with `O(|O|)`
 //!   `ops_for` scans, per-iteration rebuilds of the candidate lists and
 //!   membership tables, cloned bound maps, the sparse, peak-cloning Eqn (3)
-//!   `admits`, a position-scanning set-cover mask builder, and a full
+//!   `admits`, a list scheduler that rescans every operation at every
+//!   event, a position-scanning set-cover mask builder, and a full
 //!   reschedule plus compatibility-graph rebuild per merge candidate.
 //!
 //! Do **not** optimize or share code out of this module — that would
@@ -30,8 +32,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mwl_model::{Area, CostModel, Cycles, OpId, ResourceClass, ResourceType, SequencingGraph};
 use mwl_sched::{
-    critical_path_length, ListScheduler, OpLatencies, PerInstanceExclusive, ResourceConstraint,
-    SchedError, Schedule, SchedulePriority,
+    critical_path_length, OpLatencies, PerInstanceExclusive, ResourceConstraint, SchedError,
+    Schedule, SchedulePriority,
 };
 
 use crate::bind::BindSelectOptions;
@@ -944,8 +946,7 @@ fn try_with_bounds(
             bounds.clone(),
         );
 
-        let schedule = match ListScheduler::new(config.priority).schedule(graph, &upper, constraint)
-        {
+        let schedule = match list_schedule(graph, &upper, constraint, config.priority) {
             Ok(s) => s,
             Err(SchedError::InfeasibleResourceBound { op }) => {
                 return Err(InnerFailure::NeedMoreResources(op_classes[op.index()]));
@@ -1153,9 +1154,168 @@ fn reschedule(
         cost.latency(&instances[binding[op.id().index()]].resource())
     });
     let constraint = PerInstanceExclusive::new(binding, instances.len());
-    ListScheduler::new(SchedulePriority::CriticalPath)
-        .schedule(graph, &latencies, constraint)
-        .ok()
+    list_schedule(
+        graph,
+        &latencies,
+        constraint,
+        SchedulePriority::CriticalPath,
+    )
+    .ok()
+}
+
+// ---------------------------------------------------------------------------
+// Frozen list scheduler (rescans every operation at every event).
+// ---------------------------------------------------------------------------
+
+/// The pre-rewrite list scheduler: at every control step it rebuilds the
+/// ready list by scanning all operations and their predecessors, and finds
+/// the next event by scanning all placed operations.  Its buffers are fresh
+/// per call, as the live scheduler's were behind `ListScheduler::schedule`.
+fn list_schedule<C: ResourceConstraint>(
+    graph: &SequencingGraph,
+    latencies: &OpLatencies,
+    mut constraint: C,
+    order: SchedulePriority,
+) -> Result<Schedule, SchedError> {
+    latencies.validate(graph)?;
+    let n = graph.len();
+    let mut priority = Vec::new();
+    priority_values_into(
+        graph,
+        latencies,
+        &mut priority,
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
+    let mut start: Vec<Option<Cycles>> = vec![None; n];
+    let mut ready: Vec<OpId> = Vec::new();
+
+    let mut scheduled = 0usize;
+    let mut step: Cycles = 0;
+
+    while scheduled < n {
+        // Ready operations: unscheduled, all predecessors finished by `step`.
+        ready.clear();
+        ready.extend(
+            graph
+                .op_ids()
+                .filter(|&o| start[o.index()].is_none())
+                .filter(|&o| {
+                    graph.predecessors(o).iter().all(|&p| {
+                        start[p.index()]
+                            .map(|s| s + latencies.get(p) <= step)
+                            .unwrap_or(false)
+                    })
+                }),
+        );
+        match order {
+            SchedulePriority::CriticalPath => {
+                ready.sort_by_key(|&o| (std::cmp::Reverse(priority[o.index()]), o));
+            }
+            SchedulePriority::InputOrder => ready.sort_unstable(),
+        }
+
+        let mut placed_any = false;
+        for &op in ready.iter() {
+            let lat = latencies.get(op);
+            if constraint.admits(op, step, lat) {
+                constraint.commit(op, step, lat);
+                start[op.index()] = Some(step);
+                scheduled += 1;
+                placed_any = true;
+            }
+        }
+
+        if scheduled == n {
+            break;
+        }
+
+        // Advance to the next event: the earliest completion strictly
+        // after `step`, or `step + 1` if something was just placed (its
+        // completion is such an event anyway).
+        let next_event = graph
+            .op_ids()
+            .filter_map(|o| start[o.index()].map(|s| s + latencies.get(o)))
+            .filter(|&e| e > step)
+            .min();
+
+        match next_event {
+            Some(e) => step = e,
+            None => {
+                if placed_any {
+                    step += 1;
+                    continue;
+                }
+                let blocked = ready
+                    .iter()
+                    .copied()
+                    .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
+                    .or_else(|| ready.first().copied())
+                    .or_else(|| graph.op_ids().find(|&o| start[o.index()].is_none()))
+                    .expect("some operation remains unscheduled");
+                return Err(SchedError::InfeasibleResourceBound { op: blocked });
+            }
+        }
+    }
+
+    Ok(Schedule::from_vec(
+        start.iter().map(|s| s.unwrap_or(0)).collect(),
+    ))
+}
+
+/// Longest path from each operation to any sink, including the operation's
+/// own latency, by an iterative post-order walk over the successor lists.
+/// In a DAG a gray (expanded, unfinished) node can never be a successor of
+/// the node being finished, so every successor's value is final when read.
+fn priority_values_into(
+    graph: &SequencingGraph,
+    latencies: &OpLatencies,
+    value: &mut Vec<Cycles>,
+    state: &mut Vec<u8>,
+    stack: &mut Vec<OpId>,
+) {
+    const WHITE: u8 = 0;
+    const GRAY: u8 = 1;
+    value.clear();
+    value.resize(graph.len(), 0);
+    state.clear();
+    state.resize(graph.len(), WHITE);
+    for root in graph.op_ids() {
+        if state[root.index()] != WHITE {
+            continue;
+        }
+        stack.push(root);
+        while let Some(&v) = stack.last() {
+            match state[v.index()] {
+                WHITE => {
+                    state[v.index()] = GRAY;
+                    stack.extend(
+                        graph
+                            .successors(v)
+                            .iter()
+                            .copied()
+                            .filter(|&s| state[s.index()] == WHITE),
+                    );
+                }
+                GRAY => {
+                    stack.pop();
+                    let tail = graph
+                        .successors(v)
+                        .iter()
+                        .map(|&s| value[s.index()])
+                        .max()
+                        .unwrap_or(0);
+                    value[v.index()] = tail + latencies.get(v);
+                    state[v.index()] = 2; // black: finished
+                }
+                _ => {
+                    // A duplicate of an already-finished node (pushed white
+                    // by two parents before its first expansion).
+                    stack.pop();
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

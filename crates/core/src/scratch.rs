@@ -93,17 +93,16 @@ impl AllocScratch {
     }
 }
 
-/// Reusable buffers of Algorithm `BindSelect`: the covered-operation map,
-/// the per-resource chain computation and the clique-growth union buffer.
+/// Reusable buffers of Algorithm `BindSelect`: the covered-operation maps,
+/// the winning resource's chain computation and the clique-growth union
+/// buffer.
 #[derive(Debug, Default)]
 pub(crate) struct BindScratch {
     /// Covered flag per operation.
     pub(crate) covered: Vec<bool>,
-    /// Longest-chain DP tables shared across resources.
+    /// Longest-chain DP tables of the round winner.
     pub(crate) chain: ChainScratch,
-    /// Chain under evaluation for the current resource.
-    pub(crate) chain_buf: Vec<OpId>,
-    /// Best chain of the current covering round.
+    /// Chain of the current covering round's winner.
     pub(crate) best_chain: Vec<OpId>,
     /// Operation lists of the selected cliques; slots beyond the active
     /// count keep their capacity across rounds and jobs.
@@ -119,6 +118,10 @@ pub(crate) struct BindScratch {
     /// Bitset of not-yet-covered operations, maintained across covering
     /// rounds to drive the popcount pre-skip.
     pub(crate) uncovered_mask: Vec<u64>,
+    /// `uncovered_mask` in end-rank space
+    /// ([`WordlengthCompatibilityGraph::end_rank`]): the input of the
+    /// chain-length greedy.
+    pub(crate) uncovered_ranks: Vec<u64>,
     /// Number of active cliques in the pooled arrays after the last
     /// [`crate::bind::bind_select_with_scratch`] run.
     pub(crate) clique_count: usize,

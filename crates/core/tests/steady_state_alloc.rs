@@ -3,8 +3,10 @@
 //! The hot-path rewrite promises that a warm [`AllocScratch`] solves each
 //! graph without *growing*: after warm-up, every repeat of the same job
 //! performs exactly the same (output-only) allocations — the kernels
-//! themselves (`max_chain_into`, `is_chain`, the mask primitives, Eqn (3)
-//! admission) run allocation-free on warm buffers.
+//! themselves (the sorted-sweep `attach_schedule` with its rank tables,
+//! `max_chain_len`, `max_chain_into`, `is_chain`, the mask primitives,
+//! Eqn (3) admission) run allocation-free on warm buffers, and the
+//! event-driven list scheduler allocates only the schedule it returns.
 //!
 //! Everything lives in one `#[test]` so the global counter is never read
 //! concurrently by a second libtest thread.
@@ -14,7 +16,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mwl_core::{AllocConfig, AllocScratch, CachedCostModel, DpAllocator};
 use mwl_model::{CostModel, OpId, ResourceClass, SonicCostModel};
-use mwl_sched::{asap, ResourceConstraint, SchedulingSetBound};
+use mwl_sched::{
+    asap, ListScheduler, PerInstanceExclusive, ResourceConstraint, SchedScratch, SchedulePriority,
+    SchedulingSetBound,
+};
 use mwl_tgff::{TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
@@ -104,7 +109,19 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
     let schedule = asap(&graph, &upper);
     wcg.attach_schedule(&schedule, &upper);
 
+    // A repeat attach reuses the interval, order, rank and sweep tables.
+    let (delta, ()) = allocations_during(|| wcg.attach_schedule(&schedule, &upper));
+    assert_eq!(delta, 0, "a repeat attach_schedule allocated");
+
     let covered = vec![false; graph.len()];
+    let uncovered_ranks = vec![u64::MAX; wcg.op_mask_words()];
+    let (delta, lengths) = allocations_during(|| {
+        (0..wcg.resources().len())
+            .map(|r| wcg.max_chain_len(r, &uncovered_ranks))
+            .sum::<usize>()
+    });
+    assert!(lengths > 0);
+    assert_eq!(delta, 0, "max_chain_len allocated");
     let mut chain_scratch = ChainScratch::default();
     let mut chain = Vec::new();
     for r in 0..wcg.resources().len() {
@@ -158,4 +175,21 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
         admitted
     });
     assert_eq!(delta, 0, "Eqn (3) admission probes allocated");
+
+    // The event-driven list scheduler keeps its pending counts, ready list
+    // and event heap warm: a repeat allocates only the returned schedule.
+    // Two exclusive instances serialise the graph, so operations wait.
+    let binding: Vec<usize> = graph.op_ids().map(|o| o.index() % 2).collect();
+    let mut exclusive = PerInstanceExclusive::new(binding.clone(), 2);
+    let scheduler = ListScheduler::new(SchedulePriority::CriticalPath);
+    let mut sched_scratch = SchedScratch::new();
+    let first = scheduler
+        .schedule_with_scratch(&graph, &upper, &mut exclusive, &mut sched_scratch)
+        .expect("exclusive instances always admit");
+    exclusive.rebuild(&binding, 2);
+    let (delta, repeat) = allocations_during(|| {
+        scheduler.schedule_with_scratch(&graph, &upper, &mut exclusive, &mut sched_scratch)
+    });
+    assert_eq!(Ok(first), repeat);
+    assert_eq!(delta, 1, "a warm list schedule allocated beyond its output");
 }

@@ -7,6 +7,9 @@
 //! per-class bound of Eqn (2) or the scheduling-set constraint of Eqn (3) —
 //! still admits them.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use mwl_model::{Cycles, OpId, SequencingGraph};
 use serde::{Deserialize, Serialize};
 
@@ -33,6 +36,12 @@ pub enum SchedulePriority {
 /// offers the ready operations (all predecessors finished) to the
 /// [`ResourceConstraint`] in priority order and places those that are
 /// admitted.  Time then advances to the next completion event.
+///
+/// The walk is event-driven: each operation counts its unfinished
+/// predecessors, and placed operations wait in a min-heap of completion
+/// times.  Advancing pops the completions due, and an operation joins the
+/// ready list when its count reaches zero — the same ready set a rescan of
+/// every operation would find, sorted by the same total key.
 ///
 /// # Examples
 ///
@@ -69,9 +78,13 @@ pub struct ListScheduler {
 /// without reallocating its working tables.
 #[derive(Debug, Default)]
 pub struct SchedScratch {
-    start: Vec<Option<Cycles>>,
+    start: Vec<Cycles>,
     priority: Vec<Cycles>,
     ready: Vec<OpId>,
+    /// Unfinished predecessors per operation.
+    pending: Vec<u32>,
+    /// `(completion, op)` of every placed operation not yet finished.
+    events: BinaryHeap<Reverse<(Cycles, OpId)>>,
     dfs_state: Vec<u8>,
     dfs_stack: Vec<OpId>,
 }
@@ -136,79 +149,76 @@ impl ListScheduler {
             start,
             priority,
             ready,
+            pending,
+            events,
             dfs_state,
             dfs_stack,
         } = scratch;
         self.priority_values_into(graph, latencies, priority, dfs_state, dfs_stack);
         start.clear();
-        start.resize(n, None);
+        start.resize(n, 0);
+        pending.clear();
+        pending.extend(graph.op_ids().map(|o| graph.predecessors(o).len() as u32));
+        ready.clear();
+        ready.extend(graph.op_ids().filter(|o| pending[o.index()] == 0));
+        events.clear();
 
         let mut scheduled = 0usize;
         let mut step: Cycles = 0;
 
         while scheduled < n {
-            // Ready operations: unscheduled, all predecessors finished by `step`.
-            ready.clear();
-            ready.extend(
-                graph
-                    .op_ids()
-                    .filter(|&o| start[o.index()].is_none())
-                    .filter(|&o| {
-                        graph.predecessors(o).iter().all(|&p| {
-                            start[p.index()]
-                                .map(|s| s + latencies.get(p) <= step)
-                                .unwrap_or(false)
-                        })
-                    }),
-            );
+            // Offer the ready operations in priority order; the ones not
+            // admitted stay ready, in order.
             self.sort_ready(ready, priority);
-
-            let mut placed_any = false;
-            for &op in ready.iter() {
+            let mut kept = 0;
+            for i in 0..ready.len() {
+                let op = ready[i];
                 let lat = latencies.get(op);
                 if constraint.admits(op, step, lat) {
                     constraint.commit(op, step, lat);
-                    start[op.index()] = Some(step);
+                    start[op.index()] = step;
+                    events.push(Reverse((step + lat, op)));
                     scheduled += 1;
-                    placed_any = true;
+                } else {
+                    ready[kept] = op;
+                    kept += 1;
                 }
             }
+            ready.truncate(kept);
 
             if scheduled == n {
                 break;
             }
 
             // Advance to the next event: the earliest completion strictly
-            // after `step`, or `step + 1` if something was just placed (its
-            // completion is such an event anyway).
-            let next_event = graph
-                .op_ids()
-                .filter_map(|o| start[o.index()].map(|s| s + latencies.get(o)))
-                .filter(|&e| e > step)
-                .min();
-
-            match next_event {
-                Some(e) => step = e,
-                None => {
-                    if placed_any {
-                        step += 1;
-                        continue;
+            // after `step` (latencies are positive, so every placement
+            // queued one).  With none queued, nothing can ever finish to
+            // unblock the ready operations.
+            let Some(&Reverse((next, _))) = events.peek() else {
+                let blocked = ready
+                    .iter()
+                    .copied()
+                    .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
+                    .or_else(|| ready.first().copied())
+                    .expect("an unscheduled operation is ready when no completion is queued");
+                return Err(SchedError::InfeasibleResourceBound { op: blocked });
+            };
+            step = next;
+            while let Some(&Reverse((end, op))) = events.peek() {
+                if end > step {
+                    break;
+                }
+                events.pop();
+                for &succ in graph.successors(op) {
+                    pending[succ.index()] -= 1;
+                    if pending[succ.index()] == 0 {
+                        ready.push(succ);
                     }
-                    let blocked = ready
-                        .iter()
-                        .copied()
-                        .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
-                        .or_else(|| ready.first().copied())
-                        .or_else(|| graph.op_ids().find(|&o| start[o.index()].is_none()))
-                        .expect("some operation remains unscheduled");
-                    return Err(SchedError::InfeasibleResourceBound { op: blocked });
                 }
             }
         }
 
-        Ok(Schedule::from_vec(
-            start.iter().map(|s| s.unwrap_or(0)).collect(),
-        ))
+        Ok(Schedule::from_vec(start.clone()))
     }
 
     /// Longest path from each operation to any sink, including the

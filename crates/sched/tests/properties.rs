@@ -7,7 +7,8 @@ use proptest::prelude::*;
 use mwl_model::{Cycles, OpId, ResourceClass, SequencingGraph, SonicCostModel};
 use mwl_sched::{
     alap, asap, critical_path_length, minimum_cover, mobility, ListScheduler, OpLatencies,
-    PerClassBound, SchedulePriority, SchedulingSetBound, Unbounded,
+    PerClassBound, PerInstanceExclusive, ResourceConstraint, SchedError, SchedScratch, Schedule,
+    SchedulePriority, SchedulingSetBound, Unbounded,
 };
 use mwl_tgff::{TgffConfig, TgffGenerator};
 
@@ -30,8 +31,167 @@ fn classes(graph: &SequencingGraph) -> Vec<ResourceClass> {
         .collect()
 }
 
+/// Deterministic bit source for the generated constraints.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The naive list scheduler: at every control step it rebuilds the ready
+/// list by scanning every operation and its predecessors, and finds the next
+/// event by scanning every placed operation.
+fn rescanning_schedule<C: ResourceConstraint>(
+    graph: &SequencingGraph,
+    latencies: &OpLatencies,
+    mut constraint: C,
+    order: SchedulePriority,
+) -> Result<Schedule, SchedError> {
+    latencies.validate(graph)?;
+    let n = graph.len();
+    let mut priority = vec![0; n];
+    for op in graph.topological_order().into_iter().rev() {
+        let tail = graph
+            .successors(op)
+            .iter()
+            .map(|&s| priority[s.index()])
+            .max()
+            .unwrap_or(0);
+        priority[op.index()] = tail + latencies.get(op);
+    }
+    let mut start: Vec<Option<Cycles>> = vec![None; n];
+    let mut scheduled = 0;
+    let mut step = 0;
+    while scheduled < n {
+        let mut ready: Vec<OpId> = graph
+            .op_ids()
+            .filter(|&o| start[o.index()].is_none())
+            .filter(|&o| {
+                graph
+                    .predecessors(o)
+                    .iter()
+                    .all(|&p| start[p.index()].is_some_and(|s| s + latencies.get(p) <= step))
+            })
+            .collect();
+        match order {
+            SchedulePriority::CriticalPath => {
+                ready.sort_by_key(|&o| (std::cmp::Reverse(priority[o.index()]), o));
+            }
+            SchedulePriority::InputOrder => ready.sort_unstable(),
+        }
+        for &op in &ready {
+            let lat = latencies.get(op);
+            if constraint.admits(op, step, lat) {
+                constraint.commit(op, step, lat);
+                start[op.index()] = Some(step);
+                scheduled += 1;
+            }
+        }
+        if scheduled == n {
+            break;
+        }
+        let next = graph
+            .op_ids()
+            .filter_map(|o| start[o.index()].map(|s| s + latencies.get(o)))
+            .filter(|&e| e > step)
+            .min();
+        match next {
+            Some(e) => step = e,
+            None => {
+                let blocked = ready
+                    .iter()
+                    .copied()
+                    .find(|&o| !constraint.admissible_at_all(o, latencies.get(o)))
+                    .or_else(|| ready.first().copied())
+                    .expect("some operation is ready");
+                return Err(SchedError::InfeasibleResourceBound { op: blocked });
+            }
+        }
+    }
+    Ok(Schedule::from_vec(
+        start.into_iter().map(Option::unwrap).collect(),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The event-driven list scheduler places every operation exactly where
+    /// the naive rescanning loop does — under every constraint strategy and
+    /// both priorities, through a reused scratch — and an infeasible bound
+    /// names the same operation.
+    #[test]
+    fn event_driven_scheduler_matches_rescanning(
+        ops in 1usize..40,
+        seed in any::<u64>(),
+        knobs in any::<u64>(),
+    ) {
+        let graph = random_graph(ops, seed);
+        let mut state = knobs;
+        let lat: OpLatencies = graph.op_ids().map(|_| 1 + (splitmix(&mut state) % 4) as Cycles).collect();
+        let op_classes = classes(&graph);
+        // Per-class bounds of 0..=3: a zero bound makes the class infeasible.
+        let bounds: BTreeMap<ResourceClass, usize> = ResourceClass::ALL
+            .iter()
+            .map(|&c| (c, (splitmix(&mut state) % 4) as usize))
+            .collect();
+        // Eqn (3): one to three members per class, each operation able to
+        // use a non-empty subset of its class's members.
+        let per_class: Vec<usize> = ResourceClass::ALL
+            .iter()
+            .map(|_| 1 + (splitmix(&mut state) % 3) as usize)
+            .collect();
+        let member_classes: Vec<ResourceClass> = ResourceClass::ALL
+            .iter()
+            .zip(&per_class)
+            .flat_map(|(&c, &k)| std::iter::repeat_n(c, k))
+            .collect();
+        let op_members: Vec<Vec<usize>> = op_classes
+            .iter()
+            .map(|&c| {
+                let first = member_classes.iter().position(|&m| m == c).unwrap();
+                let k = per_class[c.index()];
+                let pick = splitmix(&mut state) % ((1 << k) - 1) + 1;
+                (0..k).filter(|j| pick >> j & 1 == 1).map(|j| first + j).collect()
+            })
+            .collect();
+        let instances = 1 + (splitmix(&mut state) % 4) as usize;
+        let binding: Vec<usize> = graph
+            .op_ids()
+            .map(|_| (splitmix(&mut state) % instances as u64) as usize)
+            .collect();
+
+        let mut scratch = SchedScratch::new();
+        for priority in [SchedulePriority::CriticalPath, SchedulePriority::InputOrder] {
+            let scheduler = ListScheduler::new(priority);
+            prop_assert_eq!(
+                scheduler.schedule_with_scratch(&graph, &lat, Unbounded::new(), &mut scratch),
+                rescanning_schedule(&graph, &lat, Unbounded::new(), priority)
+            );
+            let per_class = || PerClassBound::new(op_classes.clone(), bounds.clone());
+            prop_assert_eq!(
+                scheduler.schedule_with_scratch(&graph, &lat, per_class(), &mut scratch),
+                rescanning_schedule(&graph, &lat, per_class(), priority)
+            );
+            let eqn3 = || SchedulingSetBound::new(
+                op_classes.clone(),
+                op_members.clone(),
+                member_classes.clone(),
+                bounds.clone(),
+            );
+            prop_assert_eq!(
+                scheduler.schedule_with_scratch(&graph, &lat, eqn3(), &mut scratch),
+                rescanning_schedule(&graph, &lat, eqn3(), priority)
+            );
+            let exclusive = || PerInstanceExclusive::new(binding.clone(), instances);
+            prop_assert_eq!(
+                scheduler.schedule_with_scratch(&graph, &lat, exclusive(), &mut scratch),
+                rescanning_schedule(&graph, &lat, exclusive(), priority)
+            );
+        }
+    }
 
     /// ASAP is a valid schedule and no valid schedule starts any operation
     /// earlier; ALAP is valid and no later start is possible within the

@@ -30,9 +30,17 @@
 //! only set representation: an ascending bit scan yields the same sorted
 //! order a sorted index list would, so every list-shaped query
 //! ([`resources_for`](WordlengthCompatibilityGraph::resources_for),
-//! [`ops_for`](WordlengthCompatibilityGraph::ops_for)) is a scan.  The
-//! schedule-interval buffer behind the `C` edges is reused across
-//! [`attach_schedule`](WordlengthCompatibilityGraph::attach_schedule) calls.
+//! [`ops_for`](WordlengthCompatibilityGraph::ops_for)) is a scan.
+//!
+//! [`attach_schedule`](WordlengthCompatibilityGraph::attach_schedule) sorts
+//! the operations by start and by end once, and builds the `C` edges by
+//! sweeping a growing prefix of the end order and a growing suffix of the
+//! start order instead of making `|O|²` interval comparisons.  It also
+//! renumbers every `O(r)` column by *end rank* (position in the end order),
+//! so the length of a maximum chain is an earliest-end greedy over bitsets
+//! ([`max_chain_len`](WordlengthCompatibilityGraph::max_chain_len)): each
+//! step takes the lowest set bit and ANDs in the mask of operations that
+//! start at or after its end.  Every buffer is reused across attach calls.
 //!
 //! *Pipeline position:* built first from the raw graph, then iteratively
 //! refined by the `DPAlloc` loop (`mwl_core`) — Sections 2.1–2.2 of the
@@ -160,8 +168,25 @@ pub struct WordlengthCompatibilityGraph {
     /// schedule is attached.
     compat: Vec<u64>,
     /// All operations sorted by `(start, end, id)` under the attached
-    /// schedule — the shared candidate order of every `max_chain` query.
+    /// schedule — the shared candidate order of every chain DP.
     start_order: Vec<OpId>,
+    /// All operations sorted by `(end, start, id)` under the attached
+    /// schedule; an operation's position here is its *end rank*.
+    end_order: Vec<OpId>,
+    /// End rank per operation (the inverse of `end_order`).
+    end_rank: Vec<u32>,
+    /// `H` adjacency per resource in end-rank space: bit `end_rank[o]` of
+    /// column `r` is set iff `{o, r}` is present.  Flat, stride `op_words`;
+    /// valid only while a schedule is attached.
+    rank_cols: Vec<u64>,
+    /// Per end rank `q`, in end-rank space: the operations that start at or
+    /// after the end of `end_order[q]`, i.e. those that may follow it in a
+    /// chain.  Flat, stride `op_words`; valid only while a schedule is
+    /// attached.
+    follow: Vec<u64>,
+    /// The running masks of the attach sweep: one operation-space and one
+    /// end-rank-space mask, `op_words` each.
+    sweep: Vec<u64>,
     /// Unrefined copy of `upper`, captured by
     /// [`snapshot_pristine`](Self::snapshot_pristine).
     pristine_upper: Vec<Cycles>,
@@ -446,6 +471,10 @@ impl WordlengthCompatibilityGraph {
             &mut self.resource_cols[resource * self.op_words..],
             op.index(),
         );
+        if self.scheduled {
+            let rank = self.end_rank[op.index()] as usize;
+            clear_bit(&mut self.rank_cols[resource * self.op_words..], rank);
+        }
         self.refresh_upper(op.index());
         true
     }
@@ -473,10 +502,11 @@ impl WordlengthCompatibilityGraph {
                 .fold(0u64, |acc, b| acc | 1 << b);
             *word &= !slow;
             for b in set_bits(&[slow]) {
-                clear_bit(
-                    &mut self.resource_cols[(w * WORD_BITS + b) * self.op_words..],
-                    i,
-                );
+                let col = (w * WORD_BITS + b) * self.op_words;
+                clear_bit(&mut self.resource_cols[col..], i);
+                if self.scheduled {
+                    clear_bit(&mut self.rank_cols[col..], self.end_rank[i] as usize);
+                }
             }
             removed += slow.count_ones() as usize;
         }
@@ -497,31 +527,98 @@ impl WordlengthCompatibilityGraph {
 
     /// Attaches schedule information, creating the `C` edges: `(o1, o2) ∈ C`
     /// iff `o1` completes no later than `o2` starts under the given start
-    /// times and latency table.  The interval buffer is reused, so repeated
-    /// attach/detach cycles in the allocator loop are allocation-free.
+    /// times and latency table.
+    ///
+    /// The edges come from two sorted sweeps instead of `|O|²` interval
+    /// comparisons.  Operation `i` is time-compatible with the operations
+    /// that end by its start — a prefix of the end order, which only grows
+    /// along the start order — and with those that start at or after its
+    /// end — a suffix of the start order, which only grows along the
+    /// reversed end order.  The second sweep also records each end rank's
+    /// followers for [`max_chain_len`](Self::max_chain_len), and the `O(r)`
+    /// columns are renumbered into end-rank space in `O(|H|)`.  Every buffer
+    /// is reused, so repeated attach/detach cycles in the allocator loop are
+    /// allocation-free.
     pub fn attach_schedule(&mut self, schedule: &Schedule, latencies: &OpLatencies) {
-        self.intervals.clear();
-        self.intervals.extend((0..self.num_ops()).map(|i| {
+        let n = self.num_ops();
+        let words = self.op_words;
+        let Self {
+            intervals,
+            start_order,
+            end_order,
+            end_rank,
+            rank_cols,
+            follow,
+            sweep,
+            compat,
+            resource_cols,
+            resources,
+            ..
+        } = self;
+        intervals.clear();
+        intervals.extend((0..n).map(|i| {
             let op = OpId::new(i as u32);
             (schedule.start(op), schedule.end(op, latencies))
         }));
-        let n = self.num_ops();
-        let intervals = &self.intervals;
-        self.start_order.clear();
-        self.start_order.extend((0..n).map(|i| OpId::new(i as u32)));
-        self.start_order
-            .sort_unstable_by_key(|o| (intervals[o.index()].0, intervals[o.index()].1, *o));
-        self.compat.clear();
-        self.compat.resize(n * self.op_words, 0);
-        for i in 0..n {
-            let (start_i, end_i) = self.intervals[i];
-            for j in 0..n {
-                if i == j {
-                    continue;
-                }
-                let (start_j, end_j) = self.intervals[j];
-                if end_i <= start_j || end_j <= start_i {
-                    set_bit(&mut self.compat[i * self.op_words..], j);
+        let intervals = &*intervals;
+        start_order.clear();
+        start_order.extend((0..n).map(|i| OpId::new(i as u32)));
+        start_order.sort_unstable_by_key(|o| (intervals[o.index()], *o));
+        // A stable sort by end keeps the `(start, id)` order among ties.
+        end_order.clone_from(start_order);
+        end_order.sort_by_key(|o| intervals[o.index()].1);
+        end_rank.clear();
+        end_rank.resize(n, 0);
+        for (q, o) in end_order.iter().enumerate() {
+            end_rank[o.index()] = q as u32;
+        }
+
+        compat.clear();
+        compat.resize(n * words, 0);
+        follow.clear();
+        follow.resize(n * words, 0);
+        sweep.clear();
+        sweep.resize(2 * words, 0);
+        let (ops, ranks) = sweep.split_at_mut(words);
+        // Predecessors: the operations ending by each start, in start order.
+        let mut ended = end_order.iter().peekable();
+        for o in start_order.iter() {
+            let start = intervals[o.index()].0;
+            while let Some(p) = ended.next_if(|p| intervals[p.index()].1 <= start) {
+                set_bit(ops, p.index());
+            }
+            compat[o.index() * words..][..words].copy_from_slice(ops);
+        }
+        // Successors: the operations starting at or after each end, in
+        // reversed end order.
+        ops.fill(0);
+        let mut started = start_order.iter().rev().peekable();
+        for (q, o) in end_order.iter().enumerate().rev() {
+            let end = intervals[o.index()].1;
+            while let Some(p) = started.next_if(|p| intervals[p.index()].0 >= end) {
+                set_bit(ops, p.index());
+                set_bit(ranks, end_rank[p.index()] as usize);
+            }
+            let row = &mut compat[o.index() * words..][..words];
+            for (slot, &w) in row.iter_mut().zip(ops.iter()) {
+                *slot |= w;
+            }
+            // A zero-length interval ends where it starts and would list
+            // itself.
+            clear_bit(row, o.index());
+            follow[q * words..][..words].copy_from_slice(ranks);
+        }
+
+        rank_cols.clear();
+        rank_cols.resize(resources.len() * words, 0);
+        for r in 0..resources.len() {
+            let out = &mut rank_cols[r * words..][..words];
+            for (w, &word) in resource_cols[r * words..][..words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let q = end_rank[w * WORD_BITS + bits.trailing_zeros() as usize] as usize;
+                    out[q / WORD_BITS] |= 1 << (q % WORD_BITS);
+                    bits &= bits - 1;
                 }
             }
         }
@@ -637,28 +734,67 @@ impl WordlengthCompatibilityGraph {
         true
     }
 
-    /// Finds a maximum clique of *uncovered* operations within `O(r)`.
-    ///
-    /// Because `C` is a transitive orientation, a clique is a chain of
-    /// operations whose execution intervals do not overlap; the maximum one
-    /// is found by dynamic programming over operations sorted by start time.
-    /// Returns the operations of the chain in execution order (possibly
-    /// empty).
+    /// End rank of an operation under the attached schedule: its position
+    /// in the `(end, start, id)` order — the bit that stands for it in the
+    /// mask [`max_chain_len`](Self::max_chain_len) reads.
     ///
     /// # Panics
     ///
     /// Panics if no schedule is attached.
     #[must_use]
-    pub fn max_chain(&self, resource: ResourceIndex, covered: &[bool]) -> Vec<OpId> {
-        let mut scratch = ChainScratch::default();
-        let mut chain = Vec::new();
-        self.max_chain_into(resource, covered, &mut scratch, &mut chain);
-        chain
+    #[inline]
+    pub fn end_rank(&self, op: OpId) -> usize {
+        let _ = self.intervals("end_rank");
+        self.end_rank[op.index()] as usize
     }
 
-    /// As [`max_chain`](Self::max_chain), but writes the chain into a
-    /// reusable buffer — the allocation-free form `BindSelect` runs once per
-    /// resource per covering round.
+    /// Length of a maximum clique of *uncovered* operations within `O(r)` —
+    /// the length of the chain [`max_chain_into`](Self::max_chain_into)
+    /// returns, without building it.  `uncovered` is indexed by
+    /// [`end_rank`](Self::end_rank), stride
+    /// [`op_mask_words`](Self::op_mask_words).
+    ///
+    /// An earliest-end greedy counts the maximum number of pairwise-disjoint
+    /// intervals exactly: take the uncovered candidate with the lowest end
+    /// rank, keep only the candidates that start at or after its end, and
+    /// repeat.  Each step is a lowest-set-bit and a mask AND; a whole query
+    /// is `O(words + length)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no schedule is attached.
+    #[must_use]
+    pub fn max_chain_len(&self, resource: ResourceIndex, uncovered: &[u64]) -> usize {
+        let _ = self.intervals("max_chain_len");
+        let words = self.op_words;
+        let col = &self.rank_cols[resource * words..][..words];
+        let mut len = 0;
+        // Operations that may follow the last pick.  The masks shrink as the
+        // picks' ends grow, so the latest one stands for all of them.
+        let mut after: Option<&[u64]> = None;
+        for w in 0..words {
+            let mut m = uncovered[w] & col[w] & after.map_or(u64::MAX, |f| f[w]);
+            while m != 0 {
+                let b = m.trailing_zeros() as usize;
+                len += 1;
+                let f = &self.follow[(w * WORD_BITS + b) * words..][..words];
+                after = Some(f);
+                // Drop the pick itself too: a zero-length interval starts at
+                // its own end.
+                m &= f[w] & !(u64::MAX >> (63 - b));
+            }
+        }
+        len
+    }
+
+    /// Finds a maximum clique of *uncovered* operations within `O(r)` and
+    /// writes it into a reusable buffer — the allocation-free form
+    /// `BindSelect` runs once per covering round, for the winning resource.
+    ///
+    /// Because `C` is a transitive orientation, a clique is a chain of
+    /// operations whose execution intervals do not overlap; the maximum one
+    /// is found by dynamic programming over operations sorted by start time.
+    /// The chain is written in execution order (possibly empty).
     ///
     /// # Panics
     ///
@@ -779,6 +915,26 @@ mod tests {
     use super::*;
     use mwl_model::{OpShape, SequencingGraphBuilder, SonicCostModel};
     use mwl_sched::{asap, OpLatencies};
+
+    /// The chain `max_chain_into` finds, in a fresh buffer.
+    fn max_chain(
+        wcg: &WordlengthCompatibilityGraph,
+        resource: ResourceIndex,
+        covered: &[bool],
+    ) -> Vec<OpId> {
+        let mut chain = Vec::new();
+        wcg.max_chain_into(resource, covered, &mut ChainScratch::default(), &mut chain);
+        chain
+    }
+
+    /// The uncovered mask in end-rank space for a covered map.
+    fn uncovered_ranks(wcg: &WordlengthCompatibilityGraph, covered: &[bool]) -> Vec<u64> {
+        let mut mask = vec![0u64; wcg.op_mask_words()];
+        for (i, _) in covered.iter().enumerate().filter(|(_, &c)| !c) {
+            set_bit(&mut mask, wcg.end_rank(OpId::new(i as u32)));
+        }
+        mask
+    }
 
     /// Two small and one large multiplication plus an adder.
     fn sample() -> (SequencingGraph, WordlengthCompatibilityGraph) {
@@ -946,15 +1102,49 @@ mod tests {
         let lat = wcg.upper_bound_latencies();
         let schedule = asap(&g, &lat);
         wcg.attach_schedule(&schedule, &lat);
-        let chain = wcg.max_chain(0, &[false; 4]);
+        let chain = max_chain(&wcg, 0, &[false; 4]);
         assert_eq!(chain, vec![x, y, z]);
         // Covered operations are skipped.
         let mut covered = vec![false; 4];
         covered[y.index()] = true;
-        let chain = wcg.max_chain(0, &covered);
+        let chain = max_chain(&wcg, 0, &covered);
         assert_eq!(chain.len(), 2);
         assert!(!chain.contains(&y));
         let _ = w;
+    }
+
+    #[test]
+    fn zero_length_intervals_chain_and_never_self_compatible() {
+        // `attach_schedule` does not validate latencies, so zero-length
+        // intervals reach the kernels: several share a time point, one sits
+        // at the end of a longer interval, and two lie inside one.
+        let mut b = SequencingGraphBuilder::new();
+        for _ in 0..7 {
+            b.add_operation(OpShape::multiplier(8, 8));
+        }
+        let g = b.build().unwrap();
+        let mut wcg = WordlengthCompatibilityGraph::new(&g, &SonicCostModel::default());
+        let lat = OpLatencies::from_vec(vec![0, 2, 0, 0, 3, 0, 0]);
+        let schedule = mwl_sched::Schedule::from_vec(vec![0, 0, 2, 2, 2, 5, 3]);
+        wcg.attach_schedule(&schedule, &lat);
+        for op in g.op_ids() {
+            assert!(!wcg.is_chain(&[op, op]), "{op} compatible with itself");
+            let mut mask = vec![0u64; wcg.op_mask_words()];
+            set_bit(&mut mask, op.index());
+            assert!(wcg.mask_is_chain(&mask));
+        }
+        for r in 0..wcg.resources().len() {
+            for seed in 0u32..(1 << 7) {
+                let covered: Vec<bool> = (0..7).map(|i| seed >> i & 1 == 1).collect();
+                let chain = max_chain(&wcg, r, &covered);
+                assert!(wcg.is_chain(&chain));
+                let len = wcg.max_chain_len(r, &uncovered_ranks(&wcg, &covered));
+                assert_eq!(len, chain.len(), "resource {r}, covered {covered:?}");
+            }
+        }
+        // Ops 0, 2, 3, 5 are points and 1, 4 cover [0, 2) and [2, 5): all
+        // six chain; op 6 at 3 lies inside op 4.
+        assert_eq!(max_chain(&wcg, 0, &[false; 7]).len(), 6);
     }
 
     #[test]
@@ -964,7 +1154,8 @@ mod tests {
         let schedule = asap(&g, &lat);
         wcg.attach_schedule(&schedule, &lat);
         let covered = vec![true; g.len()];
-        assert!(wcg.max_chain(0, &covered).is_empty());
+        assert!(max_chain(&wcg, 0, &covered).is_empty());
+        assert_eq!(wcg.max_chain_len(0, &uncovered_ranks(&wcg, &covered)), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`ResourceType::covers`](mwl_model::ResourceType::covers) plus the
 //! refinement rule, time compatibility from the schedule's execution
 //! intervals — across all `GraphShape` × `WidthProfile` families, through
-//! refinement and snapshot/restore, and whether the chain scratch is warm or
-//! fresh.
+//! refinement and snapshot/restore, and whether the chain scratch and the
+//! graph's own sweep buffers are warm or fresh.
 //!
 //! The allocator-level identity against the frozen reference lives in
 //! `mwl_core/tests/optimization_identity.rs`.
@@ -237,6 +237,17 @@ fn mask_of(ops: &[OpId], words: usize) -> Vec<u64> {
     mask
 }
 
+/// The uncovered operations of a covered map, as the end-rank mask
+/// `max_chain_len` reads.
+fn uncovered_ranks(wcg: &WordlengthCompatibilityGraph, covered: &[bool]) -> Vec<u64> {
+    let mut mask = vec![0u64; wcg.op_mask_words()];
+    for (i, _) in covered.iter().enumerate().filter(|(_, &c)| !c) {
+        let rank = wcg.end_rank(OpId::new(i as u32));
+        mask[rank / 64] |= 1 << (rank % 64);
+    }
+    mask
+}
+
 /// A graph with an ASAP schedule under its upper bounds, and the naive
 /// model of the same state.
 fn scheduled(graph: &SequencingGraph) -> (WordlengthCompatibilityGraph, Naive) {
@@ -271,13 +282,20 @@ proptest! {
         }
     }
 
-    /// `is_chain` and `mask_is_chain` match the pairwise interval test on
-    /// arbitrary subsets and on real chains.
+    /// `compatible`, `is_chain` and `mask_is_chain` match the pairwise
+    /// interval test on every pair, on arbitrary subsets and on real chains.
     #[test]
     fn chain_tests_match_naive(case in case_strategy(), subset_seed in any::<u64>()) {
         let graph = build(&case);
         let (wcg, naive) = scheduled(&graph);
         let words = wcg.op_mask_words();
+        for a in graph.op_ids() {
+            for b in graph.op_ids() {
+                let (ea, sb) = (naive.intervals[a.index()].1, naive.intervals[b.index()].0);
+                prop_assert_eq!(wcg.compatible(a, b), ea <= sb);
+                prop_assert_eq!(wcg.is_chain(&[a, b]), a != b && naive.disjoint(a, b));
+            }
+        }
         let mut state = subset_seed;
         for round in 0..12 {
             // Mix in real chains so the `true` branch is exercised, not just
@@ -294,9 +312,11 @@ proptest! {
         }
     }
 
-    /// `max_chain_into` returns the naive longest chain for every resource
-    /// and arbitrary covered sets — and a warm scratch (reused across every
-    /// query) is indistinguishable from a fresh one.
+    /// `max_chain_into` returns the naive longest chain, and `max_chain_len`
+    /// its length, for every resource and arbitrary covered sets — and a
+    /// warm chain scratch (reused across every query) and a warm graph
+    /// (rebuilt and re-attached over another problem's buffers) are
+    /// indistinguishable from fresh ones.
     #[test]
     fn max_chain_matches_naive_warm_and_fresh(
         case in case_strategy(),
@@ -304,6 +324,15 @@ proptest! {
     ) {
         let graph = build(&case);
         let (wcg, naive) = scheduled(&graph);
+        let cost = SonicCostModel::default();
+        let other = build(&Case { ops: 73 - case.ops.min(72), seed: case.seed + 1, ..case.clone() });
+        let mut warm_wcg = WordlengthCompatibilityGraph::new(&other, &cost);
+        let other_upper = warm_wcg.upper_bound_latencies();
+        warm_wcg.attach_schedule(&asap(&other, &other_upper), &other_upper);
+        warm_wcg.rebuild(&graph, &cost);
+        let upper = warm_wcg.upper_bound_latencies();
+        warm_wcg.attach_schedule(&asap(&graph, &upper), &upper);
+
         let mut state = covered_seed;
         let mut warm = ChainScratch::default();
         let mut warm_chain = Vec::new();
@@ -314,11 +343,17 @@ proptest! {
                     covered[op.index()] = true;
                 }
             }
+            let fresh_ranks = uncovered_ranks(&wcg, &covered);
+            let warm_ranks = uncovered_ranks(&warm_wcg, &covered);
             for r in 0..naive.latencies.len() {
                 let expected = naive.max_chain(r, &covered);
-                prop_assert_eq!(&wcg.max_chain(r, &covered), &expected);
+                let mut fresh_chain = Vec::new();
+                wcg.max_chain_into(r, &covered, &mut ChainScratch::default(), &mut fresh_chain);
+                prop_assert_eq!(&fresh_chain, &expected);
                 wcg.max_chain_into(r, &covered, &mut warm, &mut warm_chain);
                 prop_assert_eq!(&warm_chain, &expected);
+                prop_assert_eq!(wcg.max_chain_len(r, &fresh_ranks), expected.len());
+                prop_assert_eq!(warm_wcg.max_chain_len(r, &warm_ranks), expected.len());
             }
         }
     }
@@ -360,6 +395,7 @@ proptest! {
         wcg.snapshot_pristine();
         let upper = wcg.upper_bound_latencies();
         wcg.attach_schedule(&asap(&graph, &upper), &upper);
+        naive.attach(&graph, &upper);
 
         for op in graph.op_ids() {
             loop {
@@ -373,6 +409,12 @@ proptest! {
             prop_assert!(!wcg.refinable(op));
         }
         assert_structure(&graph, &wcg, &naive);
+        // Deletions under an attached schedule reach the end-rank columns.
+        let covered = vec![false; graph.len()];
+        let ranks = uncovered_ranks(&wcg, &covered);
+        for r in 0..naive.latencies.len() {
+            prop_assert_eq!(wcg.max_chain_len(r, &ranks), naive.max_chain(r, &covered).len());
+        }
 
         wcg.restore_pristine();
         prop_assert!(!wcg.has_schedule());

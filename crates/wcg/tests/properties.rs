@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use mwl_model::{CostModel, OpId, SonicCostModel};
 use mwl_sched::asap;
 use mwl_tgff::{TgffConfig, TgffGenerator};
-use mwl_wcg::WordlengthCompatibilityGraph;
+use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -93,7 +93,8 @@ proptest! {
 
         let covered = vec![false; graph.len()];
         for r in 0..wcg.resources().len() {
-            let chain = wcg.max_chain(r, &covered);
+            let mut chain = Vec::new();
+            wcg.max_chain_into(r, &covered, &mut ChainScratch::default(), &mut chain);
             prop_assert!(wcg.is_chain(&chain) || chain.is_empty());
             for &op in &chain {
                 prop_assert!(wcg.has_edge(op, r));
