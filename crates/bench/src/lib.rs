@@ -3,8 +3,7 @@
 //!
 //! Each experiment is a plain library function returning a typed result
 //! table, so the same code backs the command-line binaries
-//! (`cargo run -p mwl_bench --release --bin fig3` …), the Criterion benches
-//! and the integration tests:
+//! (`cargo run -p mwl_bench --release --bin fig3` …) and the tests:
 //!
 //! | Paper item | Function | Binary |
 //! |------------|----------|--------|
@@ -16,6 +15,7 @@
 //! | Allocation hot-path perf gate: optimized vs frozen reference, bit-identity, committed `BENCH_alloc.json` | [`run_perf_gate`] | `perf_gate` |
 //! | Portfolio gate: racing-allocator determinism, never-worse and ILP gap-closed checks, committed `BENCH_portfolio.json` | [`run_portfolio_gate`] | `portfolio_gate` |
 //! | Observability gate: telemetry non-perturbation and overhead bounds, committed `BENCH_obs.json` | [`run_obs_gate`] | `obs_gate` |
+//! | Ablation gate: area each part of the heuristic (clique growth, refinement rule, instance merge) is worth, committed `BENCH_ablation.json` | [`run_ablation`] | `ablation` |
 //!
 //! The gates and the batch sweep time their code through [`measure`], the
 //! crate's one measurement harness, and every binary reads its arguments
@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod ablation;
 mod batch;
 pub mod cli;
 mod fig3;
@@ -48,6 +49,7 @@ mod portfolio;
 mod sweep;
 mod table2;
 
+pub use ablation::{run_ablation, AblationResults, AblationTotals, ArmResult};
 pub use batch::{
     run_batch_sweep, scenario_families, scenario_jobs, BatchSweepConfig, BatchSweepResults,
     FamilyResult, ScenarioFamily,

@@ -33,6 +33,7 @@ fn missing_values_and_unknown_arguments_are_usage_errors() {
         (env!("CARGO_BIN_EXE_perf_gate"), &["--reps"][..]),
         (env!("CARGO_BIN_EXE_obs_gate"), &["--out"][..]),
         (env!("CARGO_BIN_EXE_table2"), &["--graph", "3"][..]),
+        (env!("CARGO_BIN_EXE_ablation"), &["--reps", "3"][..]),
     ] {
         let (code, stderr) = exit_code(binary, args);
         assert_eq!(code, Some(2), "{binary} {args:?}: {stderr}");

@@ -704,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn growth_disabled_still_valid_never_cheaper() {
+    fn growth_disabled_still_valid() {
         let c = cost();
         let mut generator = TgffGenerator::new(TgffConfig::with_ops(10), 91);
         for _ in 0..8 {
