@@ -18,7 +18,7 @@ use mwl_core::{
 };
 use mwl_driver::{batch_cache, BatchJob};
 use mwl_model::{Area, SonicCostModel};
-use mwl_obs::json::{rounded, Json, ObjectBuilder};
+use mwl_obs::json::{rounded, Check, Json, ObjectBuilder};
 
 use crate::batch::{scenario_families, scenario_jobs, BatchSweepConfig};
 use crate::measure;
@@ -37,6 +37,9 @@ const ARMS: [(&str, Configure); 4] = [
 ];
 const DEFAULT: usize = 0;
 const NO_MERGING: usize = 3;
+
+/// The schema version of `BENCH_ablation.json`.
+const SCHEMA: &str = "mwl_ablation_gate_v1";
 
 /// Interleaved repetitions of the four arms.
 const REPETITIONS: usize = 10;
@@ -104,6 +107,24 @@ impl AblationResults {
         self.totals(arm, family).total_area as i64 - self.totals(DEFAULT, family).total_area as i64
     }
 
+    /// Every assertion `BENCH_ablation.json` violates, each entry of its
+    /// `violations` list among them; the gate exits on it.
+    #[must_use]
+    pub fn check(doc: &Json) -> Vec<String> {
+        let mut c = Check::new(doc);
+        c.is("schema", SCHEMA);
+        c.is("violations", Json::Array(Vec::new()));
+        let names: Vec<Json> = ARMS.iter().map(|&(name, _)| name.into()).collect();
+        let arms = c.column("arms", "name") == names;
+        c.require(arms, "arms", "not the four arms in order");
+        let default = c.num("arms.0.total_area");
+        c.each("arms", |arm| {
+            let delta = arm.num("total_area") - default == arm.num("area_delta");
+            arm.require(delta, "area_delta", "not area - default area");
+        });
+        c.finish()
+    }
+
     /// The schema-stable `BENCH_ablation.json` document.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -128,7 +149,7 @@ impl AblationResults {
                 .build()
         });
         ObjectBuilder::new()
-            .field("schema", "mwl_ablation_gate_v1")
+            .field("schema", SCHEMA)
             .field("jobs", self.jobs.len())
             .field("repetitions", REPETITIONS)
             .field("arms", arms.collect::<Json>())
@@ -282,5 +303,6 @@ mod tests {
         }
         let json = results.to_json();
         assert_eq!(Json::parse(&json.encode_pretty()).unwrap(), json);
+        assert_eq!(AblationResults::check(&json), Vec::<String>::new());
     }
 }

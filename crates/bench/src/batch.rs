@@ -11,7 +11,7 @@ use mwl_driver::{
     area_breakdown_json, run_batch, BatchJob, BatchOptions, BatchReport, LatencySpec,
 };
 use mwl_model::SonicCostModel;
-use mwl_obs::json::{rounded, Json, ObjectBuilder};
+use mwl_obs::json::{rounded, Check, Json, ObjectBuilder};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 use crate::measure::{self, worker_sweep, WorkerRow};
@@ -227,6 +227,24 @@ impl BatchSweepResults {
         out
     }
 
+    /// Every assertion `results/BENCH_batch.json` violates, given the
+    /// worker counts the sweep ran at; the sweep exits on it.
+    #[must_use]
+    pub fn check(doc: &Json, worker_counts: &[usize]) -> Vec<String> {
+        let mut c = Check::new(doc);
+        c.is("all_identical", true);
+        c.is("failed", 0u64);
+        let names: Vec<Json> = scenario_families().iter().map(|f| f.name.into()).collect();
+        let rows = c.column("families", "name") == names;
+        c.require(rows, "families", "not one row per scenario family");
+        let counts: Vec<Json> = worker_counts.iter().map(|&w| w.into()).collect();
+        let rows = !counts.is_empty() && c.column("throughput", "workers") == counts;
+        let message = format!("rows not at {worker_counts:?} workers");
+        c.require(rows, "throughput", &message);
+        c.same("area_breakdown.fu", "total_area");
+        c.finish()
+    }
+
     /// The machine-readable `results/BENCH_batch.json` document.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -310,20 +328,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smoke_sweep_is_identical_and_complete() {
-        let results = run_batch_sweep(&BatchSweepConfig::smoke());
-        assert!(results.all_identical());
-        assert_eq!(results.families.len(), 7);
-        assert_eq!(results.jobs, 7 * 2);
-        for f in &results.families {
-            assert_eq!(f.jobs, 2, "family {} lost jobs", f.name);
-            assert_eq!(f.succeeded, 2, "family {} had failures", f.name);
-        }
-        assert_eq!(results.throughput.len(), 2);
-        assert!(results.throughput.iter().all(|t| t.graphs_per_sec > 0.0));
-    }
-
-    #[test]
     fn scenario_jobs_are_deterministic_and_labelled() {
         let config = BatchSweepConfig::smoke();
         let a = scenario_jobs(&config);
@@ -338,19 +342,29 @@ mod tests {
     }
 
     #[test]
-    fn json_lists_every_family_and_worker_count() {
+    fn smoke_sweep_passes_its_check_and_names_a_planted_violation() {
         let results = run_batch_sweep(&BatchSweepConfig::smoke());
-        let json = results.to_json().encode_pretty();
-        assert!(json.contains("\"all_identical\": true"));
-        assert!(json.contains("\"area_breakdown\": {\"fu\": "));
-        for family in scenario_families() {
-            assert!(json.contains(&format!("\"name\": \"{}\"", family.name)));
+        let text = results.to_json().encode_pretty();
+        let violations = BatchSweepResults::check(&Json::parse(&text).unwrap(), &[1, 2]);
+        assert_eq!(violations, Vec::<String>::new());
+        assert_eq!(results.jobs, 7 * 2);
+        for f in &results.families {
+            assert_eq!((f.jobs, f.succeeded), (2, 2), "family {}", f.name);
         }
-        assert!(json.contains("\"workers\": 1"));
-        assert!(json.contains("\"workers\": 2"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let text = results.render_text();
-        assert!(text.contains("graphs/sec"));
+        let rows = results
+            .throughput
+            .iter()
+            .map(|t| (t.workers, t.graphs_per_sec > 0.0));
+        assert_eq!(rows.collect::<Vec<_>>(), [(1, true), (2, true)]);
+        assert!(results.render_text().contains("graphs/sec"));
+
+        let planted = text.replace("\"all_identical\": true", "\"all_identical\": false");
+        let violations = BatchSweepResults::check(&Json::parse(&planted).unwrap(), &[1, 2]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("all_identical: "),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //!
 //! Usage: `cargo run -p mwl_bench --release --bin ablation [-- --smoke] [--out PATH]`
 //!
-//! Exit codes: 0 success; 1 a check failed (a datapath is invalid or misses
-//! its λ, or switching merging off lowered a job's area); 2 usage error.
+//! Exit codes: 0 success; 1 the written file fails [`AblationResults::check`]
+//! (a datapath is invalid or misses its λ, or switching merging off lowered
+//! a job's area); 2 usage error.
 
-use mwl_bench::cli::{write_output, Args};
-use mwl_bench::{run_ablation, BatchSweepConfig};
+use mwl_bench::cli::{write_checked, Args};
+use mwl_bench::{run_ablation, AblationResults, BatchSweepConfig};
 
 fn main() {
     let args = Args::from_env("ablation [--smoke] [--out PATH]", &["--smoke"], &["--out"]);
@@ -34,13 +35,5 @@ fn main() {
             result.best_seconds
         );
     }
-
-    write_output(out_path, &results.to_json().encode_pretty());
-
-    for violation in &results.violations {
-        eprintln!("ERROR: {violation}");
-    }
-    if !results.violations.is_empty() {
-        std::process::exit(1);
-    }
+    write_checked(out_path, &results.to_json(), AblationResults::check);
 }

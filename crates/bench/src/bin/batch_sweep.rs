@@ -10,13 +10,16 @@
 //! (load it at `chrome://tracing` or <https://ui.perfetto.dev>) showing
 //! per-stage allocator spans on per-worker lanes.
 //!
+//! Exit codes: 0 success; 1 a written file fails [`BatchSweepResults::check`]
+//! or [`check_chrome_trace`], or a traced job failed; 2 usage error.
+//!
 //! Usage: `cargo run -p mwl_bench --release --bin batch_sweep [-- --smoke | --graphs N | --workers A,B,C | --trace-out PATH]`
 
-use mwl_bench::cli::{write_output, Args};
-use mwl_bench::{run_batch_sweep, scenario_jobs, BatchSweepConfig};
+use mwl_bench::cli::{write_checked, Args};
+use mwl_bench::{run_batch_sweep, scenario_jobs, BatchSweepConfig, BatchSweepResults};
 use mwl_driver::{run_batch_traced, BatchOptions};
 use mwl_model::SonicCostModel;
-use mwl_obs::{ObsMode, TraceSink};
+use mwl_obs::{check_chrome_trace, chrome_trace_json, ObsMode, TraceSink};
 
 fn main() {
     let args = Args::from_env(
@@ -41,14 +44,9 @@ fn main() {
     );
     let results = run_batch_sweep(&config);
     println!("{}", results.render_text());
-    write_output(
-        "results/BENCH_batch.json",
-        &results.to_json().encode_pretty(),
-    );
-    if !results.all_identical() {
-        eprintln!("ERROR: parallel reports diverged from the sequential reference");
-        std::process::exit(1);
-    }
+    write_checked("results/BENCH_batch.json", &results.to_json(), |doc| {
+        BatchSweepResults::check(doc, &config.worker_counts)
+    });
 
     if let Some(path) = args.value("--trace-out") {
         let workers = config.worker_counts.iter().copied().max().unwrap_or(1);
@@ -56,12 +54,16 @@ fn main() {
         let cost = SonicCostModel::default();
         let sink = TraceSink::new();
         let options = BatchOptions::with_workers(workers).with_obs(ObsMode::Trace);
-        let traced = run_batch_traced(&jobs, &cost, &options, Some(&sink));
-        if traced.summary().failed > 0 {
-            eprintln!("ERROR: traced pass had failing jobs");
-            std::process::exit(1);
-        }
-        write_output(path, &sink.to_chrome_json());
+        let failed = run_batch_traced(&jobs, &cost, &options, Some(&sink))
+            .summary()
+            .failed;
+        write_checked(path, &chrome_trace_json(&sink.snapshot()), |doc| {
+            let mut violations = check_chrome_trace(doc, workers, &["solve", "schedule", "bind"]);
+            if failed > 0 {
+                violations.push(format!("traced pass: {failed} jobs failed"));
+            }
+            violations
+        });
         eprintln!("{} trace events across {workers} worker lanes", sink.len());
     }
 }

@@ -5,12 +5,13 @@
 //!
 //! Usage: `cargo run -p mwl_bench --release --bin portfolio_gate [-- --smoke | --quick] [--variants N] [--out PATH]`
 //!
-//! Exit codes: 0 success; 1 a hard gate failed (a rerun diverged, a winner
-//! lost to variant 0 or undercut a proven optimum, or no scenario family
-//! improved at all); 2 usage error.
+//! Exit codes: 0 success; 1 the written file fails
+//! [`PortfolioGateResults::check`] (a rerun diverged, a winner lost to
+//! variant 0 or undercut a proven optimum, or no family improved); 2 usage
+//! error.
 
-use mwl_bench::cli::{write_output, Args};
-use mwl_bench::{run_portfolio_gate, PortfolioGateConfig};
+use mwl_bench::cli::{write_checked, Args};
+use mwl_bench::{run_portfolio_gate, PortfolioGateConfig, PortfolioGateResults};
 
 fn main() {
     let args = Args::from_env(
@@ -34,27 +35,7 @@ fn main() {
     );
     let results = run_portfolio_gate(&config);
     println!("{}", results.render_text());
-
-    write_output(out_path, &results.to_json().encode_pretty());
-
-    let mut failed = false;
-    if !results.determinism_ok {
-        eprintln!("ERROR: a portfolio rerun diverged from its reference outcome");
-        failed = true;
-    }
-    if !results.never_worse() {
-        eprintln!(
-            "ERROR: {} job(s) regressed below variant 0 and {} winner(s) undercut a proven optimum",
-            results.regressed,
-            results.ilp.iter().map(|r| r.unsound).sum::<usize>()
-        );
-        failed = true;
-    }
-    if !results.improved_somewhere() {
-        eprintln!("ERROR: no scenario family closed a positive area gap — the race is a no-op");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    write_checked(out_path, &results.to_json(), |doc| {
+        PortfolioGateResults::check(doc, &config.worker_counts)
+    });
 }

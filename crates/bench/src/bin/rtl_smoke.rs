@@ -2,27 +2,30 @@
 //! over a small random TGFF batch spanning every scenario family, through
 //! the batch driver's opt-in oracle.
 //!
-//! Writes `results/RTL_smoke.json` and exits non-zero if any job fails to
-//! allocate or any netlist diverges from the reference evaluation — the CI
-//! gate for the backend's bit-true guarantee.
+//! Writes `results/RTL_smoke.json` and exits 1 if that file fails its
+//! check: a job failed to allocate, a netlist diverged from the reference
+//! evaluation, or a register binding missed its optimality certificate.
 //!
 //! Run with: `cargo run -p mwl_bench --release --bin rtl_smoke`
 //! (`--graphs N` controls the graphs per family, default 4).
 
-use std::process::ExitCode;
-
-use mwl_bench::cli::{write_output, Args};
+use mwl_bench::cli::{write_checked, Args};
 use mwl_core::BindingCertificate;
 use mwl_driver::{area_breakdown_json, run_batch, BatchJob, BatchOptions, LatencySpec};
 use mwl_model::SonicCostModel;
-use mwl_obs::json::ObjectBuilder;
+use mwl_obs::json::{Check, Json, ObjectBuilder};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
-fn main() -> ExitCode {
+fn main() {
     let graphs_per_family = Args::from_env("rtl_smoke [--graphs N]", &[], &["--graphs"])
         .count("--graphs")
         .unwrap_or(4);
+    write_checked("results/RTL_smoke.json", &run(graphs_per_family), check);
+}
 
+/// Allocates, lowers and simulates `graphs_per_family` graphs of each
+/// family, and returns the `RTL_smoke.json` document.
+fn run(graphs_per_family: usize) -> Json {
     let families: &[(&str, GraphShape, WidthProfile, u32)] = &[
         ("layered", GraphShape::Layered, WidthProfile::Uniform, 2),
         ("wide", GraphShape::Wide, WidthProfile::Uniform, 3),
@@ -75,7 +78,7 @@ fn main() -> ExitCode {
         BindingCertificate::Heuristic
     };
 
-    let json = ObjectBuilder::new()
+    ObjectBuilder::new()
         .field("jobs", summary.jobs)
         .field("failed", summary.failed)
         .field("rtl_checked", summary.rtl_checked)
@@ -87,41 +90,43 @@ fn main() -> ExitCode {
         .field("certificate", certificate.as_str())
         .field("report", report.to_json())
         .build()
-        .encode_pretty();
-    write_output("results/RTL_smoke.json", &json);
+}
 
-    if summary.failed != 0 {
-        eprintln!("FAIL: {} jobs failed to allocate", summary.failed);
-        return ExitCode::FAILURE;
-    }
-    if summary.rtl_checked != summary.jobs || summary.rtl_passed != summary.rtl_checked {
-        eprintln!(
-            "FAIL: rtl checks {} / passed {} of {} jobs",
-            summary.rtl_checked, summary.rtl_passed, summary.jobs
-        );
-        for o in &report.outcomes {
-            if let Ok(stats) = &o.result {
-                if let Some(rtl) = &stats.rtl {
-                    if !rtl.passed {
-                        eprintln!(
-                            "  {}: {}",
-                            o.label,
-                            rtl.failure.as_deref().unwrap_or("unknown divergence")
-                        );
-                    }
-                }
-            }
-        }
-        return ExitCode::FAILURE;
-    }
-    if !all_optimal {
-        eprintln!("FAIL: a register binding missed its optimality certificate");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "OK: {} jobs, all netlists bit-identical to the reference evaluation, \
-         all register bindings certified optimal",
-        summary.jobs
+/// Every assertion `RTL_smoke.json` violates.
+fn check(doc: &Json) -> Vec<String> {
+    let mut c = Check::new(doc);
+    c.is("failed", 0u64);
+    c.same("rtl_checked", "jobs");
+    c.same("rtl_passed", "jobs");
+    c.keys("area_breakdown", &["fu", "register", "mux"]);
+    c.positive("area_breakdown.fu");
+    c.is("certificate", "optimal");
+    c.same(
+        "report.summary.area_breakdown.fu",
+        "report.summary.total_area",
     );
-    ExitCode::SUCCESS
+    c.each("report.outcomes", |o| {
+        let ok = o.value("ok").and_then(Json::as_bool);
+        o.require(ok.is_some(), "ok", "not a bool");
+        if ok == Some(true) {
+            o.is("certificate", "optimal");
+            o.keys("area_breakdown", &["fu", "register", "mux"]);
+        }
+    });
+    c.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn report_passes_its_check_and_names_a_planted_violation() {
+        let text = run(1).encode_pretty();
+        assert_eq!(check(&Json::parse(&text).unwrap()), Vec::<String>::new());
+        let planted = text.replacen("\"failed\": 0", "\"failed\": 1", 1);
+        let violations = check(&Json::parse(&planted).unwrap());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("failed: "), "{violations:?}");
+    }
 }

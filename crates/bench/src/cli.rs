@@ -1,5 +1,5 @@
-//! The command-line plumbing every `mwl_bench` binary shares: one argument
-//! parser and one way to write an output file.
+//! The command-line plumbing every `mwl_bench` and `mwl_serve` binary
+//! shares: one argument parser and one way to write an output file.
 //!
 //! A binary names the flags it accepts (`--smoke`, `--paper`, …) and the
 //! options that take a value (`--graphs N`, `--reps N`, `--workers A,B,C`,
@@ -8,6 +8,8 @@
 //! 2 and the binary's usage line.
 
 use std::path::Path;
+
+use mwl_obs::json::Json;
 
 /// The parsed command line of one binary.
 #[derive(Debug, Clone)]
@@ -76,7 +78,7 @@ impl Args {
     }
 
     /// Prints `message` and the usage line, then exits with code 2.
-    fn usage_error(&self, message: &str) -> ! {
+    pub fn usage_error(&self, message: &str) -> ! {
         eprintln!("ERROR: {message}");
         eprintln!("usage: {}", self.usage);
         std::process::exit(2);
@@ -92,6 +94,22 @@ pub fn write_output(path: &str, contents: &str) {
         std::process::exit(1);
     }
     eprintln!("wrote {path}");
+}
+
+/// Writes `doc` to `path` like [`write_output`], then runs `check` on the
+/// written text parsed back: the gate's verdict is that check of its own
+/// artifact.  Each violation is printed, and any ends the process with
+/// exit code 1.
+pub fn write_checked(path: &str, doc: &Json, check: impl FnOnce(&Json) -> Vec<String>) {
+    let written = doc.encode_pretty();
+    write_output(path, &written);
+    let violations = check(&Json::parse(&written).expect("the codec parses what it printed"));
+    for violation in &violations {
+        eprintln!("ERROR: {path}: {violation}");
+    }
+    if !violations.is_empty() {
+        std::process::exit(1);
+    }
 }
 
 /// `value` as a positive integer.

@@ -58,11 +58,11 @@ pub use fig3::{run_fig3, Fig3Cell, Fig3Config, Fig3Results};
 pub use fig4::{run_fig4, Fig4Config, Fig4Results, Fig4Row};
 pub use fig5::{run_fig5, Fig5Config, Fig5Results, Fig5Row};
 pub use obs::{
-    run_obs_gate, ObsGateConfig, ObsGateResults, ObsGateStatus, DISABLED_NOISE_LIMIT,
-    ENABLED_OVERHEAD_LIMIT, TRACE_OVERHEAD_LIMIT,
+    run_obs_gate, ObsGateConfig, ObsGateResults, DISABLED_NOISE_LIMIT, ENABLED_OVERHEAD_LIMIT,
+    TRACE_OVERHEAD_LIMIT,
 };
 pub use perf::{
-    run_perf_gate, MultiCoreStatus, PerfGateConfig, PerfGateResults, StageRow, MULTI_CORE_TARGET,
+    run_perf_gate, PerfGateConfig, PerfGateResults, StageRow, MULTI_CORE_TARGET,
     SINGLE_THREAD_TARGET,
 };
 pub use portfolio::{

@@ -26,12 +26,15 @@ use std::time::Duration;
 
 use mwl_core::{run_portfolio, AllocConfig, PortfolioSpec};
 use mwl_model::SonicCostModel;
-use mwl_obs::json::{rounded, Json, ObjectBuilder};
+use mwl_obs::json::{rounded, Check, Json, ObjectBuilder};
 use mwl_optimal::IlpAllocator;
 use mwl_tgff::{TgffConfig, TgffGenerator};
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
 use crate::sweep::lambda_min;
+
+/// The schema version of `BENCH_portfolio.json`.
+const SCHEMA: &str = "mwl_portfolio_gate_v1";
 
 /// Parameters of a portfolio-gate run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -284,6 +287,43 @@ impl PortfolioGateResults {
         out
     }
 
+    /// Every assertion `BENCH_portfolio.json` violates, given the worker
+    /// counts determinism ran at; the gate exits on it.
+    #[must_use]
+    pub fn check(doc: &Json, worker_counts: &[usize]) -> Vec<String> {
+        let mut c = Check::new(doc);
+        c.is("schema", SCHEMA);
+        c.positive("jobs");
+        c.same("solved", "jobs");
+        let counts: Json = worker_counts.iter().copied().collect();
+        c.is("determinism.worker_counts", counts);
+        c.is("determinism.ok", true);
+        let reruns = c.num("determinism.runs") > c.num("jobs");
+        c.require(reruns, "determinism.runs", "no reruns");
+        c.is("gates.deterministic", true);
+        c.is("gates.never_worse", true);
+        c.is("gates.improved_somewhere", true);
+        c.is("regressed", 0u64);
+        let saved = c.num("area.baseline") - c.num("area.portfolio") == c.num("area.saved");
+        c.require(saved, "area.saved", "not baseline - portfolio");
+        c.positive("area.saved");
+        let rows: i64 = c
+            .column("families", "jobs")
+            .iter()
+            .filter_map(Json::as_i64)
+            .sum();
+        let tiled = rows as f64 == c.num("jobs");
+        c.require(tiled, "families", "rows do not tile the job set");
+        c.each("families", |f| f.is("regressed", 0u64));
+        c.each("ilp", |row| row.is("unsound", 0u64));
+        // Null when the heuristic already matched every proven optimum.
+        let gap = c.num("gap_closed_percent");
+        let closed =
+            c.value("gap_closed_percent") == Some(&Json::Null) || (0.0..=100.0).contains(&gap);
+        c.require(closed, "gap_closed_percent", "not null or a percentage");
+        c.finish()
+    }
+
     /// The schema-stable `BENCH_portfolio.json` document.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -327,7 +367,7 @@ impl PortfolioGateResults {
             .field("improved_somewhere", self.improved_somewhere())
             .field("deterministic", self.determinism_ok);
         ObjectBuilder::new()
-            .field("schema", "mwl_portfolio_gate_v1")
+            .field("schema", SCHEMA)
             .field("scenario", self.scenario)
             .field("seed", self.seed)
             .field("variants", self.variants)
@@ -517,38 +557,15 @@ mod tests {
     }
 
     #[test]
-    fn gate_is_deterministic_and_never_worse() {
+    fn gate_passes_its_check_and_is_a_pure_function_of_its_config() {
         let results = run_portfolio_gate(&tiny());
+        let json = Json::parse(&results.to_json().encode_pretty()).unwrap();
+        let violations = PortfolioGateResults::check(&json, &[1, 2]);
+        assert_eq!(violations, Vec::<String>::new());
         assert_eq!(results.jobs, 7, "one job per scenario family");
-        assert!(results.determinism_ok);
-        assert!(results.never_worse());
-        assert_eq!(results.solved + results.regressed, results.solved);
-        assert_eq!(
-            results.jobs,
-            results.families.iter().map(|f| f.jobs).sum::<usize>()
-        );
-        // The whole run is a pure function of the config.
-        assert_eq!(results, run_portfolio_gate(&tiny()));
-    }
-
-    #[test]
-    fn json_is_schema_stable() {
-        let results = run_portfolio_gate(&tiny());
-        let json = results.to_json().encode_pretty();
-        for needle in [
-            "\"schema\": \"mwl_portfolio_gate_v1\"",
-            "\"area\": {\"baseline\": ",
-            "\"determinism\": {\"worker_counts\": [1, 2], ",
-            "\"families\": [",
-            "\"ilp\": [",
-            "\"gap_closed_percent\": ",
-            "\"gates\": {\"never_worse\": ",
-        ] {
-            assert!(json.contains(needle), "missing {needle} in:\n{json}");
-        }
-        assert!(json.ends_with("}\n"));
         let text = results.render_text();
         assert!(text.contains("Portfolio gate (tiny, 7 jobs, seed 2001, 5 variants)"));
         assert!(text.contains("gates: never_worse true"));
+        assert_eq!(results, run_portfolio_gate(&tiny()));
     }
 }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use mwl_core::{AllocConfig, PortfolioSpec};
 use mwl_driver::{run_batch, run_batch_traced, BatchJob, BatchOptions, BatchReport, LatencySpec};
 use mwl_model::SonicCostModel;
-use mwl_obs::{chrome_trace_json, ObsMode, TraceSink};
+use mwl_obs::{check_chrome_trace, chrome_trace_json, ObsMode, TraceSink};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
 /// Drops the diagnostic stage blocks, leaving the allocation payload.
@@ -128,17 +128,12 @@ fn trace_events_render_to_chrome_json() {
         events.len() >= jobs.len(),
         "one solve span per job at least"
     );
-    assert!(events.iter().any(|e| e.name == "solve"));
-    assert!(events.iter().any(|e| e.name == "schedule"));
-    for event in &events {
-        assert!(!event.name.is_empty());
-        assert!(!event.cat.is_empty());
-    }
-
-    let json = chrome_trace_json(&events).encode();
-    assert!(json.contains("\"traceEvents\""));
-    assert!(json.contains("\"ph\":\"X\""));
-    assert!(json.contains("\"solve\""));
+    assert!(events
+        .iter()
+        .all(|e| !e.name.is_empty() && !e.cat.is_empty()));
+    let json = chrome_trace_json(&events);
+    let violations = check_chrome_trace(&json, 2, &["solve", "schedule"]);
+    assert_eq!(violations, Vec::<String>::new());
 }
 
 /// The JSON report is byte-identical between a default run and an explicit

@@ -599,9 +599,179 @@ impl ObjectBuilder {
     }
 }
 
+/// An artifact check in progress: reads a parsed document by dotted path
+/// (object keys and array indices, `"arms.0.total_area"`; `""` is the
+/// document itself) and collects every violated assertion as a
+/// `"path: message"` string, so one run reports all of them.
+///
+/// The readers are lenient, so a missing or mistyped field fails the
+/// assertion that reads it instead of stopping the check: a number reads
+/// as NaN (every comparison with it is false), a string as `""`, an array
+/// as empty.  [`Check::each`] records a missing array as a violation.
+///
+/// ```
+/// use mwl_obs::json::{Check, Json};
+///
+/// let doc = Json::parse(r#"{"jobs": {"ok": 3, "failed": 1}}"#).unwrap();
+/// let mut c = Check::new(&doc);
+/// c.positive("jobs.ok");
+/// c.is("jobs.failed", 0u64);
+/// assert_eq!(c.finish(), ["jobs.failed: expected 0, found 1"]);
+/// ```
+#[derive(Debug)]
+pub struct Check<'a> {
+    doc: &'a Json,
+    violations: Vec<String>,
+}
+
+impl<'a> Check<'a> {
+    /// Starts a check of `doc`.
+    #[must_use]
+    pub fn new(doc: &'a Json) -> Self {
+        Check {
+            doc,
+            violations: Vec::new(),
+        }
+    }
+
+    /// The value at `path`.
+    #[must_use]
+    pub fn value(&self, path: &str) -> Option<&'a Json> {
+        let mut keys = path.split('.').filter(|key| !key.is_empty());
+        keys.try_fold(self.doc, |value, key| match value {
+            Json::Array(items) => items.get(key.parse::<usize>().ok()?),
+            _ => value.get(key),
+        })
+    }
+
+    /// The number at `path`, or NaN.
+    #[must_use]
+    pub fn num(&self, path: &str) -> f64 {
+        match self.value(path) {
+            Some(Json::Int(i)) => *i as f64,
+            Some(Json::Float(x)) => *x,
+            _ => f64::NAN,
+        }
+    }
+
+    /// The string at `path`, or `""`.
+    #[must_use]
+    pub fn text(&self, path: &str) -> &'a str {
+        self.value(path).and_then(Json::as_str).unwrap_or("")
+    }
+
+    /// The values of `key` in the elements of the array at `path` that
+    /// have it.
+    #[must_use]
+    pub fn column(&self, path: &str, key: &str) -> Vec<Json> {
+        let items = self
+            .value(path)
+            .and_then(Json::as_array)
+            .unwrap_or_default();
+        items
+            .iter()
+            .filter_map(|item| item.get(key))
+            .cloned()
+            .collect()
+    }
+
+    /// Records `message` against `path` unless `ok`.
+    pub fn require(&mut self, ok: bool, path: &str, message: &str) {
+        if !ok {
+            self.violations.push(format!("{path}: {message}"));
+        }
+    }
+
+    /// Requires the value at `path` to equal `expected`; numbers compare
+    /// by value, so `1` equals `1.0`.
+    pub fn is(&mut self, path: &str, expected: impl Into<Json>) {
+        let expected = expected.into();
+        let found = self.value(path);
+        let same = match expected {
+            Json::Int(_) | Json::Float(_) => self.num(path) == Check::new(&expected).num(""),
+            _ => found == Some(&expected),
+        };
+        let found = found.map_or_else(|| "nothing".to_string(), Json::encode);
+        let message = format!("expected {}, found {found}", expected.encode());
+        self.require(same, path, &message);
+    }
+
+    /// Requires the number at `path` to be positive.
+    pub fn positive(&mut self, path: &str) {
+        let found = self.num(path);
+        self.require(found > 0.0, path, &format!("{found} is not positive"));
+    }
+
+    /// Requires the value at `path` to be a finite number.
+    pub fn number(&mut self, path: &str) {
+        let found = self.num(path);
+        self.require(found.is_finite(), path, "not a number");
+    }
+
+    /// Requires the number at `path` to be at least `min`.
+    pub fn at_least(&mut self, path: &str, min: f64) {
+        let found = self.num(path);
+        self.require(found >= min, path, &format!("{found} is below {min}"));
+    }
+
+    /// Requires the number at `path` to equal the number at `other`.
+    pub fn same(&mut self, path: &str, other: &str) {
+        let (a, b) = (self.num(path), self.num(other));
+        self.require(a == b, path, &format!("{a} differs from {other} = {b}"));
+    }
+
+    /// Requires the object at `path` to have exactly the keys `keys`, in
+    /// any order.
+    pub fn keys(&mut self, path: &str, keys: &[&str]) {
+        let found: Vec<&str> = match self.value(path) {
+            Some(Json::Object(pairs)) => pairs.iter().map(|(k, _)| k.as_str()).collect(),
+            _ => Vec::new(),
+        };
+        let ok = found.len() == keys.len() && keys.iter().all(|k| found.contains(k));
+        self.require(ok, path, &format!("keys {found:?} are not {keys:?}"));
+    }
+
+    /// Requires the value at `path` to be an array and runs `check` on
+    /// every element, recording its violations under `path[i]`.
+    pub fn each(&mut self, path: &str, check: impl Fn(&mut Check<'a>)) {
+        let items = self.value(path).and_then(Json::as_array);
+        self.require(items.is_some(), path, "not an array");
+        for (i, item) in items.unwrap_or_default().iter().enumerate() {
+            let mut row = Check::new(item);
+            check(&mut row);
+            let found = row.violations.into_iter().map(|v| {
+                let dot = if v.starts_with(':') { "" } else { "." };
+                format!("{path}[{i}]{dot}{v}")
+            });
+            self.violations.extend(found);
+        }
+    }
+
+    /// The violated assertions, in the order they were checked.
+    #[must_use]
+    pub fn finish(self) -> Vec<String> {
+        self.violations
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_requires_an_array_and_indexes_its_violations() {
+        let doc = Json::parse(r#"{"rows": [{"n": 1}, {"n": 0}], "one": {"n": 1}}"#).unwrap();
+        let mut c = Check::new(&doc);
+        c.each("rows", |row| row.positive("n"));
+        c.each("one", |row| row.positive("n"));
+        c.each("gone", |row| row.positive("n"));
+        let expected = [
+            "rows[1].n: 0 is not positive",
+            "one: not an array",
+            "gone: not an array",
+        ];
+        assert_eq!(c.finish(), expected);
+    }
 
     #[test]
     fn parses_scalars() {

@@ -78,7 +78,7 @@ pub use metrics::{
     nearest_rank, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use stage::{ObsMode, Stage, StageNanos, StageRecorder, StageTimer};
-pub use trace::{chrome_trace_json, ArgValue, TraceEvent, TraceSink};
+pub use trace::{check_chrome_trace, chrome_trace_json, ArgValue, TraceEvent, TraceSink};
 
 use std::time::Instant;
 

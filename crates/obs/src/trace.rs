@@ -12,7 +12,7 @@
 
 use std::sync::Mutex;
 
-use crate::json::{Json, ObjectBuilder};
+use crate::json::{Check, Json, ObjectBuilder};
 
 /// A trace-event argument value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,6 +115,30 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
             events.iter().map(TraceEvent::to_json).collect::<Json>(),
         )
         .build()
+}
+
+/// Every assertion a Chrome trace document written by
+/// [`TraceSink::to_chrome_json`] violates: it holds at least one event,
+/// every event is a complete (`"ph":"X"`) event with non-negative `ts` and
+/// `dur` on a lane `tid < lanes`, and each of `spans` names some event.
+#[must_use]
+pub fn check_chrome_trace(doc: &Json, lanes: usize, spans: &[&str]) -> Vec<String> {
+    let mut c = Check::new(doc);
+    let names = c.column("traceEvents", "name");
+    c.require(!names.is_empty(), "traceEvents", "empty trace");
+    c.each("traceEvents", |e| {
+        e.is("ph", "X");
+        e.at_least("ts", 0.0);
+        e.at_least("dur", 0.0);
+        let tid = e.num("tid");
+        let lane = tid.fract() == 0.0 && (0.0..lanes as f64).contains(&tid);
+        e.require(lane, "tid", &format!("outside the {lanes} worker lanes"));
+    });
+    for &span in spans {
+        let found = names.contains(&span.into());
+        c.require(found, "traceEvents", &format!("no {span} span"));
+    }
+    c.finish()
 }
 
 impl TraceEvent {

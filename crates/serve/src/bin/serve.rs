@@ -8,44 +8,31 @@
 //! Prints one `listening on ADDR` line to stdout once the socket is bound
 //! (scripts wait for it), serves until a client sends `shutdown` (graceful
 //! drain) and then prints the final statistics as one `stats` wire line.
+//! A malformed argument or a zero count exits 2.
 
 use std::process::ExitCode;
 
+use mwl_bench::cli::Args;
 use mwl_model::SonicCostModel;
 use mwl_serve::{Response, Server, ServerConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve [--addr HOST:PORT] [--workers N] [--queue N] [--max-ops N] \
-         [--no-dedup] [--grid-width BITS]"
-    );
-    std::process::exit(2);
-}
-
-fn next_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, name: &str) -> T {
-    let raw = args.next().unwrap_or_else(|| usage());
-    raw.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value for {name}: {raw}");
-        std::process::exit(2);
-    })
-}
-
 fn parse_args() -> ServerConfig {
+    let args = Args::from_env(
+        "serve [--addr HOST:PORT] [--workers N] [--queue N] [--max-ops N] [--no-dedup] [--grid-width BITS]",
+        &["--no-dedup"],
+        &["--addr", "--workers", "--queue", "--max-ops", "--grid-width"],
+    );
     let mut config = ServerConfig::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--addr" => config.addr = args.next().unwrap_or_else(|| usage()),
-            "--workers" => config.workers = next_value(&mut args, "--workers"),
-            "--queue" => config.queue_capacity = next_value(&mut args, "--queue"),
-            "--max-ops" => config.max_ops = next_value(&mut args, "--max-ops"),
-            "--grid-width" => config.grid_width = next_value(&mut args, "--grid-width"),
-            "--no-dedup" => config.dedup = false,
-            _ => usage(),
-        }
-    }
-    config.workers = config.workers.max(1);
-    config.queue_capacity = config.queue_capacity.max(1);
+    config.addr = args.value("--addr").unwrap_or(&config.addr).to_string();
+    config.workers = args.count("--workers").unwrap_or(config.workers);
+    config.queue_capacity = args.count("--queue").unwrap_or(config.queue_capacity);
+    config.max_ops = args.count("--max-ops").unwrap_or(config.max_ops);
+    // Server::bind refuses any width past its ceiling, u32::MAX included.
+    let bits = args
+        .count("--grid-width")
+        .map(|b| u32::try_from(b).unwrap_or(u32::MAX));
+    config.grid_width = bits.unwrap_or(config.grid_width);
+    config.dedup = !args.flag("--no-dedup");
     config
 }
 

@@ -9,11 +9,11 @@
 //! counted and retried, so the run also demonstrates explicit back-pressure
 //! instead of blocking.
 //!
-//! With `exercise_faults` on, the run additionally drives one deterministic
-//! queue-full rejection burst, one cancellation of a deeply queued job, one
-//! malformed protocol line, and finishes with a graceful shutdown that
-//! drains pipelined in-flight jobs — the checks the CI `serve_smoke` job
-//! asserts on.
+//! The run then drives one deterministic queue-full rejection burst, one
+//! cancellation of a deeply queued job, an unparseable line and a line
+//! nested past the parser's depth bound, and finishes with a graceful
+//! shutdown that drains pipelined in-flight jobs.  [`LoadReport::check`]
+//! requires each of them in the written `BENCH_serve.json`.
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use mwl_bench::{scenario_jobs, BatchSweepConfig};
 use mwl_driver::{area_breakdown_json, BatchJob};
 use mwl_model::AreaBreakdown;
-use mwl_obs::json::{rounded, Json, ObjectBuilder};
+use mwl_obs::json::{rounded, Check, Json, ObjectBuilder};
 use mwl_obs::{nearest_rank, Histogram, HistogramSnapshot};
 
 use crate::client::{Client, ClientError, SubmitAck};
@@ -40,14 +40,6 @@ pub struct LoadgenConfig {
     /// Number of times the scenario job set is replayed.  Waves after the
     /// first are pure dedup traffic.
     pub repeats: usize,
-    /// Maximum accepted-but-unfinished jobs in flight at once.
-    pub window: usize,
-    /// Drive the deterministic fault checks (queue-full burst, cancellation,
-    /// malformed line).
-    pub exercise_faults: bool,
-    /// Finish with a graceful `shutdown` request, pipelining a few jobs
-    /// first so the drain is observable.
-    pub shutdown: bool,
     /// Variants per job in the portfolio wave (0 disables the wave).  When
     /// non-zero, the scenario set is replayed once more with a portfolio
     /// race of this size, measuring the service-level cost and the area the
@@ -63,9 +55,6 @@ impl LoadgenConfig {
             addr,
             graphs_per_family: 2,
             repeats: 2,
-            window: 8,
-            exercise_faults: true,
-            shutdown: true,
             portfolio_variants: 5,
         }
     }
@@ -78,13 +67,16 @@ impl LoadgenConfig {
             addr,
             graphs_per_family: 8,
             repeats: 3,
-            window: 8,
-            exercise_faults: true,
-            shutdown: true,
             portfolio_variants: 6,
         }
     }
 }
+
+/// The schema version of `BENCH_serve.json`.
+const SCHEMA: &str = "mwl_serve_loadgen/v5";
+
+/// Maximum accepted-but-unfinished jobs in flight at once.
+const WINDOW: usize = 8;
 
 /// Queue capacities above this are not driven into back-pressure: the burst
 /// needed to overrun them would dominate the whole run, so the check is
@@ -102,8 +94,9 @@ pub struct FaultChecks {
     pub skipped_large_queue: bool,
     /// A cancellation was acknowledged and its result came back cancelled.
     pub cancellation_exercised: bool,
-    /// A malformed line was answered with an error response (connection
-    /// stayed usable).
+    /// An unparseable line and a line nesting 500 000 arrays were each
+    /// answered with an error response, and the connection still
+    /// answered a ping.
     pub malformed_line_answered: bool,
 }
 
@@ -159,8 +152,7 @@ pub struct LoadReport {
     pub portfolio_improved: u64,
     /// Total area the portfolio winners saved relative to their baselines.
     pub portfolio_area_saved: u64,
-    /// Jobs reported drained by the graceful shutdown (0 when `shutdown`
-    /// was off).
+    /// Jobs reported drained by the graceful shutdown.
     pub drained: u64,
     /// Fault-phase observations.
     pub faults: FaultChecks,
@@ -169,6 +161,56 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
+    /// Every assertion `BENCH_serve.json` violates; the loadgen exits on it.
+    #[must_use]
+    pub fn check(doc: &Json) -> Vec<String> {
+        let mut c = Check::new(doc);
+        c.is("schema", SCHEMA);
+        c.positive("jobs.submitted");
+        c.is("jobs.failed", 0u64);
+        // Wave oks account for exactly the submitted jobs; fault-phase oks
+        // are reported separately, never folded in.
+        c.same("jobs.ok_waves", "jobs.submitted");
+        c.positive("jobs.ok_faults");
+        c.positive("portfolio.jobs");
+        let (improved, saved) = (c.num("portfolio.improved"), c.num("portfolio.area_saved"));
+        let consistent = improved <= c.num("portfolio.jobs") && (improved > 0.0) == (saved > 0.0);
+        c.require(
+            consistent,
+            "portfolio.improved",
+            "not <= jobs and > 0 iff saved",
+        );
+        c.keys("area_breakdown", &["fu", "register", "mux"]);
+        c.positive("area_breakdown.fu");
+        c.is("certificate", "optimal");
+        c.positive("latency_ms.p50");
+        let p99 = c.num("latency_ms.p99") >= c.num("latency_ms.p50");
+        c.require(p99, "latency_ms.p99", "below p50");
+        c.positive("latency_histogram_ns.count");
+        let quantiles = ["min", "p50", "p95", "p99", "max"]
+            .map(|q| c.num(&format!("latency_histogram_ns.{q}")));
+        let ordered = quantiles.windows(2).all(|w| w[0] <= w[1]);
+        c.require(ordered, "latency_histogram_ns", "quantiles out of order");
+        c.positive("throughput.graphs_per_sec");
+        let ratio = (0.0..=1.0).contains(&c.num("dedup.hit_rate"));
+        c.require(ratio, "dedup.hit_rate", "not in [0, 1]");
+        c.positive("dedup.hits");
+        // A queue deeper than the burst cap is left unflooded, but only
+        // when the report says so.
+        let skipped = c.num("server.queue_capacity") > MAX_BURST_CAPACITY as f64;
+        c.is("faults.skipped_large_queue", skipped);
+        if !skipped {
+            c.at_least("rejections.queue_full", 1.0);
+            c.is("faults.queue_full_exercised", true);
+        }
+        c.is("faults.cancellation_exercised", true);
+        c.is("faults.malformed_line_answered", true);
+        c.is("shutdown.requested", true);
+        c.at_least("shutdown.drained", 0.0);
+        c.same("server.completed", "server.accepted");
+        c.finish()
+    }
+
     /// The schema-stable `BENCH_serve.json` document.
     #[must_use]
     pub fn to_json(&self) -> Json {
@@ -227,7 +269,7 @@ impl LoadReport {
             .field("workers", s.workers)
             .field("queue_capacity", s.queue_capacity);
         ObjectBuilder::new()
-            .field("schema", "mwl_serve_loadgen/v5")
+            .field("schema", SCHEMA)
             .field("jobs", jobs.build())
             .field("area_breakdown", area_breakdown_json(&self.area_breakdown))
             .field("certificate", self.certificate.as_str())
@@ -390,7 +432,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadReport, ClientError> {
             if pipeline.submit_with_retry(&mut client, to_submit(id, job, 0))? {
                 submitted += 1;
             }
-            while pipeline.pending.len() >= config.window.max(1) {
+            while pipeline.pending.len() >= WINDOW {
                 let (id, outcome) = client.next_result()?;
                 pipeline.record(id, &outcome);
             }
@@ -410,7 +452,7 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadReport, ClientError> {
             if pipeline.submit_with_retry(&mut client, to_submit(id, &raced, 0))? {
                 submitted += 1;
             }
-            while pipeline.pending.len() >= config.window.max(1) {
+            while pipeline.pending.len() >= WINDOW {
                 let (id, outcome) = client.next_result()?;
                 pipeline.record(id, &outcome);
             }
@@ -422,45 +464,35 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadReport, ClientError> {
     }
     let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
 
-    let mut faults = FaultChecks::default();
-    if config.exercise_faults {
-        pipeline.fault_phase = true;
-        faults = exercise_faults(&mut client, &mut pipeline, &mut next_id)?;
-        pipeline.fault_phase = false;
-    }
+    pipeline.fault_phase = true;
+    let faults = exercise_faults(&mut client, &mut pipeline, &mut next_id)?;
+    pipeline.fault_phase = false;
 
-    let mut drained = 0;
-    let server = if config.shutdown {
-        // Pipeline a few more jobs and shut down while they are
-        // outstanding: the drain must complete them all before the ack.
-        // Fresh-seed jobs solve cold (dedup cannot shortcut them), so they
-        // are still in flight when the shutdown line lands.
-        let drain_jobs = scenario_jobs(&BatchSweepConfig {
-            graphs_per_family: 1,
-            sizes: vec![28], // slow enough to still be in flight at drain
-            seed: 770_000,   // distinct from the waves and the fault bursts
-            worker_counts: vec![1],
-        });
-        let stats_before = client.stats()?;
-        for job in drain_jobs.iter().take(4) {
-            let id = next_id;
-            next_id += 1;
-            if pipeline.submit_with_retry(&mut client, to_submit(id, job, 0))? {
-                submitted += 1;
-            }
+    // Pipeline a few more jobs and shut down while they are outstanding:
+    // the drain must complete them all before the ack.  Fresh-seed jobs
+    // solve cold (dedup cannot shortcut them), so they are still in flight
+    // when the shutdown line lands.
+    let drain_jobs = scenario_jobs(&BatchSweepConfig {
+        graphs_per_family: 1,
+        sizes: vec![28], // slow enough to still be in flight at drain
+        seed: 770_000,   // distinct from the waves and the fault bursts
+        worker_counts: vec![1],
+    });
+    let server = client.stats()?;
+    for job in drain_jobs.iter().take(4) {
+        let id = next_id;
+        next_id += 1;
+        if pipeline.submit_with_retry(&mut client, to_submit(id, job, 0))? {
+            submitted += 1;
         }
-        drained = client.shutdown()?;
-        // Every accepted job's result was written before the shutdown ack
-        // (the drain completes outstanding work first), so these pops never
-        // block.
-        while !pipeline.pending.is_empty() {
-            let (id, outcome) = client.next_result()?;
-            pipeline.record(id, &outcome);
-        }
-        stats_before
-    } else {
-        client.stats()?
-    };
+    }
+    let drained = client.shutdown()?;
+    // Every accepted job's result was written before the shutdown ack (the
+    // drain completes outstanding work first), so these pops never block.
+    while !pipeline.pending.is_empty() {
+        let (id, outcome) = client.next_result()?;
+        pipeline.record(id, &outcome);
+    }
 
     let mut sorted = pipeline.latencies_ms.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
@@ -511,8 +543,8 @@ pub fn run_loadgen(config: &LoadgenConfig) -> Result<LoadReport, ClientError> {
 }
 
 /// Drives the deterministic fault checks: a pipelined burst that overruns
-/// the queue (back-pressure), a cancellation of a deeply queued job, and a
-/// malformed line.
+/// the queue (back-pressure), a cancellation of a deeply queued job, and
+/// two malformed lines.
 fn exercise_faults(
     client: &mut Client,
     pipeline: &mut Pipeline,
@@ -629,18 +661,23 @@ fn exercise_faults(
         }
     }
 
-    // Malformed line: answered with an error, connection stays usable.
-    client.send_raw("{this is not json")?;
-    if let crate::wire::Response::Error { .. } = client.read_control()? {
-        checks.malformed_line_answered = true;
+    // Malformed lines: an unparseable one and one nested past the parser's
+    // depth bound are each answered with an error, and the connection
+    // stays usable.
+    let deep = "[".repeat(500_000);
+    let mut answered = true;
+    for line in ["{this is not json", deep.as_str()] {
+        client.send_raw(line)?;
+        answered &= matches!(client.read_control()?, crate::wire::Response::Error { .. });
     }
-    client.ping()?;
+    checks.malformed_line_answered = answered && client.ping().is_ok();
     Ok(checks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::{ServerConfig, SpawnedServer};
 
     #[test]
     fn percentiles_use_nearest_rank() {
@@ -654,80 +691,35 @@ mod tests {
         assert_eq!(nearest_rank(&[], 99.0), 0.0);
     }
 
+    /// A smoke run against a live daemon with the CI queue depth drives
+    /// every fault path, and the report it writes passes the check and
+    /// maps each field to its path.
     #[test]
-    fn report_json_is_schema_stable() {
-        let report = LoadReport {
-            submitted: 10,
-            ok_waves: 10,
-            ok_faults: 6,
-            failed: 0,
-            cancelled: 1,
-            rejections: 3,
-            queue_full_rejections: 3,
-            p50_ms: 1.5,
-            p99_ms: 9.25,
-            mean_ms: 2.0,
-            latency_hist: {
-                let h = Histogram::new();
-                h.record(1_500_000);
-                h.record(9_250_000);
-                h.snapshot()
-            },
-            wall_seconds: 0.5,
-            graphs_per_sec: 20.0,
-            dedup_hit_rate: 0.5,
-            area_breakdown: AreaBreakdown {
-                fu: 4200,
-                register: 96,
-                mux: 30,
-            },
-            certificate: "optimal".to_string(),
-            portfolio_jobs: 14,
-            portfolio_improved: 3,
-            portfolio_area_saved: 120,
-            drained: 4,
-            faults: FaultChecks {
-                queue_full_exercised: true,
-                skipped_large_queue: false,
-                cancellation_exercised: true,
-                malformed_line_answered: true,
-            },
-            server: StatsSnapshot {
-                accepted: 10,
-                completed: 10,
-                failed: 0,
-                cancelled: 1,
-                rejected: 3,
-                dedup_hits: 5,
-                dedup_misses: 5,
-                queue_depth: 0,
-                in_flight: 0,
-                workers: 2,
-                queue_capacity: 64,
-            },
+    fn smoke_run_passes_its_check() {
+        let config = ServerConfig {
+            queue_capacity: 8,
+            ..ServerConfig::default()
         };
-        let json = report.to_json().encode_pretty();
-        for key in [
-            "\"schema\": \"mwl_serve_loadgen/v5\"",
-            "\"jobs\": {\"submitted\": 10, \"ok_waves\": 10, \"ok_faults\": 6, \"failed\": 0, \"cancelled\": 1}",
-            "\"latency_histogram_ns\": {\"count\": 2, \"min\": 1500000, \"max\": 9250000,",
-            "\"portfolio\": {\"jobs\": 14, \"improved\": 3, \"area_saved\": 120}",
-            "\"area_breakdown\": {\"fu\": 4200, \"register\": 96, \"mux\": 30}",
-            "\"certificate\": \"optimal\"",
-            "\"p50\"",
-            "\"p99\"",
-            "\"graphs_per_sec\"",
-            "\"hit_rate\"",
-            "\"queue_full\"",
-            "\"skipped_large_queue\": false",
-            "\"cancellation_exercised\"",
-            "\"drained\"",
-            "\"queue_capacity\": 64",
+        let server = SpawnedServer::start(config).expect("server start");
+        let report = run_loadgen(&LoadgenConfig::smoke(server.addr())).expect("loadgen");
+        assert_eq!(server.join().failed, 0);
+        let doc = Json::parse(&report.to_json().encode_pretty()).unwrap();
+        assert_eq!(LoadReport::check(&doc), Vec::<String>::new());
+        assert_eq!(doc, report.to_json());
+        // The check bounds these values but not which field holds which.
+        let c = Check::new(&doc);
+        for (path, value) in [
+            ("jobs.ok_faults", report.ok_faults),
+            ("jobs.cancelled", report.cancelled),
+            ("area_breakdown.register", report.area_breakdown.register),
+            ("area_breakdown.mux", report.area_breakdown.mux),
+            ("latency_histogram_ns.min", report.latency_hist.min),
+            ("latency_histogram_ns.max", report.latency_hist.max),
+            ("dedup.hits", report.server.dedup_hits),
+            ("portfolio.area_saved", report.portfolio_area_saved),
+            ("server.queue_capacity", 8),
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert_eq!(c.num(path), value as f64, "{path}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        // The document parses back to the value it was printed from.
-        assert_eq!(Json::parse(&json).unwrap(), report.to_json());
     }
 }
