@@ -17,6 +17,7 @@ use crate::datapath::Datapath;
 use crate::error::AllocError;
 use crate::merge::merge_instances_with_scratch;
 use crate::refine::select_refinement_op_with_scratch;
+use crate::replay::Decision;
 use crate::scratch::AllocScratch;
 use mwl_model::{CostModel, Cycles, OpId, ResourceClass, SequencingGraph};
 use mwl_obs::Stage;
@@ -215,6 +216,7 @@ impl<'a> DpAllocator<'a> {
         graph: &SequencingGraph,
         scratch: &mut AllocScratch,
     ) -> Result<AllocOutcome, AllocError> {
+        scratch.memo.clear();
         let native = OpLatencies::from_fn(graph, |op| self.cost.native_latency(op.shape()));
         let minimum = critical_path_length(graph, &native);
         if self.config.latency_constraint < minimum {
@@ -337,6 +339,13 @@ impl<'a> DpAllocator<'a> {
     /// Eqn (3) constraint and list scheduler reuse their buffers across
     /// iterations.  Decisions are bit-identical to the frozen
     /// [`crate::reference`] loop.
+    ///
+    /// An iteration whose `H` edge set an earlier escalation round of the
+    /// same call already solved is replayed from the scratch's memo when the
+    /// bounds raised since cannot change its schedule (see
+    /// [`crate::replay`]): its refinement or stall is applied without
+    /// scheduling, binding or selecting, and its time is charged to
+    /// [`Stage::Refine`].
     fn try_with_bounds(
         &self,
         graph: &SequencingGraph,
@@ -357,6 +366,24 @@ impl<'a> DpAllocator<'a> {
 
         for _ in 0..self.config.max_iterations {
             let sched_timer = scratch.obs.start();
+            match scratch
+                .memo
+                .replay(scratch.wcg.resource_columns(), &dense_bounds)
+            {
+                Some(Decision::Refine(op)) => {
+                    *refinements += 1;
+                    scratch.wcg.refine_op(op);
+                    // The skipped iteration left the cover and rows behind.
+                    members_valid = false;
+                    scratch.obs.stop(Stage::Refine, sched_timer);
+                    continue;
+                }
+                Some(Decision::Stall(class)) => {
+                    scratch.obs.stop(Stage::Refine, sched_timer);
+                    return Err(InnerFailure::NeedMoreResources(class));
+                }
+                None => {}
+            }
             scratch
                 .upper
                 .copy_from_slice(scratch.wcg.upper_bound_slice());
@@ -400,9 +427,14 @@ impl<'a> DpAllocator<'a> {
             ) {
                 Ok(s) => s,
                 Err(SchedError::InfeasibleResourceBound { op }) => {
-                    return Err(InnerFailure::NeedMoreResources(
-                        scratch.op_classes[op.index()],
-                    ));
+                    let class = scratch.op_classes[op.index()];
+                    scratch.memo.record(
+                        scratch.wcg.resource_columns(),
+                        &dense_bounds,
+                        scratch.constraint.bound_rejections(),
+                        Decision::Stall(class),
+                    );
+                    return Err(InnerFailure::NeedMoreResources(class));
                 }
                 Err(e) => return Err(InnerFailure::Fatal(e.into())),
             };
@@ -456,6 +488,12 @@ impl<'a> DpAllocator<'a> {
             };
             match chosen {
                 Some(op) => {
+                    scratch.memo.record(
+                        scratch.wcg.resource_columns(),
+                        &dense_bounds,
+                        scratch.constraint.bound_rejections(),
+                        Decision::Refine(op),
+                    );
                     *refinements += 1;
                     scratch.wcg.refine_op(op);
                     scratch.wcg.detach_schedule();

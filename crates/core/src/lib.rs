@@ -80,6 +80,7 @@ pub mod merge;
 pub mod portfolio;
 pub mod reference;
 mod refine;
+mod replay;
 mod report;
 mod scratch;
 pub mod storage;

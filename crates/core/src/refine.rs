@@ -15,15 +15,18 @@ use mwl_model::{Cycles, OpId, SequencingGraph};
 use mwl_sched::{OpLatencies, Schedule};
 use mwl_wcg::WordlengthCompatibilityGraph;
 
-/// Reusable buffers of the refinement rule: the augmented adjacency of the
-/// bound critical path, its topological-order queue and ASAP/ALAP tables,
-/// and the candidate lists of the selection rule.  One lives in each
-/// [`crate::AllocScratch`], so the once-per-iteration refinement selection
-/// is allocation-free in the steady state.
+/// Reusable buffers of the refinement rule: the instance-sorted operations
+/// that yield the binding edges, the topological order and ASAP/ALAP tables
+/// of the bound critical path, and the candidate list of the selection rule.
+/// One lives in each [`crate::AllocScratch`], so the once-per-iteration
+/// refinement selection is allocation-free in the steady state.
 #[derive(Debug, Default)]
 pub(crate) struct RefineScratch {
-    succ: Vec<Vec<u32>>,
-    pred: Vec<Vec<u32>>,
+    /// Bound operations sorted by `(instance, start, id)`.
+    by_instance: Vec<u32>,
+    /// Per operation, the run of `by_instance` on its instance starting
+    /// where it ends: its `S_b` successors, plus itself when `ℓ(o) = 0`.
+    runs: Vec<(u32, u32)>,
     indegree: Vec<u32>,
     order: Vec<u32>,
     asap: Vec<Cycles>,
@@ -40,7 +43,10 @@ pub(crate) struct RefineScratch {
 /// under the bound latencies `ℓ(o)` — i.e. the operations whose latency
 /// directly determines the achieved overall latency.
 ///
-/// `binding[i]` is the resource-instance index of operation `i`.
+/// `binding[i]` is the resource-instance index of operation `i`
+/// (`usize::MAX` for an unbound operation).  Bindings whose operations
+/// overlap in time are accepted: every same-instance pair meeting the `S_b`
+/// condition gets its edge.
 #[must_use]
 pub fn bound_critical_path(
     graph: &SequencingGraph,
@@ -55,6 +61,14 @@ pub fn bound_critical_path(
 
 /// Scratch-reusing core of [`bound_critical_path`]: the result lands in
 /// `scratch.critical`.
+///
+/// Linear apart from one sort: the `S_b` successors of an operation are the
+/// same-instance operations starting exactly where it ends, one contiguous
+/// run of the operations sorted by `(instance, start)`, found by binary
+/// search.  No adjacency is materialised — an operation's augmented
+/// successors are its sequencing successors followed by its run.  A pair
+/// joined by both kinds of edge is visited twice, which neither the
+/// indegree count nor a `max`/`min` relaxation notices.
 fn bound_critical_path_into(
     graph: &SequencingGraph,
     schedule: &Schedule,
@@ -63,99 +77,101 @@ fn bound_critical_path_into(
     scratch: &mut RefineScratch,
 ) {
     let n = graph.len();
-    // Augmented successor lists.
-    scratch.succ.truncate(n);
-    scratch.pred.truncate(n);
-    if scratch.succ.len() < n {
-        scratch.succ.resize_with(n, Vec::new);
-        scratch.pred.resize_with(n, Vec::new);
-    }
-    for row in &mut scratch.succ {
-        row.clear();
-    }
-    for row in &mut scratch.pred {
-        row.clear();
-    }
-    for e in graph.edges() {
-        scratch.succ[e.from.index()].push(e.to.index() as u32);
-        scratch.pred[e.to.index()].push(e.from.index() as u32);
-    }
-    for i in 0..n {
-        for j in 0..n {
-            if i == j || binding[i] != binding[j] || binding[i] == usize::MAX {
-                continue;
-            }
-            let oi = OpId::new(i as u32);
-            let oj = OpId::new(j as u32);
-            if schedule.start(oi) + bound_latencies.get(oi) == schedule.start(oj)
-                && !scratch.succ[i].contains(&(j as u32))
-            {
-                scratch.succ[i].push(j as u32);
-                scratch.pred[j].push(i as u32);
-            }
+    let start = schedule.as_slice();
+    let latency = bound_latencies.as_slice();
+    let RefineScratch {
+        by_instance,
+        runs,
+        indegree,
+        order,
+        asap,
+        alap_end,
+        critical,
+        ..
+    } = scratch;
+
+    by_instance.clear();
+    by_instance.extend((0..n as u32).filter(|&i| binding[i as usize] != usize::MAX));
+    by_instance.sort_unstable_by_key(|&i| (binding[i as usize], start[i as usize], i));
+    let slot = |j: &u32| (binding[*j as usize], start[*j as usize]);
+    runs.clear();
+    runs.extend((0..n).map(|i| {
+        if binding[i] == usize::MAX {
+            return (0, 0);
         }
-    }
+        let key = (binding[i], start[i] + latency[i]);
+        let lo = by_instance.partition_point(|j| slot(j) < key);
+        let hi = lo + by_instance[lo..].partition_point(|j| slot(j) == key);
+        (lo as u32, hi as u32)
+    }));
+    let by_instance = &*by_instance;
+    let runs = &*runs;
+    // Augmented successors of `v`; a zero-latency operation's run holds
+    // itself, which is no edge.
+    let successors = |v: usize| {
+        let (lo, hi) = runs[v];
+        graph
+            .successors(OpId::new(v as u32))
+            .iter()
+            .map(|s| s.index())
+            .chain(
+                by_instance[lo as usize..hi as usize]
+                    .iter()
+                    .map(|&j| j as usize)
+                    .filter(move |&j| j != v),
+            )
+    };
 
     // Topological order of the augmented DAG (it is acyclic: both edge kinds
     // only point forward in schedule time).
-    scratch.indegree.clear();
-    scratch
-        .indegree
-        .extend(scratch.pred.iter().take(n).map(|p| p.len() as u32));
-    scratch.order.clear();
-    scratch
-        .order
-        .extend((0..n as u32).filter(|&i| scratch.indegree[i as usize] == 0));
+    indegree.clear();
+    indegree.resize(n, 0);
+    for v in 0..n {
+        for s in successors(v) {
+            indegree[s] += 1;
+        }
+    }
+    order.clear();
+    order.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0));
     let mut head = 0;
-    while head < scratch.order.len() {
-        let v = scratch.order[head] as usize;
+    while head < order.len() {
+        let v = order[head] as usize;
         head += 1;
-        for k in 0..scratch.succ[v].len() {
-            let s = scratch.succ[v][k] as usize;
-            scratch.indegree[s] -= 1;
-            if scratch.indegree[s] == 0 {
-                scratch.order.push(s as u32);
+        for s in successors(v) {
+            indegree[s] -= 1;
+            if indegree[s] == 0 {
+                order.push(s as u32);
             }
         }
     }
-    debug_assert_eq!(scratch.order.len(), n, "augmented graph must stay acyclic");
+    debug_assert_eq!(order.len(), n, "augmented graph must stay acyclic");
 
-    // ASAP on the augmented graph.
-    scratch.asap.clear();
-    scratch.asap.resize(n, 0);
-    for &v in &scratch.order {
+    // ASAP on the augmented graph, pushed forward along the order.
+    asap.clear();
+    asap.resize(n, 0);
+    for &v in order.iter() {
         let v = v as usize;
-        for &p in &scratch.pred[v] {
-            let op_p = OpId::new(p);
-            scratch.asap[v] =
-                scratch.asap[v].max(scratch.asap[p as usize] + bound_latencies.get(op_p));
+        let finish = asap[v] + latency[v];
+        for s in successors(v) {
+            asap[s] = asap[s].max(finish);
         }
     }
-    let deadline = (0..n)
-        .map(|i| scratch.asap[i] + bound_latencies.get(OpId::new(i as u32)))
-        .max()
-        .unwrap_or(0);
+    let deadline = (0..n).map(|i| asap[i] + latency[i]).max().unwrap_or(0);
 
-    // ALAP (start times) against that deadline.
-    scratch.alap_end.clear();
-    scratch.alap_end.resize(n, deadline);
-    for &v in scratch.order.iter().rev() {
+    // ALAP (end times) against that deadline, pulled backward.
+    alap_end.clear();
+    alap_end.resize(n, deadline);
+    for &v in order.iter().rev() {
         let v = v as usize;
-        for &s in &scratch.succ[v] {
-            let op_s = OpId::new(s);
-            let succ_start = scratch.alap_end[s as usize] - bound_latencies.get(op_s);
-            scratch.alap_end[v] = scratch.alap_end[v].min(succ_start);
+        for s in successors(v) {
+            alap_end[v] = alap_end[v].min(alap_end[s] - latency[s]);
         }
     }
 
-    scratch.critical.clear();
-    scratch.critical.extend(
+    critical.clear();
+    critical.extend(
         (0..n)
-            .filter(|&i| {
-                let op = OpId::new(i as u32);
-                let alap_start = scratch.alap_end[i] - bound_latencies.get(op);
-                scratch.asap[i] == alap_start
-            })
+            .filter(|&i| asap[i] == alap_end[i] - latency[i])
             .map(|i| OpId::new(i as u32)),
     );
 }
@@ -235,19 +251,21 @@ pub(crate) fn select_refinement_op_with_scratch(
 
     // Choose the candidate losing the smallest proportion of edges in
     // {{o1, r} ∈ H : ∃{o, r} ∈ H}; tie-break toward operations currently
-    // bound to a resource faster than their upper bound, then by id.
-    candidates.iter().copied().min_by(|&a, &b| {
-        let pa = deletion_proportion(wcg, a);
-        let pb = deletion_proportion(wcg, b);
-        pa.partial_cmp(&pb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                let fa = bound_latencies.get(a) < upper_bounds.get(a);
-                let fb = bound_latencies.get(b) < upper_bounds.get(b);
-                fb.cmp(&fa) // prefer "already bound faster" (true first)
-            })
-            .then(a.cmp(&b))
-    })
+    // bound to a resource faster than their upper bound, then by id.  Each
+    // candidate's key is computed once.
+    candidates
+        .iter()
+        .map(|&o| {
+            let faster = bound_latencies.get(o) < upper_bounds.get(o);
+            (deletion_proportion(wcg, o), faster, o)
+        })
+        .min_by(|a, b| {
+            a.0.partial_cmp(&b.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.1.cmp(&a.1)) // prefer "already bound faster" (true first)
+                .then(a.2.cmp(&b.2))
+        })
+        .map(|(_, _, o)| o)
 }
 
 /// Proportion of wordlength edges incident to resources compatible with `op`

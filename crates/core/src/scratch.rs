@@ -9,7 +9,8 @@
 //! worker thread** and reuses it across jobs; buffers grow to the largest
 //! job seen and stay warm.
 //!
-//! A scratch carries no result state between calls: allocating through a
+//! A scratch carries no result state between calls (its iteration memo is
+//! cleared at the start of every call): allocating through a
 //! fresh scratch and a reused one is guaranteed bit-identical (that is what
 //! the determinism of the batch driver rests on, and what
 //! `tests/optimization_identity.rs` pins against the frozen
@@ -78,6 +79,8 @@ pub struct AllocScratch {
     pub(crate) refine: crate::refine::RefineScratch,
     /// Merge-pass tables.
     pub(crate) merge: MergeScratch,
+    /// Iterations of the current call, replayed across bound escalations.
+    pub(crate) memo: crate::replay::IterationMemo,
     /// Stage-level telemetry recorder.  Off by default; the driving layer
     /// switches it on and drains it *between* jobs — nothing it measures is
     /// ever read back by the allocator, so recording cannot perturb results
@@ -90,6 +93,16 @@ impl AllocScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Schedule/bind/refine iterations the most recent
+    /// [`crate::DpAllocator::allocate_with_scratch`] call replayed from
+    /// earlier escalation rounds of the same call instead of solving them.
+    /// Like [`obs`](Self::obs), a count beside the results: replay leaves
+    /// every decision unchanged.
+    #[must_use]
+    pub fn replayed_iterations(&self) -> usize {
+        self.memo.replayed()
     }
 }
 

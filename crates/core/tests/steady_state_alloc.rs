@@ -20,7 +20,7 @@ use mwl_sched::{
     asap, ListScheduler, PerInstanceExclusive, ResourceConstraint, SchedScratch, SchedulePriority,
     SchedulingSetBound,
 };
-use mwl_tgff::{TgffConfig, TgffGenerator};
+use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 /// Counts every allocation and reallocation; frees are uncounted (releasing
@@ -69,30 +69,44 @@ fn lambda_min(graph: &mwl_model::SequencingGraph, cost: &SonicCostModel) -> u32 
 fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
     let cost = SonicCostModel::default();
     let graph = TgffGenerator::new(TgffConfig::with_ops(12), 4242).generate();
-    let config = AllocConfig::new(lambda_min(&graph, &cost) + 2).with_instance_merging(true);
-    let allocator = DpAllocator::new(&cost, config);
+    // This graph escalates its bounds nine times and replays iterations of
+    // earlier rounds, so the iteration memo's tables count too.
+    let escalating =
+        TgffGenerator::new(TgffConfig::with_ops(40).shape(GraphShape::Layered), 0).generate();
+    let escalating_lambda = (f64::from(lambda_min(&escalating, &cost)) * 1.3).ceil() as u32;
     let mut scratch = AllocScratch::new();
+    for (job, lambda) in [
+        (&graph, lambda_min(&graph, &cost) + 2),
+        (&escalating, escalating_lambda),
+    ] {
+        let config = AllocConfig::new(lambda).with_instance_merging(true);
+        let allocator = DpAllocator::new(&cost, config);
 
-    // Warm-up: saturate every scratch buffer's capacity.
-    for _ in 0..3 {
-        allocator
-            .allocate_with_scratch(&graph, &mut scratch)
-            .expect("job solves");
-    }
+        // Warm-up: saturate every scratch buffer's capacity.
+        for _ in 0..3 {
+            allocator
+                .allocate_with_scratch(job, &mut scratch)
+                .expect("job solves");
+        }
 
-    // Steady state: repeats of the same job must perform the identical
-    // (output-only) allocation count — any growth means a buffer is being
-    // re-materialised per solve instead of reused.
-    let mut deltas = Vec::new();
-    for _ in 0..5 {
-        let (delta, outcome) =
-            allocations_during(|| allocator.allocate_with_scratch(&graph, &mut scratch));
-        outcome.expect("job solves");
-        deltas.push(delta);
+        // Steady state: repeats of the same job must perform the identical
+        // (output-only) allocation count — any growth means a buffer is
+        // being re-materialised per solve instead of reused.
+        let mut deltas = Vec::new();
+        for _ in 0..5 {
+            let (delta, outcome) =
+                allocations_during(|| allocator.allocate_with_scratch(job, &mut scratch));
+            outcome.expect("job solves");
+            deltas.push(delta);
+        }
+        assert!(
+            deltas.windows(2).all(|w| w[0] == w[1]),
+            "steady-state allocation count is not flat: {deltas:?}"
+        );
     }
     assert!(
-        deltas.windows(2).all(|w| w[0] == w[1]),
-        "steady-state allocation count is not flat: {deltas:?}"
+        scratch.replayed_iterations() > 0,
+        "the escalating job replays"
     );
 
     // The batch cost-cache warm reuses its width buffers and fills table

@@ -14,6 +14,7 @@
 //!   share their usage equally between those members, and each member
 //!   contributes its peak usage to the type total.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use mwl_model::{Cycles, OpId, ResourceClass};
@@ -251,7 +252,12 @@ impl ResourceConstraint for PerInstanceExclusive {
 ///   operation's own members on the fly;
 /// * [`reset_loads`](Self::reset_loads) clears the committed load profiles
 ///   without releasing their allocations, so repeated schedules are
-///   allocation-free after warm-up.
+///   allocation-free after warm-up;
+/// * every admission the bound `N_y` itself turns down is recorded per class
+///   ([`bound_rejections`](Self::bound_rejections)).  Admission is monotone
+///   in `N_y` and the recorder never changes an answer, so raising only the
+///   bounds of unrecorded classes replays the same schedule or the same
+///   stall — the fact the allocator's iteration memo rests on.
 ///
 /// Build one in a single call with [`new`](Self::new), or start from
 /// [`Default`] and configure it with [`reset_problem`](Self::reset_problem),
@@ -279,6 +285,10 @@ pub struct SchedulingSetBound {
     load: Vec<Vec<f64>>,
     /// Per-member peak load so far.
     peak: Vec<f64>,
+    /// Bit `y` is set once `N_y` turned an admission down since the last
+    /// [`reset_loads`](Self::reset_loads).  A `Cell` because admission
+    /// queries take `&self`.
+    rejections: Cell<u32>,
 }
 
 impl SchedulingSetBound {
@@ -366,6 +376,35 @@ impl SchedulingSetBound {
         for peak in &mut self.peak {
             *peak = 0.0;
         }
+        self.rejections.set(0);
+    }
+
+    /// Classes whose bound `N_y` turned an admission down since the last
+    /// [`reset_loads`](Self::reset_loads), as a bitmask over
+    /// [`ResourceClass::index`]: bit `y` is set when an
+    /// [`admits`](ResourceConstraint::admits) or
+    /// [`admissible_at_all`](ResourceConstraint::admissible_at_all) query of
+    /// class `y` found the Eqn (3) total above `N_y`, or `N_y == 0`.
+    /// Refusals that no bound could lift (an empty `S(o)`) are not recorded.
+    ///
+    /// Admission is monotone in `N_y`, and no query of a class whose bit
+    /// stays clear was refused by its bound, so rescheduling the same
+    /// problem with those classes' bounds raised repeats every answer, and
+    /// with them the schedule or the stall.
+    #[must_use]
+    pub fn bound_rejections(&self) -> u32 {
+        self.rejections.get()
+    }
+
+    /// Answers a bounded admission query of `class`, recording a refusal.
+    #[inline]
+    fn within_bound(&self, class: ResourceClass, total: f64, bound: usize) -> bool {
+        let admitted = bound > 0 && total <= bound as f64 + EPSILON;
+        if !admitted {
+            self.rejections
+                .set(self.rejections.get() | (1 << class.index()));
+        }
+        admitted
     }
 
     /// Current value of the Eqn (3) left-hand side for a class (useful for
@@ -425,7 +464,7 @@ impl ResourceConstraint for SchedulingSetBound {
             };
             total += value;
         }
-        total <= bound as f64 + EPSILON
+        self.within_bound(class, total, bound)
     }
 
     fn commit(&mut self, op: OpId, step: Cycles, latency: Cycles) {
@@ -456,9 +495,6 @@ impl ResourceConstraint for SchedulingSetBound {
         let Some(share) = self.share(op) else {
             return false;
         };
-        if bound == 0 {
-            return false;
-        }
         // Placing the op in untouched future steps raises each compatible
         // member's peak to at least 1/|S(o)| (if not already higher); the
         // other members keep their current peaks.
@@ -474,7 +510,7 @@ impl ResourceConstraint for SchedulingSetBound {
             total += value;
         }
         let _ = latency;
-        total <= bound as f64 + EPSILON
+        self.within_bound(class, total, bound)
     }
 }
 

@@ -1,5 +1,6 @@
 //! Property-based tests of the scheduling substrate.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
@@ -115,8 +116,124 @@ fn rescanning_schedule<C: ResourceConstraint>(
     ))
 }
 
+/// A [`SchedulingSetBound`] whose every admission query is audited: asked
+/// twice, the answer must repeat, and the rejection mask must grow by the
+/// op's class exactly when the bound refused it — never for an admission,
+/// never for an operation with an empty `S(o)`.
+struct Audited<'a> {
+    inner: &'a mut SchedulingSetBound,
+    op_classes: &'a [ResourceClass],
+    empty_rows: &'a [bool],
+    faults: Cell<usize>,
+}
+
+impl Audited<'_> {
+    fn audit(&self, op: OpId, query: impl Fn(&SchedulingSetBound) -> bool) -> bool {
+        let before = self.inner.bound_rejections();
+        let answer = query(self.inner);
+        let after = self.inner.bound_rejections();
+        let expected = if answer || self.empty_rows[op.index()] {
+            before
+        } else {
+            before | (1 << self.op_classes[op.index()].index())
+        };
+        if after != expected || query(self.inner) != answer {
+            self.faults.set(self.faults.get() + 1);
+        }
+        answer
+    }
+}
+
+impl ResourceConstraint for Audited<'_> {
+    fn admits(&self, op: OpId, step: Cycles, latency: Cycles) -> bool {
+        self.audit(op, |c| c.admits(op, step, latency))
+    }
+
+    fn commit(&mut self, op: OpId, step: Cycles, latency: Cycles) {
+        self.inner.commit(op, step, latency);
+    }
+
+    fn admissible_at_all(&self, op: OpId, latency: Cycles) -> bool {
+        self.audit(op, |c| c.admissible_at_all(op, latency))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Eqn (3) admission is monotone in `N_y`, so raising any subset of the
+    /// classes whose bound never refused an admission repeats the schedule,
+    /// or the stall on the same operation.  The refusal recorder never
+    /// changes an answer, and `reset_loads` clears it.
+    #[test]
+    fn raising_unrefused_bounds_repeats_the_schedule(
+        ops in 1usize..40,
+        seed in any::<u64>(),
+        knobs in any::<u64>(),
+        raise in any::<u64>(),
+    ) {
+        let graph = random_graph(ops, seed);
+        let mut state = knobs;
+        let lat: OpLatencies = graph.op_ids().map(|_| 1 + (splitmix(&mut state) % 4) as Cycles).collect();
+        let op_classes = classes(&graph);
+        let bounds: BTreeMap<ResourceClass, usize> = ResourceClass::ALL
+            .iter()
+            .map(|&c| (c, (splitmix(&mut state) % 4) as usize))
+            .collect();
+        // One to three members a class; an operation uses a non-empty subset
+        // of its class's members, or (rarely) none at all.
+        let per_class: Vec<usize> = ResourceClass::ALL
+            .iter()
+            .map(|_| 1 + (splitmix(&mut state) % 3) as usize)
+            .collect();
+        let member_classes: Vec<ResourceClass> = ResourceClass::ALL
+            .iter()
+            .zip(&per_class)
+            .flat_map(|(&c, &k)| std::iter::repeat_n(c, k))
+            .collect();
+        let op_members: Vec<Vec<usize>> = op_classes
+            .iter()
+            .map(|&c| {
+                if splitmix(&mut state).is_multiple_of(32) {
+                    return Vec::new();
+                }
+                let first = member_classes.iter().position(|&m| m == c).unwrap();
+                let k = per_class[c.index()];
+                let pick = splitmix(&mut state) % ((1 << k) - 1) + 1;
+                (0..k).filter(|j| pick >> j & 1 == 1).map(|j| first + j).collect()
+            })
+            .collect();
+        let empty_rows: Vec<bool> = op_members.iter().map(Vec::is_empty).collect();
+        let eqn3 = |bounds: &BTreeMap<ResourceClass, usize>| SchedulingSetBound::new(
+            op_classes.clone(),
+            op_members.clone(),
+            member_classes.clone(),
+            bounds.clone(),
+        );
+
+        let scheduler = ListScheduler::new(SchedulePriority::CriticalPath);
+        let mut constraint = eqn3(&bounds);
+        let mut audited = Audited {
+            inner: &mut constraint,
+            op_classes: &op_classes,
+            empty_rows: &empty_rows,
+            faults: Cell::new(0),
+        };
+        let base = scheduler.schedule(&graph, &lat, &mut audited);
+        prop_assert_eq!(audited.faults.get(), 0, "an audited admission misbehaved");
+        let refused = constraint.bound_rejections();
+
+        let mut raised = bounds.clone();
+        for (&class, bound) in &mut raised {
+            let bit = 1 << class.index();
+            if refused & bit == 0 && raise & u64::from(bit) != 0 {
+                *bound += 1 + (raise >> 16) as usize % 3;
+            }
+        }
+        prop_assert_eq!(&scheduler.schedule(&graph, &lat, eqn3(&raised)), &base);
+        constraint.reset_loads();
+        prop_assert_eq!(constraint.bound_rejections(), 0);
+    }
 
     /// The event-driven list scheduler places every operation exactly where
     /// the naive rescanning loop does — under every constraint strategy and
