@@ -1,7 +1,7 @@
 //! The uniform-wordlength (DSP-processor model) baseline.
 
 use mwl_core::{most_contended_class, AllocError, Datapath, ResourceInstance};
-use mwl_model::{CostModel, Cycles, OpId, OpShape, ResourceClass, ResourceType, SequencingGraph};
+use mwl_model::{CostModel, Cycles, OpId, ResourceClass, ResourceType, SequencingGraph};
 use mwl_sched::{
     critical_path_length, ListScheduler, OpLatencies, PerClassBound, SchedError, SchedulePriority,
 };
@@ -133,20 +133,13 @@ impl<'a> UniformWordlengthAllocator<'a> {
         }
         Ok(Datapath::assemble(schedule, instances, self.cost))
     }
-
-    /// The uniform shape a class would use for the given operation shapes
-    /// (exposed for tests and documentation examples).
-    #[must_use]
-    pub fn uniform_shape_for(shapes: &[OpShape]) -> Option<ResourceType> {
-        crate::common::group_resource(shapes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mwl_core::{AllocConfig, DpAllocator};
-    use mwl_model::{SequencingGraphBuilder, SonicCostModel};
+    use mwl_model::{OpShape, SequencingGraphBuilder, SonicCostModel};
     use mwl_tgff::{TgffConfig, TgffGenerator};
 
     #[test]
@@ -189,7 +182,7 @@ mod tests {
                     .filter(|o| o.kind().is_additive() == op.kind().is_additive())
                     .map(|o| o.shape())
                     .collect();
-                cost.latency(&UniformWordlengthAllocator::uniform_shape_for(&shapes).unwrap())
+                cost.latency(&crate::common::group_resource(&shapes).unwrap())
             });
             let lambda = critical_path_length(&g, &uniform_lat) + 4;
             let uniform = UniformWordlengthAllocator::new(&cost, lambda)
@@ -260,7 +253,7 @@ mod tests {
                         .filter(|o| o.kind().is_additive() == op.kind().is_additive())
                         .map(|o| o.shape())
                         .collect();
-                    cost.latency(&UniformWordlengthAllocator::uniform_shape_for(&shapes).unwrap())
+                    cost.latency(&crate::common::group_resource(&shapes).unwrap())
                 });
                 let lambda = critical_path_length(&g, &uniform_lat) + slack;
                 let uniform = UniformWordlengthAllocator::new(&cost, lambda)

@@ -198,7 +198,7 @@ pub struct BatchSweepResults {
 impl BatchSweepResults {
     /// Whether every measured worker count reproduced the reference report.
     #[must_use]
-    pub fn all_identical(&self) -> bool {
+    fn all_identical(&self) -> bool {
         self.throughput.iter().all(|row| row.identical)
     }
 

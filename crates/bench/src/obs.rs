@@ -125,40 +125,40 @@ pub struct ObsGateResults {
 impl ObsGateResults {
     /// Relative delta between the two obs-off arms: the noise floor.
     #[must_use]
-    pub fn disabled_delta(&self) -> f64 {
+    fn disabled_delta(&self) -> f64 {
         (self.off_again_seconds - self.off_seconds).abs() / self.off_seconds
     }
 
     /// The faster of the two obs-off arms — the overhead baseline.
     #[must_use]
-    pub fn baseline_seconds(&self) -> f64 {
+    fn baseline_seconds(&self) -> f64 {
         self.off_seconds.min(self.off_again_seconds)
     }
 
     /// Relative overhead of stage mode over the baseline (can be negative
     /// in the noise).
     #[must_use]
-    pub fn stages_overhead(&self) -> f64 {
+    fn stages_overhead(&self) -> f64 {
         self.stages_seconds / self.baseline_seconds() - 1.0
     }
 
     /// Relative overhead of trace mode over the baseline.
     #[must_use]
-    pub fn trace_overhead(&self) -> f64 {
+    fn trace_overhead(&self) -> f64 {
         self.trace_seconds / self.baseline_seconds() - 1.0
     }
 
     /// Whether the off/off delta is small enough to call the disabled path
     /// statistically free — and the measurement sound.
     #[must_use]
-    pub fn statistically_zero_disabled(&self) -> bool {
+    fn statistically_zero_disabled(&self) -> bool {
         self.disabled_delta() <= DISABLED_NOISE_LIMIT
     }
 
     /// Whether both enabled modes stay within their overhead limits plus
     /// the measured noise floor.
     #[must_use]
-    pub fn within_enabled_limit(&self) -> bool {
+    fn within_enabled_limit(&self) -> bool {
         let noise = self.disabled_delta();
         self.stages_overhead() <= ENABLED_OVERHEAD_LIMIT + noise
             && self.trace_overhead() <= TRACE_OVERHEAD_LIMIT + noise
@@ -168,7 +168,7 @@ impl ObsGateResults {
     /// `over_limit`, or `noisy_skipped` when the noise floor is too high
     /// to resolve the question (identity is judged separately).
     #[must_use]
-    pub fn status(&self) -> &'static str {
+    fn status(&self) -> &'static str {
         if !self.statistically_zero_disabled() {
             "noisy_skipped"
         } else if self.within_enabled_limit() {

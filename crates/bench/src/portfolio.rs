@@ -114,7 +114,7 @@ pub struct FamilyGateRow {
 impl FamilyGateRow {
     /// Area saved by the race across the family.
     #[must_use]
-    pub fn area_saved(&self) -> u64 {
+    fn area_saved(&self) -> u64 {
         self.baseline_area.saturating_sub(self.portfolio_area)
     }
 }
@@ -174,33 +174,33 @@ pub struct PortfolioGateResults {
 impl PortfolioGateResults {
     /// Sum of variant-0 areas over all solved jobs.
     #[must_use]
-    pub fn baseline_area(&self) -> u64 {
+    fn baseline_area(&self) -> u64 {
         self.families.iter().map(|f| f.baseline_area).sum()
     }
 
     /// Sum of winning areas over the same jobs.
     #[must_use]
-    pub fn portfolio_area(&self) -> u64 {
+    fn portfolio_area(&self) -> u64 {
         self.families.iter().map(|f| f.portfolio_area).sum()
     }
 
     /// Total area saved by the races.
     #[must_use]
-    pub fn area_saved(&self) -> u64 {
+    fn area_saved(&self) -> u64 {
         self.baseline_area() - self.portfolio_area()
     }
 
     /// The never-worse gate: no job regressed below its baseline variant
     /// and no winner undercut a proven ILP optimum.
     #[must_use]
-    pub fn never_worse(&self) -> bool {
+    fn never_worse(&self) -> bool {
         self.regressed == 0 && self.ilp.iter().all(|r| r.unsound == 0)
     }
 
     /// The usefulness gate: at least one family closed a strictly positive
     /// area gap.
     #[must_use]
-    pub fn improved_somewhere(&self) -> bool {
+    fn improved_somewhere(&self) -> bool {
         self.families.iter().any(|f| f.area_saved() > 0)
     }
 
@@ -208,7 +208,7 @@ impl PortfolioGateResults {
     /// over all graphs with a proven optimum.  `None` when the baseline was
     /// already optimal everywhere (no gap to close).
     #[must_use]
-    pub fn gap_closed_percent(&self) -> Option<f64> {
+    fn gap_closed_percent(&self) -> Option<f64> {
         let baseline: u64 = self.ilp.iter().map(|r| r.baseline_gap).sum();
         let portfolio: u64 = self.ilp.iter().map(|r| r.portfolio_gap).sum();
         if baseline == 0 {

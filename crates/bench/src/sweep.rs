@@ -48,13 +48,6 @@ impl SweepConfig {
         self.graphs_per_point = graphs.max(1);
         self
     }
-
-    /// Overrides the seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for SweepConfig {
@@ -89,9 +82,8 @@ mod tests {
         assert_eq!(SweepConfig::paper().graphs_per_point, 200);
         assert!(SweepConfig::quick().graphs_per_point < 200);
         assert_eq!(SweepConfig::default(), SweepConfig::quick());
-        let c = SweepConfig::quick().with_graphs(0).with_seed(7);
+        let c = SweepConfig::quick().with_graphs(0);
         assert_eq!(c.graphs_per_point, 1);
-        assert_eq!(c.seed, 7);
     }
 
     #[test]

@@ -239,7 +239,7 @@ mod tests {
     use mwl_model::{
         CostModel, OpShape, ResourceType, SequencingGraph, SequencingGraphBuilder, SonicCostModel,
     };
-    use mwl_sched::asap;
+    use mwl_sched::{asap, OpLatencies};
 
     fn scheduled_wcg(graph: &SequencingGraph) -> WordlengthCompatibilityGraph {
         let cost = SonicCostModel::default();
@@ -369,14 +369,13 @@ mod tests {
         let x = b.add_operation(OpShape::multiplier(8, 8));
         let g = b.build().unwrap();
         let cost = SonicCostModel::default();
-        let mut wcg = WordlengthCompatibilityGraph::new(&g, &cost);
-        let upper = wcg.upper_bound_latencies();
-        let schedule = asap(&g, &upper);
-        // Delete every edge of the only operation.
-        for r in wcg.resources_for(x) {
-            wcg.delete_edge(x, r);
-        }
-        wcg.attach_schedule(&schedule, &upper);
+        // A resource set without a multiplier leaves the only operation
+        // with no `H` edge.
+        let mut wcg =
+            WordlengthCompatibilityGraph::with_resources(&g, vec![ResourceType::adder(8)], &cost);
+        let latencies = OpLatencies::from_fn(&g, |op| cost.native_latency(op.shape()));
+        let schedule = asap(&g, &latencies);
+        wcg.attach_schedule(&schedule, &latencies);
         let err = bind_select(&wcg, BindSelectOptions::default()).unwrap_err();
         assert_eq!(err, AllocError::UncoverableOperation(x));
     }

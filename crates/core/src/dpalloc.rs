@@ -123,14 +123,6 @@ impl AllocConfig {
         self.instance_merging = enabled;
         self
     }
-
-    /// Sets the merge-candidate tie-break salt (see
-    /// [`merge_salt`](Self::merge_salt)).
-    #[must_use]
-    pub fn with_merge_salt(mut self, salt: u64) -> Self {
-        self.merge_salt = salt;
-        self
-    }
 }
 
 /// Statistics gathered while allocating, returned by

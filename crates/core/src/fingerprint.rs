@@ -35,7 +35,7 @@ impl StableHasher {
     }
 
     /// Absorbs raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
@@ -52,13 +52,8 @@ impl StableHasher {
         self.write_bytes(&value.to_le_bytes());
     }
 
-    /// Absorbs an `i64` via its two's-complement bit pattern.
-    pub fn write_i64(&mut self, value: i64) {
-        self.write_u64(value as u64);
-    }
-
     /// Absorbs a boolean as one byte.
-    pub fn write_bool(&mut self, value: bool) {
+    fn write_bool(&mut self, value: bool) {
         self.write_bytes(&[u8::from(value)]);
     }
 
@@ -175,12 +170,6 @@ pub fn config_fingerprint_into(config: &AllocConfig, h: &mut StableHasher) {
 #[must_use]
 pub fn datapath_fingerprint(datapath: &Datapath) -> u64 {
     let mut h = StableHasher::new();
-    datapath_fingerprint_into(datapath, &mut h);
-    h.finish()
-}
-
-/// Absorbs a datapath into an existing hasher.
-pub fn datapath_fingerprint_into(datapath: &Datapath, h: &mut StableHasher) {
     h.write_u64(datapath.area());
     h.write_u32(datapath.latency());
     h.write_u64(datapath.instances().len() as u64);
@@ -199,6 +188,7 @@ pub fn datapath_fingerprint_into(datapath: &Datapath, h: &mut StableHasher) {
             h.write_u32(datapath.schedule().start(op));
         }
     }
+    h.finish()
 }
 
 #[cfg(test)]
@@ -309,10 +299,9 @@ mod tests {
         let mut budget = AllocConfig::new(10);
         budget.max_iterations = 7;
         assert_ne!(fp, config_fingerprint(&budget));
-        assert_ne!(
-            fp,
-            config_fingerprint(&AllocConfig::new(10).with_merge_salt(0xfeed))
-        );
+        let mut salted = AllocConfig::new(10);
+        salted.merge_salt = 0xfeed;
+        assert_ne!(fp, config_fingerprint(&salted));
     }
 
     #[test]

@@ -127,7 +127,7 @@ impl PortfolioSpec {
 /// and the variant index.  Streams are independent of the total variant
 /// count, so growing `N` leaves variants `0..N-1` untouched.
 #[must_use]
-pub fn derive_stream(seed: u64, variant: usize) -> u64 {
+fn derive_stream(seed: u64, variant: usize) -> u64 {
     let mut h = StableHasher::new();
     h.write_str("mwl.portfolio.stream");
     h.write_u64(seed);

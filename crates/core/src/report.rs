@@ -184,16 +184,6 @@ impl DatapathReport {
         }
         out
     }
-
-    /// The busiest instance, if any.
-    #[must_use]
-    pub fn busiest_instance(&self) -> Option<&InstanceUtilisation> {
-        self.instances.iter().max_by(|a, b| {
-            a.utilisation
-                .partial_cmp(&b.utilisation)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-    }
 }
 
 /// Convenience: builds and renders a report in one call.
@@ -270,11 +260,6 @@ mod tests {
             assert!(inst.busy_steps >= 1);
         }
         assert!(report.mean_utilisation > 0.0);
-        let busiest = report.busiest_instance().unwrap();
-        assert!(report
-            .instances
-            .iter()
-            .all(|i| i.utilisation <= busiest.utilisation + 1e-12));
     }
 
     #[test]
@@ -308,7 +293,6 @@ mod tests {
         let report = DatapathReport::new(&dp, &g, &cost);
         assert_eq!(report.instances.len(), 1);
         assert!((report.instances[0].utilisation - 1.0).abs() < 1e-9);
-        assert_eq!(report.busiest_instance().map(|i| i.instance), Some(0));
     }
 
     #[test]

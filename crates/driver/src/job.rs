@@ -21,7 +21,8 @@ pub enum LatencySpec {
     /// [`AllocError::LatencyUnachievable`](mwl_core::AllocError::LatencyUnachievable)
     /// and the failure is recorded in the batch report.
     Absolute(Cycles),
-    /// `λ_min + slack` control steps: always feasible.
+    /// `λ_min + slack` control steps (saturating at `Cycles::MAX`): always
+    /// feasible.
     RelaxSteps(Cycles),
     /// `⌈λ_min · (1 + percent/100)⌉` control steps: always feasible.  This is
     /// the relaxation axis of the paper's Figure 3.
@@ -34,7 +35,7 @@ impl LatencySpec {
     pub fn resolve(&self, graph: &SequencingGraph, cost: &dyn CostModel) -> Cycles {
         match *self {
             LatencySpec::Absolute(lambda) => lambda,
-            LatencySpec::RelaxSteps(slack) => lambda_min(graph, cost) + slack,
+            LatencySpec::RelaxSteps(slack) => lambda_min(graph, cost).saturating_add(slack),
             LatencySpec::RelaxPercent(percent) => {
                 let minimum = lambda_min(graph, cost);
                 let scaled =
@@ -202,6 +203,17 @@ mod tests {
         assert_eq!(LatencySpec::RelaxSteps(4).resolve(&g, &cost), 10);
         assert_eq!(LatencySpec::RelaxPercent(0).resolve(&g, &cost), 6);
         assert_eq!(LatencySpec::RelaxPercent(30).resolve(&g, &cost), 8); // ceil(7.8)
+    }
+
+    #[test]
+    fn loosest_relax_steps_budget_saturates_and_solves() {
+        let g = chain();
+        let cost = SonicCostModel::default();
+        let loosest = LatencySpec::RelaxSteps(u32::MAX);
+        assert_eq!(loosest.resolve(&g, &cost), u32::MAX);
+        let job = BatchJob::new("loosest", g, loosest);
+        let outcome = crate::solve_job(0, &job, &cost, 1, &mut mwl_core::AllocScratch::new());
+        assert!(outcome.result.is_ok(), "{:?}", outcome.result);
     }
 
     #[test]

@@ -36,20 +36,11 @@ fn assert_width(width: u32) {
 
 /// Smallest value representable in `width` bits (two's complement).
 ///
-/// # Examples
-///
-/// ```
-/// use mwl_model::fixedpoint::min_value;
-/// assert_eq!(min_value(1), -1);
-/// assert_eq!(min_value(8), -128);
-/// assert_eq!(min_value(64), i64::MIN);
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `width` is outside `1..=64`.
 #[must_use]
-pub fn min_value(width: u32) -> i64 {
+fn min_value(width: u32) -> i64 {
     assert_width(width);
     if width == 64 {
         i64::MIN
@@ -60,20 +51,11 @@ pub fn min_value(width: u32) -> i64 {
 
 /// Largest value representable in `width` bits (two's complement).
 ///
-/// # Examples
-///
-/// ```
-/// use mwl_model::fixedpoint::max_value;
-/// assert_eq!(max_value(1), 0);
-/// assert_eq!(max_value(8), 127);
-/// assert_eq!(max_value(64), i64::MAX);
-/// ```
-///
 /// # Panics
 ///
 /// Panics if `width` is outside `1..=64`.
 #[must_use]
-pub fn max_value(width: u32) -> i64 {
+fn max_value(width: u32) -> i64 {
     assert_width(width);
     if width == 64 {
         i64::MAX
@@ -125,50 +107,6 @@ pub fn wrap_to_width(value: i64, width: u32) -> i64 {
 pub fn wrap_i128_to_width(value: i128, width: u32) -> i64 {
     assert_width(width);
     wrap_to_width(value as i64, width)
-}
-
-/// The raw bit pattern of a canonical `width`-bit value: the low `width`
-/// bits, zero-padded to 64 — what would sit on a `width`-bit bus.
-///
-/// # Examples
-///
-/// ```
-/// use mwl_model::fixedpoint::to_bits;
-/// assert_eq!(to_bits(-1, 8), 0xFF);
-/// assert_eq!(to_bits(5, 8), 0x05);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `width` is outside `1..=64`.
-#[must_use]
-pub fn to_bits(value: i64, width: u32) -> u64 {
-    assert_width(width);
-    if width == 64 {
-        value as u64
-    } else {
-        (value as u64) & ((1u64 << width) - 1)
-    }
-}
-
-/// Interprets the low `width` bits of a bus word as a signed value
-/// (sign-extension from bit `width - 1`); the inverse of [`to_bits`].
-///
-/// # Examples
-///
-/// ```
-/// use mwl_model::fixedpoint::from_bits;
-/// assert_eq!(from_bits(0xFF, 8), -1);
-/// assert_eq!(from_bits(0x7F, 8), 127);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `width` is outside `1..=64`.
-#[must_use]
-pub fn from_bits(bits: u64, width: u32) -> i64 {
-    assert_width(width);
-    wrap_to_width(bits as i64, width)
 }
 
 /// Adapts a canonical `from`-bit value to `to` bits: sign-extension when
@@ -295,32 +233,8 @@ mod tests {
         }
     }
 
-    /// Golden vectors for the bus representation round-trip.
-    #[test]
-    fn golden_bit_vectors() {
-        let golden: &[(i64, u32, u64)] = &[
-            (-1, 1, 0x1),
-            (0, 1, 0x0),
-            (-1, 8, 0xFF),
-            (-128, 8, 0x80),
-            (127, 8, 0x7F),
-            (-1, 24, 0xFF_FFFF),
-            (-1, 64, u64::MAX),
-            (i64::MIN, 64, 0x8000_0000_0000_0000),
-        ];
-        for &(value, width, bits) in golden {
-            assert_eq!(to_bits(value, width), bits, "to_bits({value}, {width})");
-            assert_eq!(
-                from_bits(bits, width),
-                value,
-                "from_bits({bits:#x}, {width})"
-            );
-        }
-    }
-
-    /// Every width 1..=64: min/max are canonical fixed points, overflow wraps
-    /// to the opposite end, and the bit round-trip is the identity on the
-    /// extremes.
+    /// Every width 1..=64: min/max are canonical fixed points and overflow
+    /// wraps to the opposite end.
     #[test]
     fn all_widths_boundary_behaviour() {
         for width in 1..=MAX_SIM_WORDLENGTH {
@@ -340,10 +254,6 @@ mod tests {
                 hi,
                 "width {width}"
             );
-            // Bus round-trip.
-            for v in [lo, -1, 0, 1.min(hi), hi] {
-                assert_eq!(from_bits(to_bits(v, width), width), v, "width {width}");
-            }
             // Widening then truncating back is the identity.
             for v in [lo, -1, 0, hi] {
                 let wide = adapt_width(v, width, MAX_SIM_WORDLENGTH);

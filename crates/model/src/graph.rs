@@ -97,14 +97,6 @@ impl SequencingGraph {
         (0..self.ops.len()).map(|i| OpId::new(i as u32))
     }
 
-    /// Operations with no predecessors (primary inputs of the dataflow).
-    #[must_use]
-    pub fn sources(&self) -> Vec<OpId> {
-        self.op_ids()
-            .filter(|&o| self.predecessors(o).is_empty())
-            .collect()
-    }
-
     /// Operations with no successors (primary outputs of the dataflow).
     #[must_use]
     pub fn sinks(&self) -> Vec<OpId> {
@@ -166,18 +158,6 @@ impl SequencingGraph {
     #[must_use]
     pub fn extract_resource_types(&self) -> Vec<ResourceType> {
         extract_resource_types(&self.ops)
-    }
-
-    /// The distinct operation *types* `Y` present in the graph, expressed as
-    /// resource classes (the paper's `y ∈ Y`).
-    #[must_use]
-    pub fn operation_classes(&self) -> Vec<crate::ResourceClass> {
-        let set: BTreeSet<crate::ResourceClass> = self
-            .ops
-            .iter()
-            .map(|o| crate::ResourceClass::for_kind(o.kind()))
-            .collect();
-        set.into_iter().collect()
     }
 
     /// Length of the longest dependence chain measured in operations
@@ -363,7 +343,6 @@ impl SequencingGraphBuilder {
 mod tests {
     use super::*;
     use crate::op::OpKind;
-    use crate::ResourceClass;
 
     fn diamond() -> SequencingGraph {
         // a -> b, a -> c, b -> d, c -> d
@@ -385,7 +364,11 @@ mod tests {
         assert_eq!(g.len(), 4);
         assert!(!g.is_empty());
         assert_eq!(g.edges().len(), 4);
-        assert_eq!(g.sources(), vec![OpId::new(0)]);
+        let sources: Vec<OpId> = g
+            .op_ids()
+            .filter(|&o| g.predecessors(o).is_empty())
+            .collect();
+        assert_eq!(sources, vec![OpId::new(0)]);
         assert_eq!(g.sinks(), vec![OpId::new(3)]);
         assert_eq!(g.depth(), 3);
         assert_eq!(g.operation(OpId::new(1)).kind(), OpKind::Add);
@@ -471,12 +454,8 @@ mod tests {
     }
 
     #[test]
-    fn classes_and_resources() {
+    fn extracted_resources_cover_every_operation() {
         let g = diamond();
-        assert_eq!(
-            g.operation_classes(),
-            vec![ResourceClass::Adder, ResourceClass::Multiplier]
-        );
         let r = g.extract_resource_types();
         for op in g.operations() {
             assert!(r.iter().any(|rt| rt.covers(op.shape())));
@@ -498,7 +477,8 @@ mod tests {
         b.add_named_operation(OpShape::multiplier(4, 4), "only");
         let g = b.build().unwrap();
         assert_eq!(g.depth(), 1);
-        assert_eq!(g.sources(), g.sinks());
+        assert!(g.predecessors(OpId::new(0)).is_empty());
+        assert_eq!(g.sinks(), vec![OpId::new(0)]);
         assert_eq!(g.operation(OpId::new(0)).name(), Some("only"));
     }
 }

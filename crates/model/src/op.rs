@@ -187,13 +187,6 @@ impl OpShape {
         a + b
     }
 
-    /// Largest of the operand widths.
-    #[must_use]
-    pub fn max_width(&self) -> u32 {
-        let (a, b) = self.widths();
-        a.max(b)
-    }
-
     /// Validates that the wordlengths are in the supported range.
     ///
     /// # Errors
@@ -306,7 +299,6 @@ mod tests {
         let b = OpShape::multiplier(16, 8);
         assert_eq!(a, b);
         assert_eq!(a.widths(), (16, 8));
-        assert_eq!(a.max_width(), 16);
         assert_eq!(a.total_width(), 24);
     }
 

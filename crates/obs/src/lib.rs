@@ -16,7 +16,7 @@
 //! * [`Stage`] / [`StageNanos`] — the fixed stage taxonomy (schedule, bind,
 //!   refine, merge, storage, rtl, variant, solve) and a `Copy` accumulator
 //!   of per-stage nanoseconds.
-//! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
+//! * [`MetricsRegistry`] — named [`Counter`]s and log-bucketed
 //!   [`Histogram`]s (p50/p95/p99) behind atomics; name-sorted snapshots
 //!   (the daemon's `metrics` wire command digests them).
 //! * [`TraceEvent`] / [`TraceSink`] / [`chrome_trace_json`] — a Chrome
@@ -75,7 +75,7 @@ mod stage;
 mod trace;
 
 pub use metrics::{
-    nearest_rank, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    nearest_rank, Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
 };
 pub use stage::{ObsMode, Stage, StageNanos, StageRecorder, StageTimer};
 pub use trace::{check_chrome_trace, chrome_trace_json, ArgValue, TraceEvent, TraceSink};
@@ -111,11 +111,5 @@ impl Stopwatch {
     #[must_use]
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// Seconds since [`start`](Self::start) as a float.
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
     }
 }

@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges and log-bucketed histograms.
+//! The metrics registry: counters and log-bucketed histograms.
 //!
 //! All metric handles are lock-free after registration (plain atomics), so
 //! recording from a hot path or from many threads needs no coordination.
@@ -13,7 +13,7 @@
 //! for a given multiset of recordings regardless of arrival order.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A monotonically increasing counter.
@@ -31,30 +31,6 @@ impl Counter {
     /// The current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A settable signed gauge (e.g. current queue depth).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -151,18 +127,12 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Nearest-rank quantile (`q` in `0.0..=1.0`) from the bucket
-    /// boundaries; `0` when empty.  See [`HistogramSnapshot::value_at_quantile`].
-    #[must_use]
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
-        self.snapshot().value_at_quantile(q)
-    }
-
-    /// [`value_at_quantile`](Self::value_at_quantile) with `p` in percent
-    /// (`50.0` → median).
+    /// Nearest-rank percentile (`p` in percent, `50.0` → median) from the
+    /// bucket boundaries; `0` when empty.  See
+    /// [`HistogramSnapshot::percentile`].
     #[must_use]
     pub fn percentile(&self, p: f64) -> u64 {
-        self.value_at_quantile(p / 100.0)
+        self.snapshot().percentile(p)
     }
 
     /// A point-in-time copy answering queries without further
@@ -208,16 +178,17 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Nearest-rank quantile from the bucket boundaries: the upper bound of
-    /// the bucket containing the sample of rank `⌈q·count⌉`, clamped into
-    /// `[min, max]`.  Deterministic for a given multiset of samples; `0`
-    /// when empty.
+    /// Nearest-rank percentile (`p` in percent) from the bucket boundaries:
+    /// the upper bound of the bucket containing the sample of rank
+    /// `⌈p/100·count⌉`, clamped into `[min, max]`.  Deterministic for a given
+    /// multiset of samples; `0` when empty.
     #[must_use]
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
+    pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let q = (p / 100.0).clamp(0.0, 1.0);
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cumulative = 0;
         for &(upper, n) in &self.buckets {
             cumulative += n;
@@ -226,12 +197,6 @@ impl HistogramSnapshot {
             }
         }
         self.max
-    }
-
-    /// [`value_at_quantile`](Self::value_at_quantile) with `p` in percent.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.value_at_quantile(p / 100.0)
     }
 
     /// Exact arithmetic mean (`0.0` when empty).
@@ -264,7 +229,6 @@ pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -302,23 +266,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Returns the gauge named `name`, registering it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut metrics = self.metrics.lock().expect("metrics registry poisoned");
-        let metric = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())));
-        match metric {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} is already registered with a different kind"),
-        }
-    }
-
     /// Returns the histogram named `name`, registering it on first use.
     ///
     /// # Panics
@@ -344,7 +291,6 @@ impl MetricsRegistry {
         for (name, metric) in metrics.iter() {
             match metric {
                 Metric::Counter(c) => snapshot.counters.push((name.clone(), c.get())),
-                Metric::Gauge(g) => snapshot.gauges.push((name.clone(), g.get())),
                 Metric::Histogram(h) => snapshot.histograms.push((name.clone(), h.snapshot())),
             }
         }
@@ -358,8 +304,6 @@ impl MetricsRegistry {
 pub struct MetricsSnapshot {
     /// `(name, value)` for every counter.
     pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for every gauge.
-    pub gauges: Vec<(String, i64)>,
     /// `(name, snapshot)` for every histogram.
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
@@ -370,15 +314,11 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counter_accumulates() {
         let c = Counter::default();
         c.add(3);
         c.add(4);
         assert_eq!(c.get(), 7);
-        let g = Gauge::default();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -459,7 +399,6 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter("z.count").add(2);
         r.counter("a.count").add(1);
-        r.gauge("depth").set(-4);
         r.histogram("lat_ns").record(777);
         // Re-registration returns the same handle.
         r.counter("a.count").add(1);
@@ -468,7 +407,6 @@ mod tests {
             snap.counters,
             vec![("a.count".to_string(), 2), ("z.count".to_string(), 2)]
         );
-        assert_eq!(snap.gauges, vec![("depth".to_string(), -4)]);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].0, "lat_ns");
         assert_eq!(snap.histograms[0].1.count, 1);

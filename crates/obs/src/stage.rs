@@ -167,13 +167,6 @@ impl StageNanos {
 #[must_use = "a timer only records when passed back to StageRecorder::stop"]
 pub struct StageTimer(Option<Instant>);
 
-impl StageTimer {
-    /// An inert timer that will never record.
-    pub fn inert() -> Self {
-        StageTimer(None)
-    }
-}
-
 /// Per-worker stage accumulator and trace-event buffer.
 ///
 /// Lives inside the allocator's scratch space; the driving layer switches it
@@ -291,7 +284,6 @@ mod tests {
         let t = rec.start();
         std::thread::sleep(std::time::Duration::from_millis(1));
         rec.stop(Stage::Schedule, t);
-        rec.stop(Stage::Bind, StageTimer::inert());
         assert!(rec.take_stages().is_zero());
         assert!(rec.drain_events().is_empty());
     }

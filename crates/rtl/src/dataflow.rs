@@ -141,17 +141,6 @@ impl DataflowMap {
     pub fn result_width(&self, op: OpId) -> u32 {
         self.out_widths[op.index()]
     }
-
-    /// The data predecessors of an operation (its first two predecessors);
-    /// any further predecessors are sequencing-only.
-    pub fn data_predecessors(&self, op: OpId) -> impl Iterator<Item = OpId> + '_ {
-        self.ports[op.index()]
-            .iter()
-            .filter_map(|p| match p.source {
-                PortSource::Op(id) => Some(id),
-                PortSource::Input(_) => None,
-            })
-    }
 }
 
 #[cfg(test)]
@@ -207,10 +196,6 @@ mod tests {
             map.ports(OpId::new(3))[1].source,
             PortSource::Input(_)
         ));
-        assert_eq!(
-            map.data_predecessors(OpId::new(3)).collect::<Vec<_>>(),
-            vec![OpId::new(2)]
-        );
     }
 
     #[test]
@@ -237,10 +222,8 @@ mod tests {
         let g = b.build().unwrap();
         let map = DataflowMap::new(&g);
         // Only the first two predecessors carry data.
-        assert_eq!(
-            map.data_predecessors(OpId::new(3)).collect::<Vec<_>>(),
-            vec![x, y]
-        );
+        let sources: Vec<_> = map.ports(s).iter().map(|p| p.source).collect();
+        assert_eq!(sources, vec![PortSource::Op(x), PortSource::Op(y)]);
         // z's value is never read: it is still a non-sink operation.
         assert_eq!(map.outputs(), &[s]);
         assert_eq!(map.inputs().len(), 6);

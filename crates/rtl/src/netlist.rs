@@ -280,7 +280,7 @@ impl Netlist {
     /// netlist was lowered from ([`mwl_core::Datapath::area`], which counts
     /// functional units only); the equivalence checker asserts exactly that.
     #[must_use]
-    pub fn fu_area(&self, cost: &dyn CostModel) -> Area {
+    fn fu_area(&self, cost: &dyn CostModel) -> Area {
         self.fus.iter().map(|f| cost.area(&f.resource)).sum()
     }
 

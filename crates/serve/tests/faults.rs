@@ -653,6 +653,41 @@ fn oversized_line_is_answered_with_the_limit_error() {
     let _ = server.join();
 }
 
+/// The loosest `relax_steps` budget the wire accepts resolves to the largest
+/// latency instead of overflowing: the job solves, and the daemon answers
+/// the next request on the same connection.
+#[test]
+fn loosest_relax_steps_budget_solves_and_the_daemon_survives() {
+    let server = SpawnedServer::start(ServerConfig::default()).expect("start");
+    let mut writer = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let timeout = Duration::from_secs(20);
+    let line = concat!(
+        r#"{"type":"submit","id":1,"graph":{"ops":[{"op":"add","width":4}],"edges":[]},"#,
+        r#""latency":{"kind":"relax_steps","value":4294967295}}"#,
+        "\n"
+    );
+    let ack = exchange(&mut writer, &mut reader, line.as_bytes(), timeout);
+    assert_eq!(ack, Response::Accepted { id: 1 });
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("a result line");
+    match Response::parse(reply.trim()).expect("a protocol reply") {
+        Response::Result { id: 1, outcome } => {
+            assert!(matches!(outcome, WireOutcome::Ok(_)), "{outcome:?}");
+        }
+        other => panic!("submission answered with {other:?}"),
+    }
+    let ping = format!("{}\n", Request::Ping.encode());
+    assert_eq!(
+        exchange(&mut writer, &mut reader, ping.as_bytes(), timeout),
+        Response::Pong
+    );
+    let shutdown = format!("{}\n", Request::Shutdown.encode());
+    let ack = exchange(&mut writer, &mut reader, shutdown.as_bytes(), timeout);
+    assert!(matches!(ack, Response::ShutdownAck { .. }), "{ack:?}");
+    assert_eq!(server.join().completed, 1);
+}
+
 /// Waits for a previously sent `shutdown` request's ack.
 trait ShutdownAckExt {
     fn shutdown_ack(&mut self) -> Result<u64, mwl_serve::ClientError>;

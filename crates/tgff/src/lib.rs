@@ -41,6 +41,18 @@ use serde::{Deserialize, Serialize};
 
 use mwl_model::{OpShape, SequencingGraph, SequencingGraphBuilder};
 
+/// Maximum number of direct predecessors per operation.
+const MAX_IN_DEGREE: usize = 3;
+/// Maximum number of direct successors per operation.
+const MAX_OUT_DEGREE: usize = 3;
+/// Nominal operations per layer of a `Layered` graph: layer sizes are drawn
+/// uniformly from `1..=2·round(OPS_PER_LAYER)`, which sets how deep versus
+/// wide the generated graphs are.
+const OPS_PER_LAYER: f64 = 2.5;
+/// Probability that an operation gains an extra edge from an earlier-layer
+/// operation (beyond the single edge that keeps the graph weakly connected).
+const EDGE_PROBABILITY: f64 = 0.35;
+
 /// Macro-structure of the generated DAG: how the operations are partitioned
 /// into layers before the random edges are wired.
 ///
@@ -51,8 +63,8 @@ use mwl_model::{OpShape, SequencingGraph, SequencingGraphBuilder};
 /// and back in).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum GraphShape {
-    /// Random layer sizes around [`TgffConfig::ops_per_layer`] (the original
-    /// TGFF-style behaviour).
+    /// Random layer sizes of one to six operations (the original TGFF-style
+    /// behaviour).
     #[default]
     Layered,
     /// At most three near-equal layers: shallow graphs with many independent
@@ -88,21 +100,11 @@ pub enum WidthProfile {
 pub struct TgffConfig {
     /// Number of operations `|O|` in each generated graph.
     pub ops: usize,
-    /// Maximum number of direct predecessors per operation.
-    pub max_in_degree: usize,
-    /// Maximum number of direct successors per operation.
-    pub max_out_degree: usize,
     /// Probability that an operation is a multiplication (the remainder are
     /// additions/subtractions in equal shares).
     pub mul_fraction: f64,
     /// Inclusive range of operand wordlengths in bits.
     pub width_range: (u32, u32),
-    /// Average number of operations per DAG layer; controls how deep versus
-    /// wide the generated graphs are.
-    pub ops_per_layer: f64,
-    /// Probability that two adjacent-layer operations are connected (beyond
-    /// the single edge that keeps the graph weakly connected).
-    pub edge_probability: f64,
     /// Macro-structure of the generated DAG (layered, wide, deep, diamond).
     pub shape: GraphShape,
     /// Distribution of operand wordlengths within [`width_range`](Self::width_range).
@@ -117,12 +119,8 @@ impl TgffConfig {
     pub fn with_ops(ops: usize) -> Self {
         TgffConfig {
             ops,
-            max_in_degree: 3,
-            max_out_degree: 3,
             mul_fraction: 0.5,
             width_range: (4, 24),
-            ops_per_layer: 2.5,
-            edge_probability: 0.35,
             shape: GraphShape::Layered,
             width_profile: WidthProfile::Uniform,
         }
@@ -161,13 +159,6 @@ impl TgffConfig {
         self.mul_fraction = fraction.clamp(0.0, 1.0);
         self
     }
-
-    /// Sets the average number of operations per layer.
-    #[must_use]
-    pub fn ops_per_layer(mut self, ops_per_layer: f64) -> Self {
-        self.ops_per_layer = ops_per_layer.max(1.0);
-        self
-    }
 }
 
 impl Default for TgffConfig {
@@ -191,12 +182,6 @@ impl TgffGenerator {
             config,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &TgffConfig {
-        &self.config
     }
 
     /// Generates the next random sequencing graph.
@@ -241,7 +226,7 @@ impl TgffGenerator {
                 let candidates: Vec<usize> = prev
                     .iter()
                     .copied()
-                    .filter(|&u| out_degree[u] < self.config.max_out_degree)
+                    .filter(|&u| out_degree[u] < MAX_OUT_DEGREE)
                     .collect();
                 if let Some(&u) = pick(&mut self.rng, &candidates) {
                     if builder.add_dependency(ids[u], ids[v]).is_ok() {
@@ -249,17 +234,17 @@ impl TgffGenerator {
                         in_degree[v] += 1;
                     }
                 }
-                // Extra edges from any earlier layer with the configured
-                // probability.
+                // Extra edges from any earlier layer with probability
+                // `EDGE_PROBABILITY`.
                 for earlier in prev_layers {
                     for &u in earlier {
-                        if in_degree[v] >= self.config.max_in_degree {
+                        if in_degree[v] >= MAX_IN_DEGREE {
                             break;
                         }
-                        if out_degree[u] >= self.config.max_out_degree {
+                        if out_degree[u] >= MAX_OUT_DEGREE {
                             continue;
                         }
-                        if self.rng.gen_bool(self.config.edge_probability)
+                        if self.rng.gen_bool(EDGE_PROBABILITY)
                             && builder.add_dependency(ids[u], ids[v]).is_ok()
                         {
                             out_degree[u] += 1;
@@ -275,11 +260,6 @@ impl TgffGenerator {
             .expect("generated graph is non-empty and acyclic by construction")
     }
 
-    /// Generates `count` graphs (convenience for experiment sweeps).
-    pub fn generate_many(&mut self, count: usize) -> Vec<SequencingGraph> {
-        (0..count).map(|_| self.generate()).collect()
-    }
-
     /// Layer sizes for the configured [`GraphShape`], summing to `n`.
     ///
     /// The `Layered` arm draws from the PRNG exactly as the original
@@ -291,8 +271,7 @@ impl TgffGenerator {
                 let mut next = 0usize;
                 while next < n {
                     let remaining = n - next;
-                    let mean = self.config.ops_per_layer;
-                    let span = (mean.round() as usize).max(1);
+                    let span = OPS_PER_LAYER.round() as usize;
                     let lo = 1usize;
                     let hi = (2 * span).min(remaining).max(1);
                     let take = if lo >= hi {
@@ -377,7 +356,7 @@ fn pick<'a, T>(rng: &mut StdRng, slice: &'a [T]) -> Option<&'a T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mwl_model::{OpKind, ResourceClass};
+    use mwl_model::OpKind;
 
     #[test]
     fn deterministic_for_fixed_seed() {
@@ -403,13 +382,12 @@ mod tests {
 
     #[test]
     fn respects_degree_bounds() {
-        let config = TgffConfig::with_ops(40);
-        let mut generator = TgffGenerator::new(config.clone(), 99);
+        let mut generator = TgffGenerator::new(TgffConfig::with_ops(40), 99);
         for _ in 0..10 {
             let g = generator.generate();
             for op in g.op_ids() {
-                assert!(g.predecessors(op).len() <= config.max_in_degree);
-                assert!(g.successors(op).len() <= config.max_out_degree);
+                assert!(g.predecessors(op).len() <= MAX_IN_DEGREE);
+                assert!(g.successors(op).len() <= MAX_OUT_DEGREE);
             }
         }
     }
@@ -431,16 +409,6 @@ mod tests {
         assert!(all_mul.operations().iter().all(|o| o.kind() == OpKind::Mul));
         let no_mul = TgffGenerator::new(TgffConfig::with_ops(20).mul_fraction(0.0), 3).generate();
         assert!(no_mul.operations().iter().all(|o| o.kind().is_additive()));
-        assert_eq!(no_mul.operation_classes(), vec![ResourceClass::Adder]);
-    }
-
-    #[test]
-    fn generate_many_produces_distinct_graphs() {
-        let mut generator = TgffGenerator::new(TgffConfig::with_ops(12), 2024);
-        let graphs = generator.generate_many(5);
-        assert_eq!(graphs.len(), 5);
-        // At least two of them should differ (overwhelmingly likely).
-        assert!(graphs.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]
@@ -455,12 +423,8 @@ mod tests {
 
     #[test]
     fn config_builder_methods_clamp() {
-        let c = TgffConfig::with_ops(5)
-            .mul_fraction(7.0)
-            .ops_per_layer(0.0)
-            .width_range(9, 3);
+        let c = TgffConfig::with_ops(5).mul_fraction(7.0).width_range(9, 3);
         assert_eq!(c.mul_fraction, 1.0);
-        assert_eq!(c.ops_per_layer, 1.0);
         assert_eq!(c.width_range, (3, 9));
     }
 
@@ -510,7 +474,7 @@ mod tests {
         // 16 = 4^2: layers 1,2,3,4,3,2,1.
         assert_eq!(g.depth(), 7);
         // The single entry op is a source and the single exit op a sink.
-        assert!(!g.sources().is_empty());
+        assert!(g.op_ids().any(|op| g.predecessors(op).is_empty()));
         assert!(!g.sinks().is_empty());
     }
 

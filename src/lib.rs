@@ -89,7 +89,7 @@ pub mod model {
 }
 
 /// Zero-dependency telemetry: hierarchical stage spans, a metrics registry
-/// (counters, gauges, log-bucketed histograms), a Chrome trace-event
+/// (counters, log-bucketed histograms), a Chrome trace-event
 /// document, and the workspace's one JSON codec (`mwl::obs::json`).
 ///
 /// The defining invariant — pinned by `crates/core/tests/obs_identity.rs`
@@ -627,8 +627,8 @@ pub mod serve {
     pub use mwl_serve::*;
 }
 
-/// Reference workloads shared by the examples, integration tests and
-/// golden-file regressions.
+/// The FIR-filter workload shared by `examples/fir_filter.rs` and the
+/// Verilog golden test.
 pub mod workloads {
     use mwl_model::{ModelError, OpId, OpShape, SequencingGraph, SequencingGraphBuilder};
 
@@ -702,349 +702,6 @@ pub mod workloads {
         (6, 10),
         (4, 10),
     ];
-
-    /// Builds a direct-form-I IIR biquad section
-    /// `y = b0·x + b1·x' + b2·x'' − (a1·y' + a2·y'')`: three feed-forward
-    /// multiplications at `(coeff, data)` wordlengths, two feedback
-    /// multiplications at `(coeff, accumulator)` wordlengths, and the
-    /// accumulate/subtract combine at `accumulator_width` bits.
-    ///
-    /// The recursive part makes its multiplier shapes wider than the
-    /// feed-forward ones — the per-operation wordlength diversity the
-    /// multiple-wordlength allocator exists to exploit.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ModelError`] when a wordlength is out of range.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let graph = mwl::workloads::iir_biquad_graph(10, 6, 18)?;
-    /// assert_eq!(graph.len(), 9); // 5 multiplications + 4 combines
-    /// assert_eq!(graph.sinks().len(), 1);
-    /// # Ok::<(), mwl::model::ModelError>(())
-    /// ```
-    pub fn iir_biquad_graph(
-        data_width: u32,
-        coeff_width: u32,
-        accumulator_width: u32,
-    ) -> Result<SequencingGraph, ModelError> {
-        let mut b = SequencingGraphBuilder::new();
-        let forward: Vec<OpId> = (0..3)
-            .map(|i| {
-                b.add_named_operation(
-                    OpShape::multiplier(coeff_width, data_width),
-                    format!("b{i}"),
-                )
-            })
-            .collect();
-        let feedback: Vec<OpId> = (1..3)
-            .map(|i| {
-                b.add_named_operation(
-                    OpShape::multiplier(coeff_width, accumulator_width),
-                    format!("a{i}"),
-                )
-            })
-            .collect();
-        let ffsum0 = b.add_named_operation(OpShape::adder(accumulator_width), "ff_sum0");
-        b.add_dependency(forward[0], ffsum0)?;
-        b.add_dependency(forward[1], ffsum0)?;
-        let ffsum1 = b.add_named_operation(OpShape::adder(accumulator_width), "ff_sum1");
-        b.add_dependency(ffsum0, ffsum1)?;
-        b.add_dependency(forward[2], ffsum1)?;
-        let fbsum = b.add_named_operation(OpShape::adder(accumulator_width), "fb_sum");
-        b.add_dependency(feedback[0], fbsum)?;
-        b.add_dependency(feedback[1], fbsum)?;
-        let out = b.add_named_operation(OpShape::subtractor(accumulator_width), "out");
-        b.add_dependency(ffsum1, out)?;
-        b.add_dependency(fbsum, out)?;
-        b.build()
-    }
-
-    /// Builds a butterfly-factored 8-point DCT stage: four sum and four
-    /// difference butterflies over the mirrored inputs, an even half that
-    /// combines the sums with adders, and an odd half that rotates each
-    /// difference through a `(coeff, data)` multiplication before pairwise
-    /// recombination — 20 operations spanning several width classes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ModelError`] when a wordlength is out of range.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let graph = mwl::workloads::dct8_graph(12, 9)?;
-    /// assert_eq!(graph.len(), 20);
-    /// # Ok::<(), mwl::model::ModelError>(())
-    /// ```
-    pub fn dct8_graph(data_width: u32, coeff_width: u32) -> Result<SequencingGraph, ModelError> {
-        let mut b = SequencingGraphBuilder::new();
-        // Stage 1: butterflies x_i ± x_{7-i} over primary inputs.
-        let sums: Vec<OpId> = (0..4)
-            .map(|i| b.add_named_operation(OpShape::adder(data_width), format!("s{i}")))
-            .collect();
-        let diffs: Vec<OpId> = (0..4)
-            .map(|i| b.add_named_operation(OpShape::subtractor(data_width), format!("d{i}")))
-            .collect();
-        // Even half: two more butterfly levels over the sums.
-        let e0 = b.add_named_operation(OpShape::adder(data_width + 1), "e0");
-        b.add_dependency(sums[0], e0)?;
-        b.add_dependency(sums[3], e0)?;
-        let e1 = b.add_named_operation(OpShape::adder(data_width + 1), "e1");
-        b.add_dependency(sums[1], e1)?;
-        b.add_dependency(sums[2], e1)?;
-        let x0 = b.add_named_operation(OpShape::adder(data_width + 2), "X0");
-        b.add_dependency(e0, x0)?;
-        b.add_dependency(e1, x0)?;
-        let x4 = b.add_named_operation(OpShape::subtractor(data_width + 2), "X4");
-        b.add_dependency(e0, x4)?;
-        b.add_dependency(e1, x4)?;
-        // Odd half: rotate each difference, then recombine pairwise.
-        let rotations: Vec<OpId> = diffs
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| {
-                let m = b.add_named_operation(
-                    OpShape::multiplier(coeff_width, data_width),
-                    format!("rot{i}"),
-                );
-                b.add_dependency(d, m).map(|()| m)
-            })
-            .collect::<Result<_, _>>()?;
-        let acc = coeff_width + data_width;
-        let o0 = b.add_named_operation(OpShape::adder(acc), "o0");
-        b.add_dependency(rotations[0], o0)?;
-        b.add_dependency(rotations[1], o0)?;
-        let o1 = b.add_named_operation(OpShape::adder(acc), "o1");
-        b.add_dependency(rotations[2], o1)?;
-        b.add_dependency(rotations[3], o1)?;
-        let x2 = b.add_named_operation(OpShape::adder(acc + 1), "X2");
-        b.add_dependency(o0, x2)?;
-        b.add_dependency(o1, x2)?;
-        let x6 = b.add_named_operation(OpShape::subtractor(acc + 1), "X6");
-        b.add_dependency(o0, x6)?;
-        b.add_dependency(o1, x6)?;
-        b.build()
-    }
-
-    /// Builds a fully unrolled dot product `Σ a_i·b_i`: one multiplication
-    /// per element at its `(a, b)` wordlengths, accumulated by a *serial*
-    /// adder chain at `accumulator_width` bits (the FIR builder uses a
-    /// balanced tree instead — the chain maximises value lifetimes, which
-    /// stresses the register binder).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ModelError`] when `elements` is empty or a wordlength is
-    /// out of range.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let graph = mwl::workloads::dot_product_graph(&[(4, 8), (6, 8), (8, 8)], 18)?;
-    /// assert_eq!(graph.len(), 5); // 3 products + 2 chained accumulations
-    /// assert_eq!(graph.sinks().len(), 1);
-    /// # Ok::<(), mwl::model::ModelError>(())
-    /// ```
-    pub fn dot_product_graph(
-        elements: &[(u32, u32)],
-        accumulator_width: u32,
-    ) -> Result<SequencingGraph, ModelError> {
-        let mut b = SequencingGraphBuilder::new();
-        let products: Vec<OpId> = elements
-            .iter()
-            .enumerate()
-            .map(|(i, &(wa, wb))| {
-                b.add_named_operation(OpShape::multiplier(wa, wb), format!("p{i}"))
-            })
-            .collect();
-        let mut acc = products[0];
-        for (i, &product) in products.iter().enumerate().skip(1) {
-            let sum =
-                b.add_named_operation(OpShape::adder(accumulator_width), format!("acc{}", i - 1));
-            b.add_dependency(acc, sum)?;
-            b.add_dependency(product, sum)?;
-            acc = sum;
-        }
-        b.build()
-    }
-
-    /// A parse failure in [`parse_graph_trace`] or [`parse_lifetime_trace`]:
-    /// the 1-based line number and what went wrong there.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct TraceError {
-        /// 1-based line number of the offending line.
-        pub line: usize,
-        /// Human-readable description of the problem.
-        pub message: String,
-    }
-
-    impl std::fmt::Display for TraceError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "trace line {}: {}", self.line, self.message)
-        }
-    }
-
-    impl std::error::Error for TraceError {}
-
-    /// Imports a sequencing graph from a line-oriented trace.
-    ///
-    /// The format is what a front-end compiler or profiler can emit with
-    /// plain `printf`s — one fact per line, `#` comments and blank lines
-    /// ignored:
-    ///
-    /// ```text
-    /// op <name> add|sub <width>
-    /// op <name> mul <a> <b>
-    /// edge <from> <to>
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] naming the first offending line: unknown
-    /// directives or op kinds, malformed widths, duplicate or unknown op
-    /// names, and any structural [`ModelError`] (cycle, empty graph, …)
-    /// raised when the graph is built.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let graph = mwl::workloads::parse_graph_trace(
-    ///     "# a multiply-accumulate\n\
-    ///      op m0 mul 8 10\n\
-    ///      op m1 mul 12 10\n\
-    ///      op sum add 22\n\
-    ///      edge m0 sum\n\
-    ///      edge m1 sum\n",
-    /// )?;
-    /// assert_eq!(graph.len(), 3);
-    /// assert_eq!(graph.sinks().len(), 1);
-    /// # Ok::<(), mwl::workloads::TraceError>(())
-    /// ```
-    pub fn parse_graph_trace(text: &str) -> Result<SequencingGraph, TraceError> {
-        let fail = |line: usize, message: String| TraceError { line, message };
-        let mut builder = SequencingGraphBuilder::new();
-        let mut names: std::collections::HashMap<&str, OpId> = std::collections::HashMap::new();
-        let mut last_line = 0;
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            last_line = line;
-            let body = raw.split('#').next().unwrap_or("").trim();
-            if body.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = body.split_whitespace().collect();
-            let width = |field: &str| {
-                field
-                    .parse::<u32>()
-                    .map_err(|_| fail(line, format!("invalid width '{field}'")))
-            };
-            match fields.as_slice() {
-                ["op", name, kind, rest @ ..] => {
-                    let shape = match (*kind, rest) {
-                        ("add", [w]) => OpShape::adder(width(w)?),
-                        ("sub", [w]) => OpShape::subtractor(width(w)?),
-                        ("mul", [a, wb]) => OpShape::multiplier(width(a)?, width(wb)?),
-                        ("add" | "sub", _) => {
-                            return Err(fail(line, format!("'{kind}' takes one width")))
-                        }
-                        ("mul", _) => return Err(fail(line, "'mul' takes two widths".into())),
-                        (other, _) => return Err(fail(line, format!("unknown op kind '{other}'"))),
-                    };
-                    let id = builder.add_named_operation(shape, name.to_string());
-                    if names.insert(name, id).is_some() {
-                        return Err(fail(line, format!("duplicate op name '{name}'")));
-                    }
-                }
-                ["edge", from, to] => {
-                    let id_of = |name: &str| {
-                        names
-                            .get(name)
-                            .copied()
-                            .ok_or_else(|| fail(line, format!("unknown op '{name}'")))
-                    };
-                    builder
-                        .add_dependency(id_of(from)?, id_of(to)?)
-                        .map_err(|e| fail(line, e.to_string()))?;
-                }
-                ["edge", ..] => return Err(fail(line, "'edge' takes two op names".into())),
-                [directive, ..] => {
-                    return Err(fail(line, format!("unknown directive '{directive}'")))
-                }
-                [] => unreachable!("blank lines are skipped"),
-            }
-        }
-        builder.build().map_err(|e| fail(last_line, e.to_string()))
-    }
-
-    /// Imports a value-lifetime trace for the register binder: each
-    /// non-comment line is `val <width> <born> <dies>` (cycles inclusive),
-    /// returning the parallel width and lifetime vectors
-    /// [`pack_registers`](mwl_core::pack_registers) takes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] for unknown directives, malformed numbers
-    /// or a lifetime that dies before it is born.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mwl::alloc::{pack_registers, BindingCertificate};
-    ///
-    /// let (widths, lifetimes) = mwl::workloads::parse_lifetime_trace(
-    ///     "val 16 0 3\n\
-    ///      val 16 4 6   # reusable: starts after the first dies\n\
-    ///      val 12 2 5\n",
-    /// )?;
-    /// let binding = pack_registers(&widths, &lifetimes);
-    /// assert_eq!(binding.registers(), 2); // the two 16-bit values share
-    /// assert_eq!(binding.certificate, BindingCertificate::Optimal);
-    /// # Ok::<(), mwl::workloads::TraceError>(())
-    /// ```
-    pub fn parse_lifetime_trace(
-        text: &str,
-    ) -> Result<(Vec<u32>, Vec<mwl_core::ValueLifetime>), TraceError> {
-        let fail = |line: usize, message: String| TraceError { line, message };
-        let mut widths = Vec::new();
-        let mut lifetimes = Vec::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            let body = raw.split('#').next().unwrap_or("").trim();
-            if body.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = body.split_whitespace().collect();
-            let number = |field: &str| {
-                field
-                    .parse::<u32>()
-                    .map_err(|_| fail(line, format!("invalid number '{field}'")))
-            };
-            match fields.as_slice() {
-                ["val", w, born, dies] => {
-                    let (width, born, dies) = (number(w)?, number(born)?, number(dies)?);
-                    if dies < born {
-                        return Err(fail(
-                            line,
-                            format!("value dies ({dies}) before born ({born})"),
-                        ));
-                    }
-                    widths.push(width);
-                    lifetimes.push(mwl_core::ValueLifetime { born, dies });
-                }
-                ["val", ..] => {
-                    return Err(fail(line, "'val' takes width, born and dies".into()));
-                }
-                [directive, ..] => {
-                    return Err(fail(line, format!("unknown directive '{directive}'")))
-                }
-                [] => unreachable!("blank lines are skipped"),
-            }
-        }
-        Ok((widths, lifetimes))
-    }
 }
 
 /// The most commonly used items in one import.
