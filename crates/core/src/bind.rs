@@ -13,7 +13,10 @@
 //! 1. repeatedly pick, over all resource types `r`, a **maximum clique**
 //!    `p_r` of still-uncovered operations inside `O(r)` (a longest chain of
 //!    the transitively-oriented subgraph), and select the `r` maximising
-//!    `|p_r| / cost(r)`;
+//!    `|p_r| / cost(r)`.  The scan covers the graph's
+//!    [`bind_candidates`](WordlengthCompatibilityGraph::bind_candidates),
+//!    which the allocator narrows to the types no other type dominates;
+//!    a dominated type never wins a round;
 //! 2. after every selection, try to **grow** the newly selected clique to
 //!    swallow previously selected cliques; any clique swallowed this way is
 //!    deleted, compensating for the greediness of earlier selections.
@@ -128,10 +131,14 @@ pub(crate) fn bind_select_with_scratch(
         // Find, per resource type, the size of a maximum clique of uncovered
         // operations and keep the resource with the best |p_r| / cost(r)
         // ratio.  The key reads only the clique's length, so the chain itself
-        // is built once, for the winner, after the scan.
+        // is built once, for the winner, after the scan.  Only the graph's
+        // bind candidates are scanned: a type outside them is outranked by
+        // one inside under this comparator for every `H` refinement reaches
+        // (see `prune_bind_candidates`).  The scan is ascending, so among
+        // full ties the lower index wins.
         let mut best: Option<usize> = None;
         let mut best_key = (0.0f64, 0usize, u64::MAX);
-        for r in 0..wcg.resources().len() {
+        for &r in wcg.bind_candidates() {
             // The uncovered candidate count bounds any chain's length, so a
             // resource whose count/area ratio already falls short of the
             // incumbent (beyond the tie tolerance) cannot win — skip it

@@ -17,7 +17,7 @@ use crate::datapath::Datapath;
 use crate::error::AllocError;
 use crate::merge::merge_instances_with_scratch;
 use crate::refine::select_refinement_op_with_scratch;
-use crate::replay::Decision;
+use crate::replay::{Decision, Lookup};
 use crate::scratch::AllocScratch;
 use mwl_model::{CostModel, Cycles, OpId, ResourceClass, SequencingGraph};
 use mwl_obs::Stage;
@@ -224,6 +224,7 @@ impl<'a> DpAllocator<'a> {
         // snapshot instead of re-deriving the graph.
         scratch.wcg.rebuild(graph, self.cost);
         scratch.wcg.snapshot_pristine();
+        scratch.wcg.prune_bind_candidates();
         for op in graph.op_ids() {
             if scratch.wcg.candidates(op).next().is_none() {
                 return Err(AllocError::UncoverableOperation(op));
@@ -337,7 +338,8 @@ impl<'a> DpAllocator<'a> {
     /// bounds raised since cannot change its schedule (see
     /// [`crate::replay`]): its refinement or stall is applied without
     /// scheduling, binding or selecting, and its time is charged to
-    /// [`Stage::Refine`].
+    /// [`Stage::Refine`].  When the bounds do stop a replay, the memo still
+    /// supplies that `H`'s scheduling set, which depends on `H` alone.
     fn try_with_bounds(
         &self,
         graph: &SequencingGraph,
@@ -358,11 +360,15 @@ impl<'a> DpAllocator<'a> {
 
         for _ in 0..self.config.max_iterations {
             let sched_timer = scratch.obs.start();
+            // Scheduling set S and the Eqn (3) constraint.  The cover comes
+            // from the memo when this `H` was seen before, and is otherwise
+            // solved from the maintained `O(r)` column bitsets; membership
+            // rows are rebuilt only where refinement invalidated them.
             match scratch
                 .memo
-                .replay(scratch.wcg.resource_columns(), &dense_bounds)
+                .lookup(scratch.wcg.resource_columns(), &dense_bounds)
             {
-                Some(Decision::Refine(op)) => {
+                Lookup::Replay(Decision::Refine(op)) => {
                     *refinements += 1;
                     scratch.wcg.refine_op(op);
                     // The skipped iteration left the cover and rows behind.
@@ -370,26 +376,25 @@ impl<'a> DpAllocator<'a> {
                     scratch.obs.stop(Stage::Refine, sched_timer);
                     continue;
                 }
-                Some(Decision::Stall(class)) => {
+                Lookup::Replay(Decision::Stall(class)) => {
                     scratch.obs.stop(Stage::Refine, sched_timer);
                     return Err(InnerFailure::NeedMoreResources(class));
                 }
-                None => {}
+                Lookup::Cover(cover) => {
+                    scratch.cover.clear();
+                    scratch.cover.extend_from_slice(cover);
+                }
+                Lookup::Miss => scheduling_set_with_scratch(
+                    graph.len(),
+                    scratch.wcg.resource_columns(),
+                    &mut scratch.cover_scratch,
+                    &mut scratch.cover,
+                ),
             }
             scratch
                 .upper
                 .copy_from_slice(scratch.wcg.upper_bound_slice());
 
-            // Scheduling set S and the Eqn (3) constraint.  The cover is
-            // recomputed from the maintained `O(r)` column bitsets;
-            // membership rows are rebuilt only where refinement invalidated
-            // them.
-            scheduling_set_with_scratch(
-                graph.len(),
-                scratch.wcg.resource_columns(),
-                &mut scratch.cover_scratch,
-                &mut scratch.cover,
-            );
             if !members_valid || scratch.cover != scratch.prev_cover {
                 scratch.constraint.set_members(
                     scratch
@@ -425,6 +430,7 @@ impl<'a> DpAllocator<'a> {
                         &dense_bounds,
                         scratch.constraint.bound_rejections(),
                         Decision::Stall(class),
+                        &scratch.cover,
                     );
                     return Err(InnerFailure::NeedMoreResources(class));
                 }
@@ -485,6 +491,7 @@ impl<'a> DpAllocator<'a> {
                         &dense_bounds,
                         scratch.constraint.bound_rejections(),
                         Decision::Refine(op),
+                        &scratch.cover,
                     );
                     *refinements += 1;
                     scratch.wcg.refine_op(op);

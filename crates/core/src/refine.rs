@@ -25,9 +25,12 @@ pub(crate) struct RefineScratch {
     /// Bound operations sorted by `(instance, start, id)`.
     by_instance: Vec<u32>,
     /// Per operation, the run of `by_instance` on its instance starting
-    /// where it ends: its `S_b` successors, plus itself when `ℓ(o) = 0`.
+    /// where it ends: its `S_b` successors.
     runs: Vec<(u32, u32)>,
-    indegree: Vec<u32>,
+    /// Counting-sort buckets, one per start step or per instance.
+    buckets: Vec<u32>,
+    /// All operations sorted by `(start, id)`: a topological order of the
+    /// augmented graph.
     order: Vec<u32>,
     asap: Vec<Cycles>,
     alap_end: Vec<Cycles>,
@@ -47,6 +50,15 @@ pub(crate) struct RefineScratch {
 /// (`usize::MAX` for an unbound operation).  Bindings whose operations
 /// overlap in time are accepted: every same-instance pair meeting the `S_b`
 /// condition gets its edge.
+///
+/// The schedule must start every operation after each of its predecessors
+/// (`start(v) > start(u)` for every dependence `u → v`), and every `ℓ(o)`
+/// must be at least 1.  Any schedule valid under latencies of at least 1
+/// meets the first condition; the allocator's schedules are valid under the
+/// upper bounds `L_o ≥ ℓ(o) ≥ 1`, which [`OpLatencies::validate`] and the
+/// cost model's latency contract guarantee.  Time and memory are linear in
+/// the operation count, the latest start and the largest instance index
+/// (the instance's position in its datapath).
 #[must_use]
 pub fn bound_critical_path(
     graph: &SequencingGraph,
@@ -62,13 +74,19 @@ pub fn bound_critical_path(
 /// Scratch-reusing core of [`bound_critical_path`]: the result lands in
 /// `scratch.critical`.
 ///
-/// Linear apart from one sort: the `S_b` successors of an operation are the
-/// same-instance operations starting exactly where it ends, one contiguous
-/// run of the operations sorted by `(instance, start)`, found by binary
-/// search.  No adjacency is materialised — an operation's augmented
-/// successors are its sequencing successors followed by its run.  A pair
-/// joined by both kinds of edge is visited twice, which neither the
-/// indegree count nor a `max`/`min` relaxation notices.
+/// Linear in the operations, edges, latest start and largest instance
+/// index.  Both edge kinds point strictly forward in start time: a
+/// dependence by the precondition, and an `S_b` edge because `start(o2) =
+/// start(o1) + ℓ(o1)` with `ℓ(o1) ≥ 1`.  So the operations in `(start, id)`
+/// order, a counting sort by start, are a topological order of the
+/// augmented graph, with no indegree pass.  A stable counting sort of that
+/// order by instance gives the `(instance, start, id)` order, in which the
+/// `S_b` successors of an operation — the same-instance operations starting
+/// exactly where it ends — are one contiguous run, found by binary search.
+/// No adjacency is materialised: an operation's augmented successors are
+/// its sequencing successors followed by its run.  A pair joined by both
+/// kinds of edge is visited twice, which a `max`/`min` relaxation does not
+/// notice.
 fn bound_critical_path_into(
     graph: &SequencingGraph,
     schedule: &Schedule,
@@ -82,7 +100,7 @@ fn bound_critical_path_into(
     let RefineScratch {
         by_instance,
         runs,
-        indegree,
+        buckets,
         order,
         asap,
         alap_end,
@@ -90,9 +108,27 @@ fn bound_critical_path_into(
         ..
     } = scratch;
 
-    by_instance.clear();
-    by_instance.extend((0..n as u32).filter(|&i| binding[i as usize] != usize::MAX));
-    by_instance.sort_unstable_by_key(|&i| (binding[i as usize], start[i as usize], i));
+    // Operations by `(start, id)`: a counting sort by start.
+    let latest = start.iter().max().map_or(0, |&s| s as usize);
+    counting_sort(
+        order,
+        buckets,
+        latest,
+        (0..n as u32).map(|i| (start[i as usize] as usize, i)),
+    );
+    // Bound operations by `(instance, start, id)`: a stable counting sort of
+    // that order by instance.
+    let bound = |b: &usize| *b != usize::MAX;
+    let last_instance = binding.iter().copied().filter(bound).max();
+    counting_sort(
+        by_instance,
+        buckets,
+        last_instance.unwrap_or(0),
+        order
+            .iter()
+            .map(|&i| (binding[i as usize], i))
+            .filter(|(b, _)| bound(b)),
+    );
     let slot = |j: &u32| (binding[*j as usize], start[*j as usize]);
     runs.clear();
     runs.extend((0..n).map(|i| {
@@ -106,8 +142,8 @@ fn bound_critical_path_into(
     }));
     let by_instance = &*by_instance;
     let runs = &*runs;
-    // Augmented successors of `v`; a zero-latency operation's run holds
-    // itself, which is no edge.
+    // Augmented successors of `v`.  With `ℓ(v) ≥ 1` its run starts after
+    // it, so never holds it.
     let successors = |v: usize| {
         let (lo, hi) = runs[v];
         graph
@@ -117,34 +153,9 @@ fn bound_critical_path_into(
             .chain(
                 by_instance[lo as usize..hi as usize]
                     .iter()
-                    .map(|&j| j as usize)
-                    .filter(move |&j| j != v),
+                    .map(|&j| j as usize),
             )
     };
-
-    // Topological order of the augmented DAG (it is acyclic: both edge kinds
-    // only point forward in schedule time).
-    indegree.clear();
-    indegree.resize(n, 0);
-    for v in 0..n {
-        for s in successors(v) {
-            indegree[s] += 1;
-        }
-    }
-    order.clear();
-    order.extend((0..n as u32).filter(|&i| indegree[i as usize] == 0));
-    let mut head = 0;
-    while head < order.len() {
-        let v = order[head] as usize;
-        head += 1;
-        for s in successors(v) {
-            indegree[s] -= 1;
-            if indegree[s] == 0 {
-                order.push(s as u32);
-            }
-        }
-    }
-    debug_assert_eq!(order.len(), n, "augmented graph must stay acyclic");
 
     // ASAP on the augmented graph, pushed forward along the order.
     asap.clear();
@@ -153,6 +164,7 @@ fn bound_critical_path_into(
         let v = v as usize;
         let finish = asap[v] + latency[v];
         for s in successors(v) {
+            debug_assert!(start[s] > start[v], "edges must point forward in time");
             asap[s] = asap[s].max(finish);
         }
     }
@@ -174,6 +186,31 @@ fn bound_critical_path_into(
             .filter(|&i| asap[i] == alap_end[i] - latency[i])
             .map(|i| OpId::new(i as u32)),
     );
+}
+
+/// Writes the items of `keyed` (`(key, item)` pairs, every key at most
+/// `max_key`) to `out` sorted by key, keeping the input order among equal
+/// keys; `buckets` is the reusable count table.
+fn counting_sort(
+    out: &mut Vec<u32>,
+    buckets: &mut Vec<u32>,
+    max_key: usize,
+    keyed: impl Iterator<Item = (usize, u32)> + Clone,
+) {
+    buckets.clear();
+    buckets.resize(max_key + 2, 0);
+    for (key, _) in keyed.clone() {
+        buckets[key + 1] += 1;
+    }
+    for k in 1..buckets.len() {
+        buckets[k] += buckets[k - 1];
+    }
+    out.clear();
+    out.resize(buckets[max_key + 1] as usize, 0);
+    for (key, item) in keyed {
+        out[buckets[key] as usize] = item;
+        buckets[key] += 1;
+    }
 }
 
 /// Selects the operation whose latency upper bound should be refined next,

@@ -104,6 +104,27 @@ impl AllocScratch {
     pub fn replayed_iterations(&self) -> usize {
         self.memo.replayed()
     }
+
+    /// Iterations of the most recent
+    /// [`crate::DpAllocator::allocate_with_scratch`] call that took their
+    /// scheduling set from an earlier iteration on the same `H` (one whose
+    /// decision could not be replayed) instead of solving the cover.  A
+    /// count beside the results, like
+    /// [`replayed_iterations`](Self::replayed_iterations).
+    #[must_use]
+    pub fn reused_covers(&self) -> usize {
+        self.memo.reused_covers()
+    }
+
+    /// Number of resource types `BindSelect` scans for the graph this
+    /// scratch last built — the types no cheaper, no slower type with a
+    /// superset column dominates (see
+    /// [`WordlengthCompatibilityGraph::prune_bind_candidates`]).  A count
+    /// beside the results: the allocator never reads it back.
+    #[must_use]
+    pub fn bind_candidates(&self) -> usize {
+        self.wcg.bind_candidates().len()
+    }
 }
 
 /// Reusable buffers of Algorithm `BindSelect`: the covered-operation maps,

@@ -129,3 +129,45 @@ fn a_reused_scratch_never_replays_from_an_earlier_call() {
     }
     assert_eq!(scratch.replayed_iterations(), last_replayed);
 }
+
+/// The counters beside the results — replays, reused scheduling sets and
+/// the `BindSelect` candidate count — describe the call that just ran: a
+/// repeated job reports the same counts and the same outcome, whatever the
+/// scratch solved in between.
+#[test]
+fn a_repeated_job_reports_the_same_counters_and_datapath() {
+    let cost = SonicCostModel::default();
+    let (graph, config) = escalating();
+    let small = TgffGenerator::new(TgffConfig::with_ops(10), 3).generate();
+    let allocator = DpAllocator::new(&cost, config);
+    let mut scratch = AllocScratch::new();
+    let run = |scratch: &mut AllocScratch| {
+        let outcome = allocator
+            .allocate_with_scratch(&graph, scratch)
+            .expect("the escalating graph solves");
+        let counters = (
+            scratch.replayed_iterations(),
+            scratch.reused_covers(),
+            scratch.bind_candidates(),
+        );
+        (outcome, counters)
+    };
+    let first = run(&mut scratch);
+    let (outcome, (replayed, reused, candidates)) = &first;
+    assert!(*reused > 0, "an escalation round reuses a scheduling set");
+    let iterations = outcome.refinements + outcome.bound_escalations + 1;
+    assert!(
+        replayed + reused < iterations,
+        "{replayed} + {reused} of {iterations}"
+    );
+    let all = mwl_wcg::WordlengthCompatibilityGraph::new(&graph, &cost)
+        .resources()
+        .len();
+    assert!((1..all).contains(candidates), "{candidates} of {all} types");
+
+    DpAllocator::new(&cost, AllocConfig::new(40))
+        .allocate_with_scratch(&small, &mut scratch)
+        .expect("the small graph solves");
+    assert_eq!(run(&mut scratch), first);
+    assert_eq!(run(&mut AllocScratch::new()), first);
+}

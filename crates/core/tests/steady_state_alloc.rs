@@ -17,8 +17,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mwl_core::{AllocConfig, AllocScratch, CachedCostModel, DpAllocator};
 use mwl_model::{CostModel, OpId, ResourceClass, SonicCostModel};
 use mwl_sched::{
-    asap, ListScheduler, PerInstanceExclusive, ResourceConstraint, SchedScratch, SchedulePriority,
-    SchedulingSetBound,
+    asap, scheduling_set_with_scratch, CoverScratch, ListScheduler, PerInstanceExclusive,
+    ResourceConstraint, SchedScratch, SchedulePriority, SchedulingSetBound,
 };
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator};
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
@@ -162,6 +162,34 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
         (chain_ok, mask_ok, probes)
     });
     assert_eq!(delta, 0, "bitset chain/mask kernels allocated");
+
+    // The scheduling-set cover keeps every working buffer in its scratch: a
+    // warm call allocates nothing, on the exact branch-and-bound path (at
+    // most 28 candidate sets) and on the greedy path.  The 12-op graph's
+    // pristine columns are under 28 sets, the 40-op graph's well over.
+    let mut wide = WordlengthCompatibilityGraph::new(&escalating, &cost);
+    let columns = wide.resource_columns().to_vec();
+    let exact = wcg.resource_columns();
+    assert!(exact.len() / wcg.op_mask_words() <= 28);
+    assert!(columns.len() / wide.op_mask_words() > 28);
+    let mut cover_scratch = CoverScratch::default();
+    let mut cover = Vec::new();
+    for (items, sets) in [(graph.len(), exact), (escalating.len(), columns.as_slice())] {
+        scheduling_set_with_scratch(items, sets, &mut cover_scratch, &mut cover); // warm
+        let expected = cover.clone();
+        let (delta, ()) = allocations_during(|| {
+            scheduling_set_with_scratch(items, sets, &mut cover_scratch, &mut cover);
+        });
+        assert_eq!(cover, expected);
+        assert_eq!(
+            delta, 0,
+            "a warm scheduling-set cover allocated ({items} items)"
+        );
+    }
+    wide.snapshot_pristine();
+    wide.prune_bind_candidates();
+    let (delta, ()) = allocations_during(|| wide.prune_bind_candidates());
+    assert_eq!(delta, 0, "a repeat candidate pruning allocated");
 
     // Eqn (3) admission probes are allocation-free once the rows are set.
     let op_classes: Vec<ResourceClass> = graph

@@ -84,7 +84,8 @@ pub fn scheduling_set(op_candidates: &[Vec<usize>]) -> Vec<usize> {
     out
 }
 
-/// Reusable buffers for [`scheduling_set_with_scratch`].
+/// Reusable buffers for [`scheduling_set_with_scratch`]: once they fit
+/// the instance, a call allocates nothing.
 #[derive(Debug, Default)]
 pub struct CoverScratch {
     /// Union of all candidate sets: the coverable items.
@@ -94,6 +95,22 @@ pub struct CoverScratch {
     rank: Vec<u32>,
     /// Single-word candidate masks of the exact solver.
     masks: Vec<u64>,
+    /// Greedy working buffers.
+    greedy: GreedyScratch,
+    /// The exact solver's branching order: candidates by decreasing
+    /// coverage.
+    order: Vec<usize>,
+    /// The exact solver's selection on the current branch.
+    chosen: Vec<usize>,
+}
+
+/// Buffers of [`greedy_cover`].
+#[derive(Debug, Default)]
+struct GreedyScratch {
+    /// Items covered by the sets taken so far.
+    covered: Vec<u64>,
+    /// The sets that still add items, ascending.
+    live: Vec<usize>,
 }
 
 /// The set-cover solver behind every entry point, over bitset input and
@@ -133,6 +150,9 @@ pub fn scheduling_set_with_scratch(
         coverable,
         rank,
         masks,
+        greedy,
+        order,
+        chosen,
     } = scratch;
     coverable.clear();
     coverable.resize(words, 0);
@@ -146,73 +166,113 @@ pub fn scheduling_set_with_scratch(
         return;
     }
     if num_coverable > EXACT_COVER_ITEM_LIMIT {
-        out.extend(greedy_cover(sets, words, coverable));
+        greedy_cover(sets, words, coverable, greedy, out);
         return;
     }
     // At most 64 coverable items: compress each set to one word, item `i`
-    // moving to bit `rank[i]`.
-    rank.clear();
-    rank.resize(num_items, u32::MAX);
-    for (position, item) in set_bits(coverable).enumerate() {
-        rank[item] = position as u32;
-    }
-    masks.clear();
-    masks.extend(
-        sets.chunks_exact(words)
-            .map(|set| set_bits(set).fold(0u64, |m, item| m | 1 << rank[item])),
-    );
+    // moving to bit `rank[i]`.  When the coverable items are a prefix of
+    // `0..num_items` — every item, in the allocator — each sits at its own
+    // rank, and a set's first word is its mask.
     let full: u64 = if num_coverable == 64 {
         u64::MAX
     } else {
         (1u64 << num_coverable) - 1
     };
-    if num_sets <= EXACT_COVER_CANDIDATE_LIMIT {
-        out.extend(exact_cover(full, masks));
+    masks.clear();
+    if coverable[0] == full && coverable[1..].iter().all(|&w| w == 0) {
+        masks.extend(sets.chunks_exact(words).map(|set| set[0]));
     } else {
-        out.extend(greedy_cover(masks, 1, &[full]));
+        rank.clear();
+        rank.resize(num_items, u32::MAX);
+        for (position, item) in set_bits(coverable).enumerate() {
+            rank[item] = position as u32;
+        }
+        masks.extend(
+            sets.chunks_exact(words)
+                .map(|set| set_bits(set).fold(0u64, |m, item| m | 1 << rank[item])),
+        );
+    }
+    if num_sets <= EXACT_COVER_CANDIDATE_LIMIT {
+        exact_cover(full, masks, order, chosen, greedy, out);
+    } else {
+        greedy_cover(masks, 1, &[full], greedy, out);
     }
 }
 
 /// The classic greedy set-cover heuristic over `words`-word sets: take the
 /// set covering the most not-yet-covered items (ties to the highest index)
-/// until `full` is covered or no set adds anything.
-fn greedy_cover(sets: &[u64], words: usize, full: &[u64]) -> Vec<usize> {
-    let num_sets = sets.len() / words;
-    let gain = |j: usize, covered: &[u64]| -> u32 {
-        sets[j * words..][..words]
-            .iter()
-            .zip(covered)
-            .map(|(&s, &c)| (s & !c).count_ones())
-            .sum()
-    };
-    let mut covered = vec![0u64; words];
-    let mut chosen = Vec::new();
-    while covered != full {
-        let best = (0..num_sets)
-            .filter(|j| !chosen.contains(j))
-            .max_by_key(|&j| gain(j, &covered));
-        match best {
-            Some(j) if gain(j, &covered) > 0 => {
-                for (c, &s) in covered.iter_mut().zip(&sets[j * words..][..words]) {
-                    *c |= s;
-                }
-                chosen.push(j);
+/// until `full` is covered or no set adds anything.  The selection, sorted,
+/// is written to `out`.
+///
+/// Each round scans only the sets that still add items.  `covered` only
+/// grows, so a set whose gain reaches zero — every taken set, right after
+/// it is taken — never gains again and leaves the scan for good.  The scan
+/// stays ascending and takes ties with `>=`, so the highest index still
+/// wins.
+fn greedy_cover(
+    sets: &[u64],
+    words: usize,
+    full: &[u64],
+    scratch: &mut GreedyScratch,
+    out: &mut Vec<usize>,
+) {
+    let GreedyScratch { covered, live } = scratch;
+    covered.clear();
+    covered.resize(words, 0);
+    live.clear();
+    live.extend(0..sets.len() / words);
+    out.clear();
+    while covered.as_slice() != full {
+        let mut best = None;
+        let mut best_gain = 0;
+        let mut kept = 0;
+        for i in 0..live.len() {
+            let j = live[i];
+            let gain: u32 = sets[j * words..][..words]
+                .iter()
+                .zip(covered.iter())
+                .map(|(&s, &c)| (s & !c).count_ones())
+                .sum();
+            if gain == 0 {
+                continue;
             }
-            _ => break,
+            live[kept] = j;
+            kept += 1;
+            if gain >= best_gain {
+                best_gain = gain;
+                best = Some(j);
+            }
         }
+        live.truncate(kept);
+        let Some(j) = best else { break };
+        for (c, &s) in covered.iter_mut().zip(&sets[j * words..][..words]) {
+            *c |= s;
+        }
+        out.push(j);
     }
-    chosen.sort_unstable();
-    chosen
+    out.sort_unstable();
 }
 
-fn exact_cover(full: u64, masks: &[u64]) -> Vec<usize> {
+/// Minimum-cardinality cover of `full` by branch and bound over single-word
+/// masks, seeded with the greedy selection; the result, sorted, is written
+/// to `best`.
+fn exact_cover(
+    full: u64,
+    masks: &[u64],
+    order: &mut Vec<usize>,
+    chosen: &mut Vec<usize>,
+    greedy: &mut GreedyScratch,
+    best: &mut Vec<usize>,
+) {
     // Greedy solution as the initial incumbent / upper bound.
-    let mut best = greedy_cover(masks, 1, &[full]);
+    greedy_cover(masks, 1, &[full], greedy, best);
     let mut best_len = best.len();
 
-    // Order candidates by decreasing coverage for better pruning.
-    let mut order: Vec<usize> = (0..masks.len()).collect();
-    order.sort_by_key(|&j| std::cmp::Reverse(masks[j].count_ones()));
+    // Order candidates by decreasing coverage for better pruning; the index
+    // breaks ties as a stable sort of `0..len` would.
+    order.clear();
+    order.extend(0..masks.len());
+    order.sort_unstable_by_key(|&j| (std::cmp::Reverse(masks[j].count_ones()), j));
 
     /// Immutable search context shared by every branch-and-bound node.
     struct Search<'a> {
@@ -233,7 +293,7 @@ fn exact_cover(full: u64, masks: &[u64]) -> Vec<usize> {
         if covered == full {
             if chosen.len() < *best_len {
                 *best_len = chosen.len();
-                *best = chosen.clone();
+                best.clone_from(chosen);
             }
             return;
         }
@@ -266,15 +326,10 @@ fn exact_cover(full: u64, masks: &[u64]) -> Vec<usize> {
         }
     }
 
-    let search = Search {
-        order: &order,
-        masks,
-        full,
-    };
-    let mut chosen = Vec::new();
-    recurse(&search, 0, 0, &mut chosen, &mut best, &mut best_len);
+    let search = Search { order, masks, full };
+    chosen.clear();
+    recurse(&search, 0, 0, chosen, best, &mut best_len);
     best.sort_unstable();
-    best
 }
 
 #[cfg(test)]
@@ -420,7 +475,15 @@ mod tests {
             vec![0],
             vec![5],
         ];
-        assert_eq!(greedy_cover(&columns(6, &c), 1, &[0b11_1111]).len(), 3);
+        let mut greedy = Vec::new();
+        greedy_cover(
+            &columns(6, &c),
+            1,
+            &[0b11_1111],
+            &mut GreedyScratch::default(),
+            &mut greedy,
+        );
+        assert_eq!(greedy.len(), 3);
         c.resize(EXACT_COVER_CANDIDATE_LIMIT + 2, Vec::new());
         assert_eq!(minimum_cover(6, &c), vec![0, 1]);
         let mut out = Vec::new();

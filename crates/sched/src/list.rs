@@ -283,8 +283,10 @@ impl ListScheduler {
 
     fn sort_ready(&self, ready: &mut [OpId], priority: &[Cycles]) {
         match self.priority {
+            // The key ends in the operation id, so it is unique and an
+            // unstable sort yields the one order a stable sort would.
             SchedulePriority::CriticalPath => {
-                ready.sort_by_key(|&o| (std::cmp::Reverse(priority[o.index()]), o));
+                ready.sort_unstable_by_key(|&o| (Reverse(priority[o.index()]), o));
             }
             SchedulePriority::InputOrder => ready.sort_unstable(),
         }

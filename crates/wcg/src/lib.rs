@@ -35,8 +35,9 @@
 //! the operations by start and by end once, and builds the `C` edges by
 //! sweeping a growing prefix of the end order and a growing suffix of the
 //! start order instead of making `|O|²` interval comparisons.  It also
-//! renumbers every `O(r)` column by *end rank* (position in the end order),
-//! so the length of a maximum chain is an earliest-end greedy over bitsets
+//! renumbers every `O(r)` column `BindSelect` scans by *end rank* (position
+//! in the end order), so the length of a maximum chain is an earliest-end
+//! greedy over bitsets
 //! ([`max_chain_len`](WordlengthCompatibilityGraph::max_chain_len)): each
 //! step takes the lowest set bit and ANDs in the mask of operations that
 //! start at or after its end.  Every buffer is reused across attach calls.
@@ -195,6 +196,10 @@ pub struct WordlengthCompatibilityGraph {
     pristine_resource_cols: Vec<u64>,
     /// Whether the pristine buffers hold a snapshot of the current problem.
     pristine_valid: bool,
+    /// The resource types `BindSelect` scans, ascending: every type after a
+    /// rebuild, the undominated ones after
+    /// [`prune_bind_candidates`](Self::prune_bind_candidates).
+    bind_candidates: Vec<ResourceIndex>,
 }
 
 impl WordlengthCompatibilityGraph {
@@ -269,6 +274,8 @@ impl WordlengthCompatibilityGraph {
         self.intervals.clear();
         self.scheduled = false;
         self.pristine_valid = false;
+        self.bind_candidates.clear();
+        self.bind_candidates.extend(0..num_resources);
     }
 
     /// Captures the current — typically just-rebuilt, unrefined — `H`
@@ -303,6 +310,98 @@ impl WordlengthCompatibilityGraph {
         self.resource_cols.clone_from(&self.pristine_resource_cols);
         self.intervals.clear();
         self.scheduled = false;
+    }
+
+    /// Narrows [`bind_candidates`](Self::bind_candidates) to the resource
+    /// types that can win a `BindSelect` covering round for some `H` the
+    /// snapshot reaches: [`restore_pristine`](Self::restore_pristine)
+    /// followed by any [`refine_op`](Self::refine_op) sequence.
+    ///
+    /// Type `q` *dominates* `r` when `O(q) ⊇ O(r)`, `lat_q ≤ lat_r` and
+    /// `(area_q, q) < (area_r, r)` (areas counted as at least 1, as
+    /// `BindSelect` reads them).  A type is kept unless its snapshot column
+    /// is empty or a kept type dominates it.  Types are visited in
+    /// `(area, index)` order and checked only against the types already
+    /// kept: dominance is transitive, so a type dominated by a dropped one
+    /// is dominated by that one's kept dominator.  Dropping is exact:
+    ///
+    /// 1. *Persistence.*  `refine_op(o)` deletes exactly `o`'s edges at its
+    ///    bound `L_o`.  If it deletes `{o, q}` and `{o, r}` exists, then
+    ///    `lat_r ≤ L_o = lat_q ≤ lat_r`, so it deletes `{o, r}` too.  Hence
+    ///    `O(r) ⊆ O(q)` holds for every reachable `H`, and an empty column
+    ///    stays empty.
+    /// 2. *Never better.*  Chain lengths read only the schedule's
+    ///    intervals, so for every uncovered mask `len_q ≥ len_r`, and with
+    ///    `area_q ≤ area_r` the rounded ratio `len_q / area_q` is at least
+    ///    `len_r / area_r`.  Under `BindSelect`'s comparator — ratio within
+    ///    `f64::EPSILON`, then longer chain, then smaller area, then the
+    ///    lower index, which its ascending scan favours — `q ⪰ r`.
+    /// 3. *Removal changes no fold.*  With every area and the operation
+    ///    count below 2²⁴, two distinct ratios `l/a ≠ m/b` differ by at
+    ///    least `1/(ab) > 2⁻⁴⁸`, and rounding moves them by at most
+    ///    `2⁻⁵³(l/a + m/b)`, so after rounding they stay more than
+    ///    `EPSILON` apart while equal ratios round equally.  The comparator
+    ///    is then a strict total order, the scan returns its maximum, and
+    ///    removing a type that a present type outranks cannot change it.
+    ///    Outside that guard every type is kept.
+    ///
+    /// The round winner is therefore unchanged, and so is the
+    /// uncoverable-operation report: a non-empty column keeps a dominator
+    /// in the set.  [`attach_schedule`](Self::attach_schedule) renumbers
+    /// only the kept columns into end-rank space.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no snapshot was taken since the last rebuild.
+    pub fn prune_bind_candidates(&mut self) {
+        /// Bound on areas and operation counts under which the comparator's
+        /// ratio tolerance separates distinct ratios (step 3 above).
+        const EXACT_RATIO_LIMIT: u64 = 1 << 24;
+        assert!(
+            self.pristine_valid,
+            "prune_bind_candidates without a snapshot of the current problem"
+        );
+        let Self {
+            bind_candidates: kept,
+            areas,
+            latencies,
+            pristine_resource_cols: cols,
+            op_words: words,
+            upper,
+            ..
+        } = self;
+        let words = *words;
+        kept.clear();
+        kept.extend(0..areas.len());
+        if upper.len() as u64 >= EXACT_RATIO_LIMIT || areas.iter().any(|&a| a >= EXACT_RATIO_LIMIT)
+        {
+            return;
+        }
+        kept.sort_unstable_by_key(|&r| (areas[r].max(1), r));
+        let col = |r: usize| &cols[r * words..][..words];
+        let mut len = 0;
+        for i in 0..kept.len() {
+            let r = kept[i];
+            let dominated = col(r).iter().all(|&w| w == 0)
+                || kept[..len].iter().any(|&q| {
+                    latencies[q] <= latencies[r]
+                        && col(r).iter().zip(col(q)).all(|(&a, &b)| a & !b == 0)
+                });
+            if !dominated {
+                kept[len] = r;
+                len += 1;
+            }
+        }
+        kept.truncate(len);
+        kept.sort_unstable();
+    }
+
+    /// The resource types `BindSelect` scans, ascending: every type of a
+    /// freshly built graph, narrowed by
+    /// [`prune_bind_candidates`](Self::prune_bind_candidates).
+    #[must_use]
+    pub fn bind_candidates(&self) -> &[ResourceIndex] {
+        &self.bind_candidates
     }
 
     /// Words per operation-set mask (`ceil(|O| / 64)`) — the stride callers
@@ -517,7 +616,8 @@ impl WordlengthCompatibilityGraph {
     /// end — a suffix of the start order, which only grows along the
     /// reversed end order.  The second sweep also records each end rank's
     /// followers for [`max_chain_len`](Self::max_chain_len), and the `O(r)`
-    /// columns are renumbered into end-rank space in `O(|H|)`.  Every buffer
+    /// columns of the [`bind_candidates`](Self::bind_candidates) are
+    /// renumbered into end-rank space in `O(|H|)`.  Every buffer
     /// is reused, so repeated attach/detach cycles in the allocator loop are
     /// allocation-free.
     pub fn attach_schedule(&mut self, schedule: &Schedule, latencies: &OpLatencies) {
@@ -534,6 +634,7 @@ impl WordlengthCompatibilityGraph {
             compat,
             resource_cols,
             resources,
+            bind_candidates,
             ..
         } = self;
         intervals.clear();
@@ -592,7 +693,7 @@ impl WordlengthCompatibilityGraph {
 
         rank_cols.clear();
         rank_cols.resize(resources.len() * words, 0);
-        for r in 0..resources.len() {
+        for &r in bind_candidates.iter() {
             let out = &mut rank_cols[r * words..][..words];
             for (w, &word) in resource_cols[r * words..][..words].iter().enumerate() {
                 let mut bits = word;
@@ -733,7 +834,8 @@ impl WordlengthCompatibilityGraph {
     /// the length of the chain [`max_chain_into`](Self::max_chain_into)
     /// returns, without building it.  `uncovered` is indexed by
     /// [`end_rank`](Self::end_rank), stride
-    /// [`op_mask_words`](Self::op_mask_words).
+    /// [`op_mask_words`](Self::op_mask_words).  A resource outside
+    /// [`bind_candidates`](Self::bind_candidates) reads an empty column.
     ///
     /// An earliest-end greedy counts the maximum number of pairwise-disjoint
     /// intervals exactly: take the uncovered candidate with the lowest end
