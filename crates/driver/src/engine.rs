@@ -41,10 +41,9 @@ pub fn run_batch<C: CostModel + Sync>(
 /// every worker drains its per-job trace events into it; all workers share
 /// one epoch (timestamp zero) taken before the pool starts, and each worker
 /// renders into its own `tid` lane, so [`TraceSink::to_chrome_json`] yields
-/// a coherent multi-lane timeline.  The *report* stays bit-identical to an
-/// untraced run apart from the purely-diagnostic
-/// [`JobStats::stages`](crate::JobStats::stages) blocks — telemetry is
-/// write-only for the allocator (pinned by `tests/obs_determinism.rs`).
+/// a coherent multi-lane timeline.  The *report* is bit-identical to an
+/// untraced run: telemetry is write-only for the allocator and never rides
+/// the result (pinned by `tests/obs_determinism.rs`).
 pub fn run_batch_traced<C: CostModel + Sync>(
     jobs: &[BatchJob],
     cost: &C,

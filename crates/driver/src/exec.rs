@@ -31,6 +31,11 @@ use crate::report::{JobOutcome, JobStats, RtlCheck};
 /// [`JobOutcome::index`] and seeds the RTL stimulus when
 /// [`BatchJob::verify_rtl`] is set, so results depend only on the job and
 /// its index — never on which worker ran it.
+///
+/// When `scratch.obs` is recording, the job's stage time stays in the
+/// recorder for the caller to read beside the result
+/// ([`StageRecorder::take_stages`](mwl_obs::StageRecorder::take_stages));
+/// the returned outcome never carries telemetry.
 #[must_use]
 pub fn solve_job(
     index: usize,
@@ -59,55 +64,43 @@ pub fn solve_job(
             .allocate_with_scratch(&job.graph, scratch)
             .map(|outcome| (outcome, None)),
     };
-    let mut result = match solved {
-        Ok((outcome, portfolio)) => {
-            // One register binding serves both the certificate and the
-            // breakdown (Datapath::area_breakdown would bind a second time
-            // under non-zero storage coefficients).
-            let storage_timer = scratch.obs.start();
-            let binding = outcome.datapath.register_binding(&job.graph, cost);
-            scratch.obs.stop(Stage::Storage, storage_timer);
-            let storage = cost.storage_costs();
-            let rtl = job.verify_rtl.then(|| {
-                let rtl_timer = scratch.obs.start();
-                let check = rtl_check(index, job, &outcome.datapath, cost, rtl_vectors);
-                scratch.obs.stop(Stage::Rtl, rtl_timer);
-                check
-            });
-            Ok(JobStats {
-                lambda,
-                area: outcome.datapath.area(),
-                area_breakdown: AreaBreakdown {
-                    fu: outcome.datapath.area(),
-                    register: binding.register_bits() * storage.register_area_per_bit,
-                    mux: outcome.datapath.mux_input_bits() * storage.mux_area_per_input_bit,
-                },
-                certificate: binding.certificate,
-                latency: outcome.datapath.latency(),
-                instances: outcome.datapath.num_instances(),
-                refinements: outcome.refinements,
-                bound_escalations: outcome.bound_escalations,
-                merges: outcome.merges,
-                rtl,
-                portfolio,
-                stages: None,
-            })
+    let result = solved.map(|(outcome, portfolio)| {
+        // One register binding serves both the certificate and the
+        // breakdown (Datapath::area_breakdown would bind a second time
+        // under non-zero storage coefficients).
+        let storage_timer = scratch.obs.start();
+        let binding = outcome.datapath.register_binding(&job.graph, cost);
+        scratch.obs.stop(Stage::Storage, storage_timer);
+        let storage = cost.storage_costs();
+        let rtl = job.verify_rtl.then(|| {
+            let rtl_timer = scratch.obs.start();
+            let check = rtl_check(index, job, &outcome.datapath, cost, rtl_vectors);
+            scratch.obs.stop(Stage::Rtl, rtl_timer);
+            check
+        });
+        JobStats {
+            lambda,
+            area: outcome.datapath.area(),
+            area_breakdown: AreaBreakdown {
+                fu: outcome.datapath.area(),
+                register: binding.register_bits() * storage.register_area_per_bit,
+                mux: outcome.datapath.mux_input_bits() * storage.mux_area_per_input_bit,
+            },
+            certificate: binding.certificate,
+            latency: outcome.datapath.latency(),
+            instances: outcome.datapath.num_instances(),
+            refinements: outcome.refinements,
+            bound_escalations: outcome.bound_escalations,
+            merges: outcome.merges,
+            rtl,
+            portfolio,
         }
-        Err(e) => Err(e),
-    };
+    });
     scratch.obs.stop_with(
         Stage::Solve,
         solve_timer,
         vec![("job", ArgValue::Int(index as i64))],
     );
-    // Drain the recorder unconditionally so one job's timing can never leak
-    // into the next; attach it to the stats only when recording was on.
-    let stages = scratch.obs.take_stages();
-    if scratch.obs.enabled() {
-        if let Ok(stats) = &mut result {
-            stats.stages = Some(stages);
-        }
-    }
     JobOutcome {
         index,
         label: job.label.clone(),
@@ -205,6 +198,21 @@ mod tests {
         // Reusing the scratch across calls changes nothing.
         let again = solve_job(5, &job, &cost, 1, &mut scratch);
         assert_eq!(again.result.unwrap(), stats);
+    }
+
+    #[test]
+    fn stage_time_stays_in_the_callers_recorder() {
+        let cost = SonicCostModel::default();
+        let mut generator = TgffGenerator::new(TgffConfig::with_ops(9), 31);
+        let job = BatchJob::new("j", generator.generate(), LatencySpec::RelaxSteps(2));
+        let plain = solve_job(0, &job, &cost, 1, &mut AllocScratch::new());
+        let mut scratch = AllocScratch::new();
+        scratch.obs.set_mode(mwl_obs::ObsMode::Stages);
+        let staged = solve_job(0, &job, &cost, 1, &mut scratch);
+        assert_eq!(staged, plain);
+        let stages = scratch.obs.take_stages();
+        assert!(stages.get(Stage::Solve) > 0);
+        assert!(stages.get(Stage::Schedule) > 0);
     }
 
     #[test]

@@ -129,11 +129,11 @@ pub struct BatchOptions {
     /// Number of random stimulus vectors simulated per job when
     /// [`BatchJob::verify_rtl`] is set (clamped to at least 1 at run time).
     pub rtl_vectors: usize,
-    /// Stage-level telemetry mode (see [`mwl_obs::StageRecorder`]).  Off by
-    /// default; [`ObsMode::Stages`] fills [`crate::JobStats::stages`] per
-    /// job, [`ObsMode::Trace`] additionally emits Chrome trace events
-    /// (collected via [`crate::run_batch_traced`]).  Guaranteed
-    /// non-perturbing: datapath results are bit-identical in every mode.
+    /// Telemetry mode of each worker's stage recorder (see
+    /// [`mwl_obs::StageRecorder`]).  Off by default; [`ObsMode::Stages`]
+    /// times every stage, and [`ObsMode::Trace`] also emits Chrome trace
+    /// events (collected via [`crate::run_batch_traced`]).  Reports never
+    /// carry telemetry: they are bit-identical in every mode.
     pub obs: ObsMode,
 }
 

@@ -5,7 +5,6 @@ use std::fmt;
 use mwl_core::{AllocError, BindingCertificate, PortfolioStats};
 use mwl_model::{Area, AreaBreakdown, Cycles};
 use mwl_obs::json::{Json, ObjectBuilder};
-use mwl_obs::StageNanos;
 
 /// The outcome of the opt-in RTL equivalence oracle for one job
 /// (see [`crate::BatchJob::verify_rtl`]).
@@ -64,11 +63,6 @@ pub struct JobStats {
     /// [`PortfolioStats::area_saved`] records how much the race improved
     /// on the plain configuration (variant 0).
     pub portfolio: Option<PortfolioStats>,
-    /// Per-stage wall-clock breakdown of the job; `None` unless the batch
-    /// ran with [`crate::BatchOptions::obs`] enabled.  Purely diagnostic:
-    /// two reports that differ only here describe identical datapaths, and
-    /// the obs-off report is byte-identical to pre-telemetry output.
-    pub stages: Option<StageNanos>,
 }
 
 /// The result of one job: its label plus either stats or the allocation
@@ -120,9 +114,6 @@ pub struct BatchSummary {
     pub portfolio_improved: usize,
     /// Total area saved by portfolio winners relative to their baselines.
     pub portfolio_area_saved: Area,
-    /// Element-wise sum of per-job stage breakdowns over jobs that carried
-    /// one (all-zero when the batch ran without telemetry).
-    pub stages: StageNanos,
 }
 
 /// The deterministic result of a batch run.
@@ -166,9 +157,6 @@ impl BatchReport {
                         s.portfolio_improved += usize::from(p.winner != 0);
                         s.portfolio_area_saved += p.area_saved;
                     }
-                    if let Some(stages) = &stats.stages {
-                        s.stages.merge(stages);
-                    }
                 }
                 Err(_) => s.failed += 1,
             }
@@ -187,7 +175,7 @@ impl BatchReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let s = self.summary();
-        let mut summary = ObjectBuilder::new()
+        let summary = ObjectBuilder::new()
             .field("jobs", s.jobs)
             .field("succeeded", s.succeeded)
             .field("failed", s.failed)
@@ -203,9 +191,6 @@ impl BatchReport {
             .field("portfolio_jobs", s.portfolio_jobs)
             .field("portfolio_improved", s.portfolio_improved)
             .field("portfolio_area_saved", s.portfolio_area_saved);
-        if !s.stages.is_zero() {
-            summary = summary.field("stages", s.stages.to_json());
-        }
         ObjectBuilder::new()
             .field("summary", summary.build())
             .field(
@@ -273,9 +258,6 @@ impl JobOutcome {
                 portfolio = portfolio.field("variant0_area", v0);
             }
             outcome = outcome.field("portfolio", portfolio.build());
-        }
-        if let Some(stages) = &st.stages {
-            outcome = outcome.field("stages", stages.to_json());
         }
         outcome.build()
     }
@@ -375,7 +357,6 @@ mod tests {
                             variant0_area: Some(112),
                             area_saved: 12,
                         }),
-                        stages: None,
                     }),
                 },
                 JobOutcome {
@@ -499,32 +480,6 @@ mod tests {
             .to_json()
             .encode_pretty()
             .contains("\"failure\": \"vector 1 diverged\""));
-    }
-
-    #[test]
-    fn stage_breakdowns_reach_the_json_report_only_when_present() {
-        let without = sample_report();
-        assert!(!without.to_json().encode_pretty().contains("\"stages\""));
-        assert!(without.summary().stages.is_zero());
-
-        let mut with = sample_report();
-        if let Ok(st) = &mut with.outcomes[0].result {
-            let mut stages = StageNanos::default();
-            stages.add(mwl_obs::Stage::Schedule, 1_500);
-            stages.add(mwl_obs::Stage::Solve, 4_000);
-            st.stages = Some(stages);
-        }
-        let summary = with.summary();
-        assert_eq!(summary.stages.get(mwl_obs::Stage::Schedule), 1_500);
-        assert_eq!(summary.stages.get(mwl_obs::Stage::Solve), 4_000);
-        let json = with.to_json().encode_pretty();
-        assert!(json.contains("\"stages\": {\"schedule_ns\": 1500, \"bind_ns\": 0"));
-        assert!(json.contains("\"solve_ns\": 4000}"));
-        // Stripping the breakdowns restores the obs-off report exactly.
-        if let Ok(st) = &mut with.outcomes[0].result {
-            st.stages = None;
-        }
-        assert_eq!(with.to_json(), without.to_json());
     }
 
     /// The report's bytes are pinned: this is the document the batch

@@ -9,7 +9,6 @@
 
 use std::time::Instant;
 
-use crate::json::Json;
 use crate::trace::{ArgValue, TraceEvent};
 
 /// What a [`StageRecorder`] records.
@@ -103,8 +102,8 @@ impl Stage {
     }
 }
 
-/// Accumulated nanoseconds per [`Stage`]: a small `Copy` value that travels
-/// through job reports.
+/// Accumulated nanoseconds per [`Stage`]: a small `Copy` value its owner
+/// reads beside a result, never inside one.
 ///
 /// `Variant` and `Solve` are roll-ups — they *contain* the inner stages —
 /// so the entries are not disjoint and do not sum to wall-clock time.
@@ -138,22 +137,6 @@ impl StageNanos {
     pub fn is_zero(&self) -> bool {
         self.nanos.iter().all(|&n| n == 0)
     }
-
-    /// Iterates `(stage, nanos)` pairs in report order.
-    pub fn iter(&self) -> impl Iterator<Item = (Stage, u64)> + '_ {
-        Stage::ALL.into_iter().map(move |s| (s, self.get(s)))
-    }
-
-    /// The breakdown as a JSON object with `<stage>_ns` keys in report
-    /// order.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Object(
-            self.iter()
-                .map(|(stage, nanos)| (format!("{}_ns", stage.name()), nanos.into()))
-                .collect(),
-        )
-    }
 }
 
 /// A started (or inert) stage stopwatch; pair it with
@@ -183,24 +166,6 @@ pub struct StageRecorder {
 }
 
 impl StageRecorder {
-    /// The active mode.
-    #[must_use]
-    pub fn mode(&self) -> ObsMode {
-        self.mode
-    }
-
-    /// Whether any recording is active.
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.mode != ObsMode::Off
-    }
-
-    /// Whether trace events are being collected.
-    #[must_use]
-    pub fn tracing(&self) -> bool {
-        self.mode == ObsMode::Trace
-    }
-
     /// Switches the mode.  Entering [`ObsMode::Trace`] pins the trace epoch
     /// (timestamp zero) to *now* unless one was already set via
     /// [`set_trace_context`](Self::set_trace_context).
@@ -262,7 +227,7 @@ impl StageRecorder {
     }
 
     /// Returns the accumulated per-stage nanoseconds and resets them — the
-    /// per-job drain point used by the batch driver.
+    /// drain point of whoever owns the recorder's scratch.
     pub fn take_stages(&mut self) -> StageNanos {
         std::mem::take(&mut self.stages)
     }
@@ -280,7 +245,6 @@ mod tests {
     #[test]
     fn off_mode_records_nothing() {
         let mut rec = StageRecorder::default();
-        assert!(!rec.enabled());
         let t = rec.start();
         std::thread::sleep(std::time::Duration::from_millis(1));
         rec.stop(Stage::Schedule, t);
@@ -336,7 +300,7 @@ mod tests {
     }
 
     #[test]
-    fn stage_nanos_merge_and_iterate() {
+    fn stage_nanos_merge_saturates() {
         let mut a = StageNanos::default();
         a.add(Stage::Bind, 5);
         let mut b = StageNanos::default();
@@ -347,7 +311,6 @@ mod tests {
         assert_eq!(a.get(Stage::Solve), u64::MAX);
         a.add(Stage::Solve, 1); // saturates
         assert_eq!(a.get(Stage::Solve), u64::MAX);
-        assert_eq!(a.iter().count(), Stage::COUNT);
         assert!(!a.is_zero());
     }
 }

@@ -8,7 +8,7 @@
 //! pattern the load generator uses.
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpStream};
 
 use crate::wire::{
@@ -94,10 +94,7 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        self.writer.write_all(request.encode().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        self.send_raw(&request.encode())
     }
 
     /// Sends one raw, possibly malformed line verbatim (fault-injection
@@ -107,10 +104,7 @@ impl Client {
     ///
     /// Propagates write failures.
     pub fn send_raw(&mut self, line: &str) -> Result<(), ClientError> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(crate::net::write_line(&mut self.writer, line)?)
     }
 
     /// Reads the next line from the server, whatever it is.

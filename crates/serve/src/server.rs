@@ -29,7 +29,7 @@
 //! [`CODE_SHUTTING_DOWN`]: crate::wire::CODE_SHUTTING_DOWN
 
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -335,11 +335,7 @@ impl ConnOut {
             return;
         }
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let ok = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if ok.is_err() {
+        if crate::net::write_line(&mut *writer, line).is_err() {
             self.dead.store(true, Ordering::Relaxed);
         }
     }

@@ -935,30 +935,6 @@ impl WordlengthCompatibilityGraph {
         chain.reverse();
     }
 
-    /// The cheapest resource (by area) able to execute every operation in the
-    /// given set, if one exists.
-    #[must_use]
-    pub fn cheapest_common_resource(&self, ops: &[OpId]) -> Option<ResourceIndex> {
-        // AND the op rows word by word; surviving bits are the common
-        // resources (with no operations, every resource is common).
-        let mut best: Option<ResourceIndex> = None;
-        for w in 0..self.res_words {
-            let common = ops.iter().fold(u64::MAX, |acc, o| {
-                acc & self.op_rows[o.index() * self.res_words + w]
-            });
-            for b in set_bits(&[common]) {
-                let r = w * WORD_BITS + b;
-                if r >= self.resources.len() {
-                    break;
-                }
-                if best.is_none_or(|c| (self.areas[r], r) < (self.areas[c], c)) {
-                    best = Some(r);
-                }
-            }
-        }
-        best
-    }
-
     /// Candidate lists in the shape expected by
     /// [`mwl_sched::scheduling_set`]: entry `i` lists the resource indices
     /// compatible with operation `i`.
@@ -1228,25 +1204,6 @@ mod tests {
         let covered = vec![true; g.len()];
         assert!(max_chain(&wcg, 0, &covered).is_empty());
         assert_eq!(wcg.max_chain_len(0, &uncovered_ranks(&wcg, &covered)), 0);
-    }
-
-    #[test]
-    fn cheapest_common_resource() {
-        let (_, wcg) = sample();
-        // Small and mid multiplications share the 12x10 type (cheaper than
-        // 16x16); all three multiplications only share the 16x16 type.
-        let r = wcg
-            .cheapest_common_resource(&[OpId::new(0), OpId::new(1)])
-            .unwrap();
-        assert_eq!(*wcg.resource(r), ResourceType::multiplier(12, 10));
-        let r = wcg
-            .cheapest_common_resource(&[OpId::new(0), OpId::new(1), OpId::new(2)])
-            .unwrap();
-        assert_eq!(*wcg.resource(r), ResourceType::multiplier(16, 16));
-        // No resource executes both a multiplication and an addition.
-        assert!(wcg
-            .cheapest_common_resource(&[OpId::new(0), OpId::new(3)])
-            .is_none());
     }
 
     #[test]

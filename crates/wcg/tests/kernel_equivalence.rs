@@ -59,11 +59,10 @@ fn build(case: &Case) -> SequencingGraph {
 }
 
 /// The naive model: a dense `bool` edge matrix, resource latencies and
-/// areas, and (once scheduled) the execution intervals.
+/// (once scheduled) the execution intervals.
 struct Naive {
     edges: Vec<Vec<bool>>,
     latencies: Vec<Cycles>,
-    areas: Vec<u64>,
     intervals: Vec<(Cycles, Cycles)>,
 }
 
@@ -79,7 +78,6 @@ impl Naive {
                 .map(|op| resources.iter().map(|r| r.covers(op.shape())).collect())
                 .collect(),
             latencies: resources.iter().map(|r| cost.latency(r)).collect(),
-            areas: resources.iter().map(|r| cost.area(r)).collect(),
             intervals: Vec::new(),
         }
     }
@@ -174,12 +172,6 @@ impl Naive {
         chain.reverse();
         chain
     }
-
-    fn cheapest_common(&self, ops: &[OpId]) -> Option<usize> {
-        (0..self.latencies.len())
-            .filter(|&r| ops.iter().all(|o| self.edges[o.index()][r]))
-            .min_by_key(|&r| (self.areas[r], r))
-    }
 }
 
 /// Asserts the whole edge relation and every per-op / per-resource query
@@ -262,24 +254,12 @@ fn scheduled(graph: &SequencingGraph) -> (WordlengthCompatibilityGraph, Naive) {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Structural queries match the naive edge relation, and
-    /// `cheapest_common_resource` matches a scan over all resources for
-    /// arbitrary op subsets (the empty subset included).
+    /// Structural queries match the naive edge relation.
     #[test]
-    fn structure_queries_match_naive(case in case_strategy(), subset_seed in any::<u64>()) {
+    fn structure_queries_match_naive(case in case_strategy()) {
         let graph = build(&case);
         let (wcg, naive) = scheduled(&graph);
         assert_structure(&graph, &wcg, &naive);
-
-        prop_assert_eq!(wcg.cheapest_common_resource(&[]), naive.cheapest_common(&[]));
-        let mut state = subset_seed;
-        for _ in 0..8 {
-            let subset = sample_subset(&graph, &mut state);
-            prop_assert_eq!(
-                wcg.cheapest_common_resource(&subset),
-                naive.cheapest_common(&subset)
-            );
-        }
     }
 
     /// `compatible`, `is_chain` and `mask_is_chain` match the pairwise

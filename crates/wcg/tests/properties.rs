@@ -124,33 +124,4 @@ proptest! {
             prop_assert!(wcg.compatible(e.from, e.to));
         }
     }
-
-    /// The cheapest common resource of a chain covers every member and no
-    /// cheaper resource does.
-    #[test]
-    fn cheapest_common_resource_is_minimal(ops in 1usize..12, seed in any::<u64>()) {
-        let graph = TgffGenerator::new(TgffConfig::with_ops(ops), seed).generate();
-        let cost = SonicCostModel::default();
-        let wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
-        // Use each class's full operation set as the probe group.
-        for class_ops in [
-            graph.op_ids().filter(|&o| graph.operation(o).kind().is_additive()).collect::<Vec<_>>(),
-            graph.op_ids().filter(|&o| !graph.operation(o).kind().is_additive()).collect::<Vec<_>>(),
-        ] {
-            if class_ops.is_empty() {
-                continue;
-            }
-            let chosen = wcg.cheapest_common_resource(&class_ops);
-            prop_assert!(chosen.is_some());
-            let chosen = chosen.unwrap();
-            for &op in &class_ops {
-                prop_assert!(wcg.has_edge(op, chosen));
-            }
-            for r in 0..wcg.resources().len() {
-                if wcg.resource_area(r) < wcg.resource_area(chosen) {
-                    prop_assert!(!class_ops.iter().all(|&op| wcg.has_edge(op, r)));
-                }
-            }
-        }
-    }
 }
