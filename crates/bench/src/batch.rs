@@ -1,20 +1,15 @@
-//! Batch-allocation throughput sweep over deterministic scenario families.
+//! The deterministic scenario mix every gate runs.
 //!
 //! Builds a reproducible job set spanning seven scenario families — the
 //! paper's TGFF-style layered graphs plus wide/deep/diamond shapes, tight
-//! and loose λ budgets, and bimodal "mixed" wordlength spreads — runs it
-//! through [`mwl_driver::run_batch`] at several worker counts (one
-//! [`measure::worker_sweep`]), verifies the reports are bit-identical, and
-//! reports throughput in graphs per second.
+//! and loose λ budgets, and bimodal "mixed" wordlength spreads.  The perf,
+//! observability, portfolio and ablation gates, `loadgen` and the
+//! `mwlbench` workloads all draw their jobs from [`scenario_jobs`].
 
-use mwl_driver::{
-    area_breakdown_json, run_batch, BatchJob, BatchOptions, BatchReport, LatencySpec,
-};
-use mwl_model::SonicCostModel;
-use mwl_obs::json::{rounded, Check, Json, ObjectBuilder};
+use mwl_driver::{BatchJob, LatencySpec};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
-use crate::measure::{self, worker_sweep, WorkerRow};
+use crate::measure;
 
 /// One scenario family: a name, a graph recipe and a λ budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +24,7 @@ pub struct ScenarioFamily {
     pub latency: LatencySpec,
 }
 
-/// The seven scenario families of the batch sweep.
+/// The seven scenario families of the mix.
 #[must_use]
 pub fn scenario_families() -> Vec<ScenarioFamily> {
     vec![
@@ -78,7 +73,7 @@ pub fn scenario_families() -> Vec<ScenarioFamily> {
     ]
 }
 
-/// Parameters of the batch sweep.
+/// Parameters of the scenario mix and the worker counts a gate runs it at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchSweepConfig {
     /// Graphs generated per scenario family.
@@ -87,14 +82,14 @@ pub struct BatchSweepConfig {
     pub sizes: Vec<usize>,
     /// Seed of the first graph (job `i` of a family uses `seed + i`).
     pub seed: u64,
-    /// Worker counts to measure, in order; every report is checked against
-    /// the 1-worker reference run.
+    /// Worker counts a gate runs the mix at, in order; every run is checked
+    /// against the 1-worker reference.
     pub worker_counts: Vec<usize>,
 }
 
 impl BatchSweepConfig {
-    /// The default sweep: enough work per family for throughput numbers to
-    /// mean something, measured at 1, 2, 4 and all-hardware-threads workers.
+    /// The default mix: enough work per family for throughput numbers to
+    /// mean something, at 1, 2, 4 and all-hardware-threads workers.
     #[must_use]
     pub fn quick() -> Self {
         let mut worker_counts = vec![1, 2, 4, measure::cores()];
@@ -108,7 +103,7 @@ impl BatchSweepConfig {
         }
     }
 
-    /// A seconds-scale sweep for CI: two graphs per family at 1 and 2
+    /// A seconds-scale mix for CI: two graphs per family at 1 and 2
     /// workers.
     #[must_use]
     pub fn smoke() -> Self {
@@ -127,7 +122,7 @@ impl BatchSweepConfig {
         self
     }
 
-    /// Overrides the measured worker counts.
+    /// Overrides the worker counts.
     #[must_use]
     pub fn with_worker_counts(mut self, workers: Vec<usize>) -> Self {
         if !workers.is_empty() {
@@ -143,7 +138,7 @@ impl Default for BatchSweepConfig {
     }
 }
 
-/// Builds the deterministic job set of the sweep: `graphs_per_family` jobs
+/// Builds the deterministic job set of the mix: `graphs_per_family` jobs
 /// per scenario family, labelled `family/|O|/seed`.
 #[must_use]
 pub fn scenario_jobs(config: &BatchSweepConfig) -> Vec<BatchJob> {
@@ -167,162 +162,6 @@ pub fn scenario_jobs(config: &BatchSweepConfig) -> Vec<BatchJob> {
     jobs
 }
 
-/// Aggregate results of one scenario family (from the reference run).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FamilyResult {
-    /// Family name.
-    pub name: &'static str,
-    /// Jobs in the family.
-    pub jobs: usize,
-    /// Jobs that produced a datapath.
-    pub succeeded: usize,
-    /// Sum of datapath areas.
-    pub total_area: u64,
-    /// Sum of accepted instance merges.
-    pub total_merges: usize,
-}
-
-/// The full result of a batch sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchSweepResults {
-    /// Total jobs in the sweep.
-    pub jobs: usize,
-    /// Per-family aggregates from the reference run.
-    pub families: Vec<FamilyResult>,
-    /// One row per measured worker count.
-    pub throughput: Vec<WorkerRow>,
-    /// The reference (1-worker) report.
-    pub reference: BatchReport,
-}
-
-impl BatchSweepResults {
-    /// Whether every measured worker count reproduced the reference report.
-    #[must_use]
-    fn all_identical(&self) -> bool {
-        self.throughput.iter().all(|row| row.identical)
-    }
-
-    /// Renders a text table.
-    #[must_use]
-    pub fn render_text(&self) -> String {
-        let mut out = format!(
-            "Batch sweep: {} jobs over {} families\n",
-            self.jobs,
-            self.families.len()
-        );
-        out.push_str("family        jobs   ok   total area   merges\n");
-        for f in &self.families {
-            out.push_str(&format!(
-                "{:<13} {:>4} {:>4} {:>12} {:>8}\n",
-                f.name, f.jobs, f.succeeded, f.total_area, f.total_merges
-            ));
-        }
-        out.push_str("\nworkers   seconds   graphs/sec   identical\n");
-        for t in &self.throughput {
-            out.push_str(&format!(
-                "{:>7} {:>9.3} {:>12.1} {:>11}\n",
-                t.workers, t.seconds, t.graphs_per_sec, t.identical
-            ));
-        }
-        out
-    }
-
-    /// Every assertion `results/BENCH_batch.json` violates, given the
-    /// worker counts the sweep ran at; the sweep exits on it.
-    #[must_use]
-    pub fn check(doc: &Json, worker_counts: &[usize]) -> Vec<String> {
-        let mut c = Check::new(doc);
-        c.is("all_identical", true);
-        c.is("failed", 0u64);
-        let names: Vec<Json> = scenario_families().iter().map(|f| f.name.into()).collect();
-        let rows = c.column("families", "name") == names;
-        c.require(rows, "families", "not one row per scenario family");
-        let counts: Vec<Json> = worker_counts.iter().map(|&w| w.into()).collect();
-        let rows = !counts.is_empty() && c.column("throughput", "workers") == counts;
-        let message = format!("rows not at {worker_counts:?} workers");
-        c.require(rows, "throughput", &message);
-        c.same("area_breakdown.fu", "total_area");
-        c.finish()
-    }
-
-    /// The machine-readable `results/BENCH_batch.json` document.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let summary = self.reference.summary();
-        let families = self.families.iter().map(|f| {
-            ObjectBuilder::new()
-                .field("name", f.name)
-                .field("jobs", f.jobs)
-                .field("succeeded", f.succeeded)
-                .field("total_area", f.total_area)
-                .field("total_merges", f.total_merges)
-                .build()
-        });
-        let throughput = self.throughput.iter().map(|t| {
-            ObjectBuilder::new()
-                .field("workers", t.workers)
-                .field("seconds", rounded(t.seconds, 6))
-                .field("graphs_per_sec", rounded(t.graphs_per_sec, 3))
-                .field("identical", t.identical)
-                .build()
-        });
-        ObjectBuilder::new()
-            .field("jobs", self.jobs)
-            .field("succeeded", summary.succeeded)
-            .field("failed", summary.failed)
-            .field("all_identical", self.all_identical())
-            .field("total_area", summary.total_area)
-            .field(
-                "area_breakdown",
-                area_breakdown_json(&summary.area_breakdown),
-            )
-            .field("families", families.collect::<Json>())
-            .field("throughput", throughput.collect::<Json>())
-            .build()
-    }
-}
-
-/// Runs the sweep: builds the job set, measures each configured worker
-/// count once, and verifies every report against the 1-worker reference.
-#[must_use]
-pub fn run_batch_sweep(config: &BatchSweepConfig) -> BatchSweepResults {
-    let cost = SonicCostModel::default();
-    let jobs = scenario_jobs(config);
-    let reference = run_batch(&jobs, &cost, &BatchOptions::sequential());
-    let throughput = worker_sweep(&jobs, &cost, &config.worker_counts, 1, &reference);
-
-    let mut families = Vec::new();
-    for family in scenario_families() {
-        let prefix = format!("{}/", family.name);
-        let mut result = FamilyResult {
-            name: family.name,
-            jobs: 0,
-            succeeded: 0,
-            total_area: 0,
-            total_merges: 0,
-        };
-        for outcome in &reference.outcomes {
-            if !outcome.label.starts_with(&prefix) {
-                continue;
-            }
-            result.jobs += 1;
-            if let Ok(stats) = &outcome.result {
-                result.succeeded += 1;
-                result.total_area += stats.area;
-                result.total_merges += stats.merges;
-            }
-        }
-        families.push(result);
-    }
-
-    BatchSweepResults {
-        jobs: jobs.len(),
-        families,
-        throughput,
-        reference,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,32 +178,6 @@ mod tests {
         }
         assert!(a.iter().any(|j| j.label.starts_with("diamond/")));
         assert!(a.iter().any(|j| j.label.starts_with("mixed-widths/")));
-    }
-
-    #[test]
-    fn smoke_sweep_passes_its_check_and_names_a_planted_violation() {
-        let results = run_batch_sweep(&BatchSweepConfig::smoke());
-        let text = results.to_json().encode_pretty();
-        let violations = BatchSweepResults::check(&Json::parse(&text).unwrap(), &[1, 2]);
-        assert_eq!(violations, Vec::<String>::new());
-        assert_eq!(results.jobs, 7 * 2);
-        for f in &results.families {
-            assert_eq!((f.jobs, f.succeeded), (2, 2), "family {}", f.name);
-        }
-        let rows = results
-            .throughput
-            .iter()
-            .map(|t| (t.workers, t.graphs_per_sec > 0.0));
-        assert_eq!(rows.collect::<Vec<_>>(), [(1, true), (2, true)]);
-        assert!(results.render_text().contains("graphs/sec"));
-
-        let planted = text.replace("\"all_identical\": true", "\"all_identical\": false");
-        let violations = BatchSweepResults::check(&Json::parse(&planted).unwrap(), &[1, 2]);
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        assert!(
-            violations[0].starts_with("all_identical: "),
-            "{violations:?}"
-        );
     }
 
     #[test]

@@ -29,13 +29,13 @@ fn main() {
     let out_path = args.value("--out").unwrap_or("BENCH_alloc.json");
     eprintln!(
         "running perf gate ({}, best of {} reps at {:?} workers)...",
-        config.scenario, config.repetitions, config.worker_counts
+        config.scenario, config.repetitions, config.sweep.worker_counts
     );
     let results = run_perf_gate(&config);
     println!("{}", results.render_text());
 
     write_checked(out_path, &results.to_json(), |doc| {
-        PerfGateResults::check(doc, &config.worker_counts)
+        PerfGateResults::check(doc, &config.sweep.worker_counts)
     });
     if args.flag("--enforce") && !results.meets_single_thread_target() {
         eprintln!(

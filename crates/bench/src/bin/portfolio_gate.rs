@@ -31,11 +31,11 @@ fn main() {
     let out_path = args.value("--out").unwrap_or("BENCH_portfolio.json");
     eprintln!(
         "running portfolio gate ({}, {} variants, seed {}, determinism at {:?} workers)...",
-        config.scenario, config.variants, config.seed, config.worker_counts
+        config.scenario, config.variants, config.seed, config.sweep.worker_counts
     );
     let results = run_portfolio_gate(&config);
     println!("{}", results.render_text());
     write_checked(out_path, &results.to_json(), |doc| {
-        PortfolioGateResults::check(doc, &config.worker_counts)
+        PortfolioGateResults::check(doc, &config.sweep.worker_counts)
     });
 }

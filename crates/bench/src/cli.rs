@@ -2,10 +2,10 @@
 //! shares: one argument parser and one way to write an output file.
 //!
 //! A binary names the flags it accepts (`--smoke`, `--paper`, …) and the
-//! options that take a value (`--graphs N`, `--reps N`, `--workers A,B,C`,
-//! `--out PATH`, …).  An unknown argument, an option without its value, or
-//! a count that is not a positive integer ends the process with exit code
-//! 2 and the binary's usage line.
+//! options that take a value (`--graphs N`, `--reps N`, `--out PATH`, …).
+//! An unknown argument, an option without its value, or a count that is
+//! not a positive integer ends the process with exit code 2 and the
+//! binary's usage line.
 
 use std::path::Path;
 
@@ -62,19 +62,6 @@ impl Args {
             positive(value)
                 .unwrap_or_else(|| self.usage_error(&format!("{name} expects a positive integer"))),
         )
-    }
-
-    /// The option's value as a comma-separated list of positive integers,
-    /// if it was given.
-    #[must_use]
-    pub fn counts(&self, name: &str) -> Option<Vec<usize>> {
-        let value = self.value(name)?;
-        let counts: Option<Vec<usize>> = value.split(',').map(|v| positive(v.trim())).collect();
-        Some(counts.unwrap_or_else(|| {
-            self.usage_error(&format!(
-                "{name} expects a comma-separated list of positive integers"
-            ))
-        }))
     }
 
     /// Prints `message` and the usage line, then exits with code 2.

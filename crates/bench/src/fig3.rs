@@ -5,10 +5,11 @@ use serde::{Deserialize, Serialize};
 
 use mwl_baselines::TwoStageAllocator;
 use mwl_core::{AllocConfig, DpAllocator};
+use mwl_driver::LatencySpec;
 use mwl_model::SonicCostModel;
 use mwl_tgff::{TgffConfig, TgffGenerator};
 
-use crate::sweep::{lambda_min, relax_constraint, SweepConfig};
+use crate::sweep::SweepConfig;
 
 /// Parameters of the Figure 3 sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,8 +134,7 @@ pub fn run_fig3(config: &Fig3Config) -> Fig3Results {
             let mut counted = 0usize;
             for _ in 0..config.sweep.graphs_per_point {
                 let graph = generator.generate();
-                let minimum = lambda_min(&graph, &cost);
-                let lambda = relax_constraint(minimum, relax);
+                let lambda = LatencySpec::RelaxPercent(relax).resolve(&graph, &cost);
                 let heuristic = DpAllocator::new(&cost, AllocConfig::new(lambda)).allocate(&graph);
                 let two_stage = TwoStageAllocator::new(&cost, lambda).allocate(&graph);
                 if let (Ok(h), Ok(t)) = (heuristic, two_stage) {

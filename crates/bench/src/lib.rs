@@ -11,15 +11,14 @@
 //! | Figure 4 — area premium of the heuristic over the ILP optimum \[5\], vs `|O|` | [`run_fig4`] | `fig4` |
 //! | Figure 5 — execution time vs `|O|` for heuristic and ILP | [`run_fig5`] | `fig5` |
 //! | Table 2 — execution time vs `λ/λ_min` for 9-operation graphs | [`run_table2`] | `table2` |
-//! | Batch throughput over the TGFF + scenario families (beyond the paper) | [`run_batch_sweep`] | `batch_sweep` |
-//! | Allocation hot-path perf gate: optimized vs frozen reference, bit-identity, committed `BENCH_alloc.json` | [`run_perf_gate`] | `perf_gate` |
+//! | Allocation hot-path perf gate: optimized vs frozen reference, bit-identity, batch throughput per worker count, committed `BENCH_alloc.json` | [`run_perf_gate`] | `perf_gate` |
 //! | Portfolio gate: racing-allocator determinism, never-worse and ILP gap-closed checks, committed `BENCH_portfolio.json` | [`run_portfolio_gate`] | `portfolio_gate` |
-//! | Observability gate: telemetry non-perturbation and overhead bounds, committed `BENCH_obs.json` | [`run_obs_gate`] | `obs_gate` |
+//! | Observability gate: telemetry non-perturbation and overhead bounds, committed `BENCH_obs.json`; `--trace-out` adds a Chrome trace of the mix | [`run_obs_gate`] | `obs_gate` |
 //! | Ablation gate: area each part of the heuristic (clique growth, refinement rule, instance merge) is worth, committed `BENCH_ablation.json` | [`run_ablation`] | `ablation` |
 //!
-//! The gates and the batch sweep time their code through [`measure`], the
-//! crate's one measurement harness, and every binary reads its arguments
-//! through [`cli::Args`].
+//! Every gate runs the deterministic scenario mix of [`scenario_jobs`] and
+//! times its code through [`measure`], the crate's one measurement
+//! harness; every binary reads its arguments through [`cli::Args`].
 //!
 //! The paper runs 200 random graphs per data point on a Pentium III 450;
 //! [`SweepConfig::paper`] reproduces those counts, while
@@ -50,10 +49,7 @@ mod sweep;
 mod table2;
 
 pub use ablation::{run_ablation, AblationResults, AblationTotals, ArmResult};
-pub use batch::{
-    run_batch_sweep, scenario_families, scenario_jobs, BatchSweepConfig, BatchSweepResults,
-    FamilyResult, ScenarioFamily,
-};
+pub use batch::{scenario_families, scenario_jobs, BatchSweepConfig, ScenarioFamily};
 pub use fig3::{run_fig3, Fig3Cell, Fig3Config, Fig3Results};
 pub use fig4::{run_fig4, Fig4Config, Fig4Results, Fig4Row};
 pub use fig5::{run_fig5, Fig5Config, Fig5Results, Fig5Row};
@@ -68,5 +64,5 @@ pub use perf::{
 pub use portfolio::{
     run_portfolio_gate, FamilyGateRow, IlpGapRow, PortfolioGateConfig, PortfolioGateResults,
 };
-pub use sweep::{lambda_min, relax_constraint, SweepConfig};
+pub use sweep::{lambda_min, SweepConfig};
 pub use table2::{run_table2, Table2Config, Table2Results, Table2Row};

@@ -1,10 +1,10 @@
 //! The observability **gate**: telemetry must be free when off and nearly
 //! free when on.
 //!
-//! Runs the `batch_sweep` scenario mix through the batch driver four ways —
-//! observability off, off again, stage-timing mode, and full tracing — as
-//! the arms of one [`measure::interleaved`] call, so they share whatever
-//! clock or scheduler drift the machine has.  The gate then checks, in
+//! Runs the scenario mix through the batch driver four ways — observability
+//! off, off again, stage-timing mode, and full tracing — as the arms of one
+//! [`measure::interleaved`] call, so they share whatever clock or scheduler
+//! drift the machine has.  The gate then checks, in
 //! decreasing order of hardness:
 //!
 //! 1. **Bit-identity** (the hard gate): every arm's report equals the
@@ -61,7 +61,8 @@ const SCHEMA: &str = "mwl_obs_gate_v1";
 /// Parameters of one observability-gate run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsGateConfig {
-    /// The scenario mix (the same generator as `batch_sweep`).
+    /// The scenario mix; the gate's arms run it on one worker, and the
+    /// binary's `--trace-out` pass at its highest worker count.
     pub sweep: BatchSweepConfig,
     /// Label recorded in the JSON (`"batch_sweep_smoke"` / `"batch_sweep_quick"`).
     pub scenario: &'static str,
@@ -70,8 +71,8 @@ pub struct ObsGateConfig {
 }
 
 impl ObsGateConfig {
-    /// The CI configuration: the `batch_sweep` families at larger problem
-    /// sizes than the throughput smoke, best of 5.  Overhead is a ratio of
+    /// The CI configuration: the scenario families at larger problem
+    /// sizes than the perf gate's smoke mix, best of 5.  Overhead is a ratio of
     /// span bookkeeping to span *bodies*, so the mix must be heavy enough
     /// for each stage to do real work — millisecond-scale passes measure
     /// the clock, not the telemetry.

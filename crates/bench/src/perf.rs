@@ -3,7 +3,7 @@
 //!
 //! Measures single-thread allocation throughput (graphs per second) of the
 //! optimized allocator against the frozen pre-optimization implementation
-//! ([`mwl_core::reference`]) on the `batch_sweep` scenario mix, verifies the
+//! ([`mwl_core::reference`]) on the scenario mix, verifies the
 //! two are **bit-identical** (merging on and off), measures the batch driver
 //! at several worker counts (verifying report identity), and writes a
 //! schema-stable `BENCH_alloc.json` — committed at the repository root,
@@ -54,26 +54,23 @@ const SCHEMA: &str = "mwl_perf_gate_v3";
 /// Parameters of one perf-gate run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerfGateConfig {
-    /// The scenario mix (the same generator as `batch_sweep`).
+    /// The scenario mix and the worker counts measured through the batch
+    /// driver.
     pub sweep: BatchSweepConfig,
     /// Label recorded in the JSON (`"batch_sweep_smoke"` / `"batch_sweep_quick"`).
     pub scenario: &'static str,
     /// Timing repetitions per measurement; the fastest repetition is kept.
     pub repetitions: usize,
-    /// Worker counts measured through the batch driver.
-    pub worker_counts: Vec<usize>,
 }
 
 impl PerfGateConfig {
-    /// The CI configuration: the `batch_sweep --smoke` scenario mix at
-    /// 1/2/4 workers.
+    /// The CI configuration: the smoke scenario mix at 1/2/4 workers.
     #[must_use]
     pub fn smoke() -> Self {
         PerfGateConfig {
-            sweep: BatchSweepConfig::smoke(),
+            sweep: BatchSweepConfig::smoke().with_worker_counts(vec![1, 2, 4]),
             scenario: "batch_sweep_smoke",
             repetitions: 5,
-            worker_counts: vec![1, 2, 4],
         }
     }
 
@@ -81,10 +78,9 @@ impl PerfGateConfig {
     #[must_use]
     pub fn quick() -> Self {
         PerfGateConfig {
-            sweep: BatchSweepConfig::quick(),
+            sweep: BatchSweepConfig::quick().with_worker_counts(vec![1, 2, 4]),
             scenario: "batch_sweep_quick",
             repetitions: 3,
-            worker_counts: vec![1, 2, 4],
         }
     }
 }
@@ -390,7 +386,7 @@ pub fn run_perf_gate(config: &PerfGateConfig) -> PerfGateResults {
     let workers = worker_sweep(
         &jobs,
         &cost,
-        &config.worker_counts,
+        &config.sweep.worker_counts,
         config.repetitions,
         &reference_report,
     );
@@ -442,7 +438,6 @@ mod tests {
             sweep: BatchSweepConfig::smoke().with_graphs(1),
             scenario: "test_tiny",
             repetitions: 1,
-            worker_counts: vec![1, 2],
         }
     }
 

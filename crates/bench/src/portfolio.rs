@@ -39,7 +39,10 @@ const SCHEMA: &str = "mwl_portfolio_gate_v1";
 /// Parameters of a portfolio-gate run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortfolioGateConfig {
-    /// The scenario mix raced by the gate.
+    /// The scenario mix raced by the gate, and the worker counts its
+    /// determinism check runs at (each count must reproduce the first bit
+    /// for bit; the first count is also rerun once to catch any run-to-run
+    /// drift).
     pub sweep: BatchSweepConfig,
     /// Scenario label recorded in the results.
     pub scenario: &'static str,
@@ -47,10 +50,6 @@ pub struct PortfolioGateConfig {
     pub seed: u64,
     /// Variants per portfolio (variant 0 is always the plain allocator).
     pub variants: usize,
-    /// Worker counts the determinism check runs at (each count must
-    /// reproduce the first bit for bit; the first count is also rerun once
-    /// to catch any run-to-run drift).
-    pub worker_counts: Vec<usize>,
     /// Problem sizes |O| of the ILP gap study.
     pub ilp_sizes: Vec<usize>,
     /// Graphs per ILP problem size.
@@ -65,11 +64,10 @@ impl PortfolioGateConfig {
     #[must_use]
     pub fn smoke() -> Self {
         PortfolioGateConfig {
-            sweep: BatchSweepConfig::smoke(),
+            sweep: BatchSweepConfig::smoke().with_worker_counts(vec![1, 2, 4]),
             scenario: "smoke",
             seed: 2001,
             variants: 8,
-            worker_counts: vec![1, 2, 4],
             ilp_sizes: vec![5, 6, 8],
             ilp_graphs_per_size: 2,
             ilp_time_limit: Duration::from_secs(2),
@@ -80,11 +78,12 @@ impl PortfolioGateConfig {
     #[must_use]
     pub fn quick() -> Self {
         PortfolioGateConfig {
-            sweep: BatchSweepConfig::quick().with_graphs(6),
+            sweep: BatchSweepConfig::quick()
+                .with_graphs(6)
+                .with_worker_counts(vec![1, 2, 4]),
             scenario: "quick",
             seed: 2001,
             variants: 12,
-            worker_counts: vec![1, 2, 4],
             ilp_sizes: vec![5, 6, 7, 8, 9, 10],
             ilp_graphs_per_size: 3,
             ilp_time_limit: Duration::from_secs(5),
@@ -413,8 +412,8 @@ pub fn run_portfolio_gate(config: &PortfolioGateConfig) -> PortfolioGateResults 
         // Every configured worker count — plus one same-count rerun to
         // catch run-to-run drift — must reproduce the reference outcome
         // bit for bit.
-        let mut rerun_counts: Vec<usize> = config.worker_counts.clone();
-        rerun_counts.push(*config.worker_counts.first().unwrap_or(&1));
+        let mut rerun_counts: Vec<usize> = config.sweep.worker_counts.clone();
+        rerun_counts.push(*config.sweep.worker_counts.first().unwrap_or(&1));
         for &workers in &rerun_counts {
             let again = run_portfolio(&cost, &job.graph, &base, spec, workers);
             determinism_runs += 1;
@@ -473,7 +472,7 @@ pub fn run_portfolio_gate(config: &PortfolioGateConfig) -> PortfolioGateResults 
         improved,
         regressed,
         families,
-        worker_counts: config.worker_counts.clone(),
+        worker_counts: config.sweep.worker_counts.clone(),
         determinism_runs,
         determinism_ok,
         ilp,
@@ -549,7 +548,6 @@ mod tests {
             scenario: "tiny",
             seed: 2001,
             variants: 5,
-            worker_counts: vec![1, 2],
             ilp_sizes: vec![3],
             ilp_graphs_per_size: 1,
             ilp_time_limit: Duration::from_secs(1),

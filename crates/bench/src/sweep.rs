@@ -64,14 +64,6 @@ pub fn lambda_min(graph: &SequencingGraph, cost: &dyn CostModel) -> Cycles {
     critical_path_length(graph, &native)
 }
 
-/// The latency constraint for a relative relaxation of `λ_min`
-/// (`relax_percent = 0` gives `λ_min`, `30` gives `⌈1.3·λ_min⌉`).
-#[must_use]
-pub fn relax_constraint(minimum: Cycles, relax_percent: u32) -> Cycles {
-    let scaled = (f64::from(minimum) * (1.0 + f64::from(relax_percent) / 100.0)).ceil();
-    (scaled as Cycles).max(minimum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,18 +79,13 @@ mod tests {
     }
 
     #[test]
-    fn lambda_min_and_relaxation() {
+    fn lambda_min_of_a_chain() {
         let mut b = SequencingGraphBuilder::new();
         let x = b.add_operation(OpShape::multiplier(8, 8));
         let y = b.add_operation(OpShape::adder(16));
         b.add_dependency(x, y).unwrap();
         let g = b.build().unwrap();
         let cost = SonicCostModel::default();
-        let min = lambda_min(&g, &cost);
-        assert_eq!(min, 4);
-        assert_eq!(relax_constraint(min, 0), 4);
-        assert_eq!(relax_constraint(min, 30), 6); // ceil(5.2)
-        assert_eq!(relax_constraint(10, 5), 11); // ceil(10.5)
-        assert_eq!(relax_constraint(0, 30), 0);
+        assert_eq!(lambda_min(&g, &cost), 4);
     }
 }

@@ -6,11 +6,12 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use mwl_core::{AllocConfig, DpAllocator};
+use mwl_driver::LatencySpec;
 use mwl_model::SonicCostModel;
 use mwl_optimal::IlpAllocator;
 use mwl_tgff::{TgffConfig, TgffGenerator};
 
-use crate::sweep::{lambda_min, SweepConfig};
+use crate::sweep::SweepConfig;
 
 /// Parameters of the Table 2 sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -132,8 +133,7 @@ pub fn run_table2(config: &Table2Config) -> Table2Results {
         let graphs = config.sweep.graphs_per_point;
         for _ in 0..graphs {
             let graph = generator.generate();
-            let minimum = lambda_min(&graph, &cost);
-            let lambda = crate::sweep::relax_constraint(minimum, relax);
+            let lambda = LatencySpec::RelaxPercent(relax).resolve(&graph, &cost);
 
             let start = Instant::now();
             let _ = DpAllocator::new(&cost, AllocConfig::new(lambda)).allocate(&graph);

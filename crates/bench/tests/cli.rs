@@ -29,7 +29,7 @@ fn malformed_graph_counts_are_usage_errors() {
 #[test]
 fn missing_values_and_unknown_arguments_are_usage_errors() {
     for (binary, args) in [
-        (env!("CARGO_BIN_EXE_batch_sweep"), &["--workers", "1,x"][..]),
+        (env!("CARGO_BIN_EXE_obs_gate"), &["--trace-out"][..]),
         (env!("CARGO_BIN_EXE_perf_gate"), &["--reps"][..]),
         (env!("CARGO_BIN_EXE_obs_gate"), &["--out"][..]),
         (env!("CARGO_BIN_EXE_table2"), &["--graph", "3"][..]),

@@ -24,8 +24,9 @@ pub enum LatencySpec {
     /// `λ_min + slack` control steps (saturating at `Cycles::MAX`): always
     /// feasible.
     RelaxSteps(Cycles),
-    /// `⌈λ_min · (1 + percent/100)⌉` control steps: always feasible.  This is
-    /// the relaxation axis of the paper's Figure 3.
+    /// `⌈λ_min · (100 + percent) / 100⌉` control steps (saturating at
+    /// `Cycles::MAX`): always feasible.  This is the relaxation axis of the
+    /// paper's Figure 3.
     RelaxPercent(u32),
 }
 
@@ -37,10 +38,10 @@ impl LatencySpec {
             LatencySpec::Absolute(lambda) => lambda,
             LatencySpec::RelaxSteps(slack) => lambda_min(graph, cost).saturating_add(slack),
             LatencySpec::RelaxPercent(percent) => {
-                let minimum = lambda_min(graph, cost);
-                let scaled =
-                    (f64::from(minimum) * (1.0 + f64::from(percent) / 100.0)).ceil() as Cycles;
-                scaled.max(minimum)
+                // Integer arithmetic: through `f64`, 110% of 50 rounds up to 56.
+                let scaled = (u128::from(lambda_min(graph, cost)) * (100 + u128::from(percent)))
+                    .div_ceil(100);
+                Cycles::try_from(scaled).unwrap_or(Cycles::MAX)
             }
         }
     }
@@ -203,6 +204,30 @@ mod tests {
         assert_eq!(LatencySpec::RelaxSteps(4).resolve(&g, &cost), 10);
         assert_eq!(LatencySpec::RelaxPercent(0).resolve(&g, &cost), 6);
         assert_eq!(LatencySpec::RelaxPercent(30).resolve(&g, &cost), 8); // ceil(7.8)
+    }
+
+    /// A chain of `n` 8-bit adders: `λ_min = 2n`.
+    fn adder_chain(n: usize) -> SequencingGraph {
+        let mut b = SequencingGraphBuilder::new();
+        let mut prev = b.add_operation(OpShape::adder(8));
+        for _ in 1..n {
+            let next = b.add_operation(OpShape::adder(8));
+            b.add_dependency(prev, next).unwrap();
+            prev = next;
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn relax_percent_rounds_up_exactly_and_saturates() {
+        let cost = SonicCostModel::default();
+        let g = adder_chain(25);
+        assert_eq!(LatencySpec::RelaxSteps(0).resolve(&g, &cost), 50);
+        assert_eq!(LatencySpec::RelaxPercent(10).resolve(&g, &cost), 55);
+        assert_eq!(LatencySpec::RelaxPercent(11).resolve(&g, &cost), 56); // ceil(55.5)
+        let loosest = LatencySpec::RelaxPercent(u32::MAX);
+        assert_eq!(loosest.resolve(&g, &cost), 2_147_483_698); // ceil(50 * 42949673.95)
+        assert_eq!(loosest.resolve(&adder_chain(51), &cost), u32::MAX);
     }
 
     #[test]

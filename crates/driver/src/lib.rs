@@ -22,8 +22,8 @@
 //! worker runs on the calling thread), the queue an atomic cursor, the
 //! report a plain vector.
 //!
-//! *Pipeline position:* sits on top of `mwl_core`; the `batch_sweep`
-//! harness in `mwl_bench` drives it over the scenario families.  See
+//! *Pipeline position:* sits on top of `mwl_core`; the gates in
+//! `mwl_bench` drive it over the scenario families.  See
 //! `docs/ARCHITECTURE.md` for the full map and a data-flow diagram of one
 //! batch run.
 //!

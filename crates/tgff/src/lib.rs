@@ -11,7 +11,7 @@
 //! Beyond the paper's layered graphs, [`GraphShape`] adds wide, deep and
 //! diamond macro-structures and [`WidthProfile`] adds bimodal "mixed"
 //! wordlength spreads — the scenario families exercised by the batch driver
-//! (`mwl_driver`) and the `batch_sweep` harness.
+//! (`mwl_driver`) and the `mwl_bench` gates.
 //!
 //! *Pipeline position:* workload generation for `mwl_bench`, the batch
 //! scenario families and the property tests.  See `docs/ARCHITECTURE.md`

@@ -20,11 +20,11 @@ use mwl_bench::{
 fn check(doc: &Json) -> Vec<String> {
     match doc.get("schema").and_then(Json::as_str) {
         Some("mwl_perf_gate_v3") => {
-            PerfGateResults::check(doc, &PerfGateConfig::smoke().worker_counts)
+            PerfGateResults::check(doc, &PerfGateConfig::smoke().sweep.worker_counts)
         }
         Some("mwl_obs_gate_v1") => ObsGateResults::check(doc),
         Some("mwl_portfolio_gate_v1") => {
-            PortfolioGateResults::check(doc, &PortfolioGateConfig::quick().worker_counts)
+            PortfolioGateResults::check(doc, &PortfolioGateConfig::quick().sweep.worker_counts)
         }
         Some("mwl_ablation_gate_v1") => AblationResults::check(doc),
         Some("mwl_serve_loadgen/v5") => LoadReport::check(doc),
