@@ -3,8 +3,8 @@
 //! Builds a reproducible job set spanning seven scenario families — the
 //! paper's TGFF-style layered graphs plus wide/deep/diamond shapes, tight
 //! and loose λ budgets, and bimodal "mixed" wordlength spreads.  The perf,
-//! observability, portfolio and ablation gates, `loadgen` and the
-//! `mwlbench` workloads all draw their jobs from [`scenario_jobs`].
+//! observability, portfolio and ablation gates and the `mwlbench`
+//! workloads all draw their jobs from [`scenario_jobs`].
 
 use mwl_driver::{BatchJob, LatencySpec};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};

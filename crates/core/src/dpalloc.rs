@@ -539,7 +539,17 @@ fn member_positions<'a>(
 /// latency table) and `bounds` the per-class unit counts currently allowed.
 /// Classes for which `eligible` returns `false` (e.g. classes already at
 /// their escalation cap) are skipped; returns `None` when no class is
-/// eligible.
+/// eligible.  Of classes tied on workload per resource, the later one wins.
+///
+/// The ratios `work / bound` are compared exactly, as `u128` cross products.
+/// The frozen [`crate::reference`] compares `f64` quotients instead; the two
+/// orders agree while both cross products stay below 2^52.  Two distinct
+/// ratios then differ by at least `1 / (ba·bb)`, more than the two
+/// quotients' half-ulp rounding errors together, and equal ratios round to
+/// the same double.  Workloads are sums of per-operation latencies and
+/// bounds are unit counts, so that needs, e.g., a workload under 2^32
+/// cycles and bounds under 2^20 units, far above any graph the allocator is
+/// run on.
 pub fn most_contended_class(
     graph: &SequencingGraph,
     latencies: &OpLatencies,
@@ -551,13 +561,10 @@ pub fn most_contended_class(
         let class = ResourceClass::for_kind(graph.operation(op).kind());
         *work.entry(class).or_insert(0) += u64::from(latencies.get(op));
     }
+    let bound = |class| (*bounds.get(&class).unwrap_or(&1)).max(1) as u128;
     work.into_iter()
         .filter(|&(c, _)| eligible(c))
-        .max_by(|a, b| {
-            let pa = a.1 as f64 / *bounds.get(&a.0).unwrap_or(&1).max(&1) as f64;
-            let pb = b.1 as f64 / *bounds.get(&b.0).unwrap_or(&1).max(&1) as f64;
-            pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
-        })
+        .max_by(|a, b| (u128::from(a.1) * bound(b.0)).cmp(&(u128::from(b.1) * bound(a.0))))
         .map(|(c, _)| c)
 }
 
@@ -575,6 +582,25 @@ mod tests {
         let c = cost();
         let native = OpLatencies::from_fn(graph, |op| c.native_latency(op.shape()));
         critical_path_length(graph, &native)
+    }
+
+    /// Adders carrying 6 cycles over 2 units tie exactly with a multiplier
+    /// carrying 3 over 1; the tie goes to the later class, not to the
+    /// larger workload.
+    #[test]
+    fn most_contended_class_breaks_an_exact_tie_toward_the_later_class() {
+        let mut b = SequencingGraphBuilder::new();
+        b.add_operation(OpShape::adder(8));
+        b.add_operation(OpShape::adder(8));
+        b.add_operation(OpShape::multiplier(8, 8));
+        let g = b.build().unwrap();
+        let latencies = OpLatencies::from_vec(vec![3, 3, 3]);
+        let bounds = BTreeMap::from([(ResourceClass::Adder, 2), (ResourceClass::Multiplier, 1)]);
+        let contended = most_contended_class(&g, &latencies, &bounds, |_| true);
+        assert_eq!(contended, Some(ResourceClass::Multiplier));
+        let adders_only =
+            most_contended_class(&g, &latencies, &bounds, |c| c == ResourceClass::Adder);
+        assert_eq!(adders_only, Some(ResourceClass::Adder));
     }
 
     /// A small graph with sharing opportunities: two independent

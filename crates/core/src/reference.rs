@@ -38,7 +38,7 @@ use mwl_sched::{
 
 use crate::bind::BindSelectOptions;
 use crate::datapath::{Datapath, ResourceInstance};
-use crate::dpalloc::{most_contended_class, AllocConfig, AllocOutcome, RefinementPolicy};
+use crate::dpalloc::{AllocConfig, AllocOutcome, RefinementPolicy};
 use crate::error::AllocError;
 use crate::merge::MergeStats;
 
@@ -805,6 +805,29 @@ fn deletion_proportion(wcg: &FrozenWcg, op: OpId) -> f64 {
 // ---------------------------------------------------------------------------
 // Frozen DPAlloc loop.
 // ---------------------------------------------------------------------------
+
+/// The escalation class as the live allocator chose it before its ratios
+/// went exact: `work / bound` compared as `f64`, ties to the later class.
+fn most_contended_class(
+    graph: &SequencingGraph,
+    latencies: &OpLatencies,
+    bounds: &BTreeMap<ResourceClass, usize>,
+    eligible: impl Fn(ResourceClass) -> bool,
+) -> Option<ResourceClass> {
+    let mut work: BTreeMap<ResourceClass, u64> = BTreeMap::new();
+    for op in graph.op_ids() {
+        let class = ResourceClass::for_kind(graph.operation(op).kind());
+        *work.entry(class).or_insert(0) += u64::from(latencies.get(op));
+    }
+    work.into_iter()
+        .filter(|&(c, _)| eligible(c))
+        .max_by(|a, b| {
+            let pa = a.1 as f64 / *bounds.get(&a.0).unwrap_or(&1).max(&1) as f64;
+            let pb = b.1 as f64 / *bounds.get(&b.0).unwrap_or(&1).max(&1) as f64;
+            pa.partial_cmp(&pb).unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .map(|(c, _)| c)
+}
 
 enum InnerFailure {
     NeedMoreResources(ResourceClass),

@@ -297,8 +297,9 @@ pub(crate) fn select_refinement_op_with_scratch(
             (deletion_proportion(wcg, o), faster, o)
         })
         .min_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            let ((deleted_a, pool_a), (deleted_b, pool_b)) = (a.0, b.0);
+            (deleted_a as u128 * pool_b as u128)
+                .cmp(&(deleted_b as u128 * pool_a as u128))
                 .then(b.1.cmp(&a.1)) // prefer "already bound faster" (true first)
                 .then(a.2.cmp(&b.2))
         })
@@ -312,8 +313,19 @@ pub(crate) fn select_refinement_op_with_scratch(
 /// `{{o1, r} ∈ H : ∃{o, r} ∈ H}`: the denominator sums the edge counts of
 /// every resource compatible with `op`, the numerator sums the edge counts of
 /// the resources that refinement would delete (those at the operation's
-/// current latency upper bound).
-fn deletion_proportion(wcg: &WordlengthCompatibilityGraph, op: OpId) -> f64 {
+/// current latency upper bound).  Returns `(deleted, pool)`.
+///
+/// Only refinable operations are asked, and a refinable operation keeps at
+/// least two compatible types, each with an edge to it, so `pool ≥ 2`.  The
+/// caller compares proportions exactly, as `u128` cross products.  The
+/// frozen [`crate::reference`] compares `f64` quotients instead; the two
+/// orders agree while both cross products stay below 2^52, which every pool
+/// under 2^26 edges guarantees.  Two distinct proportions then differ by at
+/// least `1 / (pool_a·pool_b)`, more than the two quotients' half-ulp
+/// rounding errors together, and equal proportions round to the same
+/// double.  A WCG with 2^26 edges is far beyond any graph the allocator is
+/// run on.
+fn deletion_proportion(wcg: &WordlengthCompatibilityGraph, op: OpId) -> (usize, usize) {
     let bound = wcg.upper_bound_latency(op);
     let mut pool = 0usize;
     let mut deleted = 0usize;
@@ -324,11 +336,7 @@ fn deletion_proportion(wcg: &WordlengthCompatibilityGraph, op: OpId) -> f64 {
             deleted += edges;
         }
     }
-    if pool == 0 {
-        f64::INFINITY
-    } else {
-        deleted as f64 / pool as f64
-    }
+    (deleted, pool)
 }
 
 #[cfg(test)]
@@ -492,6 +500,47 @@ mod tests {
         // rule must pick o1 (2/3 < 5/6).
         let chosen =
             select_refinement_op(&g, &wcg, &schedule, &upper, &bound, &binding, 6).unwrap();
+        assert_eq!(chosen, o1);
+    }
+
+    /// o0 loses 1 of 2 edges and o1 loses 2 of 4: an exact tie, which the
+    /// tie-break settles toward o1, already bound faster than its upper
+    /// bound.  Comparing either count alone would pick o0.
+    #[test]
+    fn deletion_proportion_tie_falls_to_the_tie_break() {
+        use mwl_model::{LinearCostModel, ResourceType};
+
+        // o1 -> o0; o2 only doubles the adders' edge counts.
+        let mut b = SequencingGraphBuilder::new();
+        let o0 = b.add_operation(OpShape::multiplier(8, 8));
+        let o1 = b.add_operation(OpShape::adder(8));
+        b.add_operation(OpShape::adder(8));
+        b.add_dependency(o1, o0).unwrap();
+        let g = b.build().unwrap();
+
+        // Linear cost model latency: ceil(total/8) + 1.
+        let resources = vec![
+            ResourceType::multiplier(8, 8),   // latency 3, edges {o0}
+            ResourceType::multiplier(16, 16), // latency 5, edges {o0}
+            ResourceType::adder(8),           // latency 2, edges {o1, o2}
+            ResourceType::adder(16),          // latency 3, edges {o1, o2}
+        ];
+        let wcg = WordlengthCompatibilityGraph::with_resources(
+            &g,
+            resources,
+            &LinearCostModel::default(),
+        );
+        assert_eq!(deletion_proportion(&wcg, o0), (1, 2));
+        assert_eq!(deletion_proportion(&wcg, o1), (2, 4));
+
+        // o1 runs 0..2 on its fast adder, then o0 runs 2..7 at its upper
+        // bound: both are critical and inside the window.
+        let upper = wcg.upper_bound_latencies();
+        assert_eq!(upper.as_slice(), &[5, 3, 3]);
+        let schedule = Schedule::from_vec(vec![2, 0, 0]);
+        let bound = OpLatencies::from_vec(vec![5, 2, 3]);
+        let chosen =
+            select_refinement_op(&g, &wcg, &schedule, &upper, &bound, &[0, 1, 2], 8).unwrap();
         assert_eq!(chosen, o1);
     }
 

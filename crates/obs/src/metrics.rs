@@ -213,10 +213,9 @@ impl HistogramSnapshot {
 /// Exact nearest-rank percentile of an **ascending-sorted** sample slice:
 /// element of rank `⌈p/100·n⌉` (clamped to `1..=n`); `0.0` when empty.
 ///
-/// This is the shared exact-sample companion to the bucketed
-/// [`Histogram`] — offline reports (the serve load generator, the bench
-/// gates) use it where raw samples are already collected, so every tool
-/// computes percentiles the same way.
+/// This is the exact-sample companion to the bucketed [`Histogram`]: the
+/// `mwlbench` benchmark takes its percentiles with it, and the histogram
+/// proptest compares the bucketed quantiles against it.
 #[must_use]
 pub fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {

@@ -30,8 +30,9 @@
 //! depth), concurrency is scoped threads plus mutex/condvar.
 //!
 //! *Pipeline position:* the outermost layer of the workspace — drives
-//! `mwl_driver`'s submission core; the `serve` and `loadgen` binaries wrap
-//! it for deployment and measurement.  See `docs/ARCHITECTURE.md`.
+//! `mwl_driver`'s submission core; the `serve` binary wraps it for
+//! deployment, and `mwlbench`'s serve probe measures it.  See
+//! `docs/ARCHITECTURE.md`.
 //!
 //! # Quick start
 //!
@@ -77,14 +78,12 @@
 
 pub mod client;
 pub mod dedup;
-pub mod loadgen;
 pub mod net;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError, SubmitAck};
 pub use dedup::{job_key, DedupCache};
-pub use loadgen::{run_loadgen, LoadReport, LoadgenConfig};
 /// The wire codec: the workspace's one JSON module, defined in `mwl_obs`.
 pub use mwl_obs::json;
 pub use server::{Server, ServerConfig, ServerControl, SpawnedServer};

@@ -1,12 +1,14 @@
-//! Deterministic byte-mutation test of the JSON parser and the wire
-//! decoders.
+//! Deterministic byte-mutation tests of the JSON parser, the wire decoders
+//! and the live daemon.
 //!
 //! Valid request and response lines are corrupted by seeded byte flips,
 //! insertions, deletions, truncations and duplicated slices, then fed to
 //! [`Json::parse`], [`Request::parse`] and [`Response::parse`].  None may
 //! panic, and every line one of them accepts must re-encode to a line that
-//! parses back to the same value.  The seed and iteration count are fixed,
-//! so a failure reproduces exactly.
+//! parses back to the same value.  The mutated lines that decode as
+//! submissions are then sent, raw, to a running daemon, which must answer
+//! each and keep serving.  The seed and iteration count are fixed, so a
+//! failure reproduces exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,12 +19,16 @@ use mwl_model::{AreaBreakdown, OpShape};
 use mwl_serve::json::Json;
 use mwl_serve::wire::{
     CancelOutcome, JobConfig, Request, Response, StatsSnapshot, SubmitRequest, WireGraph,
-    WireHistogram, WireOutcome, WirePortfolio, WireStats, CODE_QUEUE_FULL,
+    WireHistogram, WireOutcome, WirePortfolio, WireStats, CODE_GRAPH_TOO_LARGE, CODE_INVALID_GRAPH,
+    CODE_QUEUE_FULL,
 };
-use mwl_serve::MetricsReply;
+use mwl_serve::{Client, MetricsReply, ServerConfig, SpawnedServer};
 
 const SEED: u64 = 0x5eed_2001;
 const ITERATIONS: usize = 60_000;
+
+/// Mutated submissions sent to the live daemon.
+const LIVE_SUBMISSIONS: usize = 400;
 
 /// Bytes a mutation inserts: JSON's structural characters and number
 /// spellings, plus a few that are never valid outside strings.
@@ -183,15 +189,20 @@ fn mutate(rng: &mut StdRng, line: &[u8]) -> Vec<u8> {
     bytes
 }
 
-#[test]
-fn mutated_lines_never_panic_and_accepted_lines_round_trip() {
+/// The seeded stream of mutated lines, each decoded lossily as UTF-8.
+fn mutated_lines() -> impl Iterator<Item = String> {
     let lines = valid_lines();
     let mut rng = StdRng::seed_from_u64(SEED);
-    let (mut json_ok, mut request_ok, mut response_ok) = (0, 0, 0);
-    for i in 0..ITERATIONS {
+    (0..ITERATIONS).map(move |_| {
         let base = &lines[rng.gen_range(0..lines.len())];
-        let mutated = mutate(&mut rng, base.as_bytes());
-        let line = String::from_utf8_lossy(&mutated);
+        String::from_utf8_lossy(&mutate(&mut rng, base.as_bytes())).into_owned()
+    })
+}
+
+#[test]
+fn mutated_lines_never_panic_and_accepted_lines_round_trip() {
+    let (mut json_ok, mut request_ok, mut response_ok) = (0, 0, 0);
+    for (i, line) in mutated_lines().enumerate() {
         if let Ok(value) = Json::parse(&line) {
             json_ok += 1;
             let again = Json::parse(&value.encode());
@@ -213,4 +224,50 @@ fn mutated_lines_never_panic_and_accepted_lines_round_trip() {
     // The mutations are mild enough that many lines survive each decoder,
     // so the round-trip half of the test is exercised too.
     assert!(json_ok > 100 && request_ok > 100 && response_ok > 100);
+}
+
+/// The first mutated lines that decode as submissions, sent raw to a live
+/// daemon over one connection, are each answered with an admission and then
+/// a result, or with a typed rejection; afterwards the daemon still answers
+/// a ping.  Other request kinds are skipped: a mutated `shutdown` or
+/// `cancel` would end or steer the run.  So are lines with a raw newline,
+/// which the wire would split in two.
+#[test]
+fn mutated_submissions_are_answered_and_the_daemon_survives() {
+    let server = SpawnedServer::start(ServerConfig::default()).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let submissions = mutated_lines()
+        .filter(|line| !line.contains('\n'))
+        .filter_map(|line| match Request::parse(&line) {
+            Ok(Request::Submit(submit)) => Some((submit.id, line)),
+            _ => None,
+        })
+        .take(LIVE_SUBMISSIONS);
+    let (mut sent, mut accepted) = (0u64, 0u64);
+    for (id, line) in submissions {
+        sent += 1;
+        client.send_raw(&line).expect("send");
+        match client.read_control().expect("an answer") {
+            Response::Accepted { id: got } => {
+                assert_eq!(got, id, "{line}");
+                let (got, outcome) = client.next_result().expect("a result");
+                assert_eq!(got, id, "{line}");
+                assert_ne!(outcome, WireOutcome::Cancelled, "{line}");
+                accepted += 1;
+            }
+            Response::Rejected { id: got, code, .. } => {
+                assert_eq!(got, id, "{line}");
+                assert!(
+                    [CODE_INVALID_GRAPH, CODE_GRAPH_TOO_LARGE].contains(&code),
+                    "{line}: code {code}"
+                );
+            }
+            other => panic!("{line} answered with {other:?}"),
+        }
+    }
+    assert!(accepted >= 300, "only {accepted} of {sent} admitted");
+    client.ping().expect("the daemon answers after the stream");
+    client.shutdown().expect("shutdown");
+    let stats = server.join();
+    assert_eq!((stats.accepted, stats.completed), (accepted, accepted));
 }

@@ -22,8 +22,7 @@
 //! * [`tgff`] — the TGFF-style random graph generator ([`mwl_tgff`]);
 //! * [`driver`] — the parallel batch-allocation engine ([`mwl_driver`]);
 //! * [`serve`] — the allocation daemon: TCP wire protocol, bounded job queue
-//!   with back-pressure, dedup cache, client and load generator
-//!   ([`mwl_serve`]).
+//!   with back-pressure, dedup cache and client ([`mwl_serve`]).
 //!
 //! A paper-to-module map with data-flow diagrams lives in
 //! `docs/ARCHITECTURE.md`.
@@ -585,7 +584,7 @@ pub mod rtl {
 /// persistent workers through the exact batch-engine path (results are
 /// byte-identical to [`driver::run_batch`]), memoises completed results
 /// under a content hash, and streams results back in submission order.  The
-/// `serve` and `loadgen` binaries wrap it for deployment and measurement.
+/// `serve` binary wraps it for deployment.
 ///
 /// # Examples
 ///
