@@ -16,6 +16,8 @@
 //! latency 0, which the [`CostModel`] contract rules out for a real entry.
 //! Types wider than [`MAX_SIM_WORDLENGTH`] bits are never stored: they fall
 //! through to the wrapped model like any type that was not warmed.
+//! [`CachedCostModel::warm_graph`] fills the table from `u64` width sets,
+//! without sorting, and skips the cells earlier warms filled.
 //!
 //! # Examples
 //!
@@ -53,8 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mwl_model::fixedpoint::MAX_SIM_WORDLENGTH;
 use mwl_model::{
-    Area, CostModel, Cycles, OperandWidths, ResourceClass, ResourceType, SequencingGraph,
-    StorageCosts,
+    Area, CostModel, Cycles, OpShape, ResourceClass, ResourceType, SequencingGraph, StorageCosts,
 };
 
 /// A pre-computed area/latency entry; latency 0 marks an empty cell.
@@ -158,8 +159,10 @@ impl CostTable {
 pub struct CachedCostModel<'a> {
     inner: &'a (dyn CostModel + Sync),
     table: CostTable,
-    /// [`warm_graph`](Self::warm_graph)'s width analysis, reused per graph.
-    widths: OperandWidths,
+    /// Width sets [`warm_graph`](Self::warm_graph) has warmed: adders, and
+    /// per `hi` (index `hi − 1`) the `lo` of each `hi×lo` multiplier.
+    warmed_adders: u64,
+    warmed_multipliers: [u64; MAX_SIM_WORDLENGTH as usize],
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -171,7 +174,8 @@ impl<'a> CachedCostModel<'a> {
         CachedCostModel {
             inner,
             table: CostTable::default(),
-            widths: OperandWidths::default(),
+            warmed_adders: 0,
+            warmed_multipliers: [0; MAX_SIM_WORDLENGTH as usize],
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -188,29 +192,34 @@ impl<'a> CachedCostModel<'a> {
     /// Pre-computes costs for every resource type the allocator can touch
     /// while solving the given graph.
     ///
-    /// This covers the graph's own candidate types
-    /// ([`SequencingGraph::extract_resource_types`]) *and* the closure of
-    /// those types under component-wise maximum, which the post-bind merging
-    /// pass ([`crate::merge`]) can synthesise.  The closure is computed as
-    /// the per-class grid of the candidates' operand widths, which contains
-    /// every reachable component-wise join.  The widths come straight from
-    /// the operations through reused buffers, so once they have grown a warm
-    /// allocates only when the table widens, and the wrapped model is asked
-    /// only about cells still empty.
+    /// One pass over the operations gathers the adder widths and every
+    /// multiplier operand width (`a` and `b` alike); each adder width and
+    /// every `hi×lo` multiplier (`hi ≥ lo`) over the operand widths is
+    /// warmed.  That grid contains the graph's candidate types
+    /// ([`SequencingGraph::extract_resource_types`]) and every
+    /// component-wise join the merging pass ([`crate::merge`]) can build.
+    /// Cells an earlier warm covered are skipped by bitset, so a repeat warm
+    /// allocates nothing.  Widths above [`MAX_SIM_WORDLENGTH`] stay out.
     pub fn warm_graph(&mut self, graph: &SequencingGraph) {
-        self.widths.analyse(graph.operations());
-        for &w in self.widths.adders() {
+        let (mut adders, mut operands) = (0u64, 0u64);
+        for op in graph.operations() {
+            match op.shape() {
+                OpShape::Additive { width, .. } => adders |= width_bit(width),
+                OpShape::Multiplicative { a, b } => operands |= width_bit(a) | width_bit(b),
+            }
+        }
+        for w in widths_in(adders & !self.warmed_adders) {
             self.table.warm(self.inner, ResourceType::adder(w));
         }
-        let (mut primary, mut secondary) = (0u64, 0u64);
-        self.widths.for_each_multiplier(|a, b| {
-            primary |= width_bit(a);
-            secondary |= width_bit(b);
-        });
-        for a in widths_in(primary) {
-            for b in widths_in(secondary) {
-                self.table.warm(self.inner, ResourceType::multiplier(a, b));
+        self.warmed_adders |= adders;
+        for hi in widths_in(operands) {
+            let warmed = &mut self.warmed_multipliers[hi as usize - 1];
+            let todo = operands & (u64::MAX >> (64 - hi)) & !*warmed; // lo ≤ hi, cold
+            for lo in widths_in(todo) {
+                self.table
+                    .warm(self.inner, ResourceType::multiplier(hi, lo));
             }
+            *warmed |= todo;
         }
     }
 
@@ -304,7 +313,7 @@ mod tests {
     use super::*;
     use crate::{AllocConfig, AllocOutcome, Datapath, DpAllocator};
     use mwl_model::{OpShape, SequencingGraphBuilder, SonicCostModel};
-    use mwl_tgff::{TgffConfig, TgffGenerator};
+    use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 
     fn sample() -> SequencingGraph {
         let mut b = SequencingGraphBuilder::new();
@@ -316,9 +325,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// The ordered-map cache the dense table replaced: every type of
-    /// `extract_resource_types` plus the full grid of the candidates'
-    /// multiplier widths, at any width, behind hit/miss counters.
+    /// The ordered-map cache the dense table replaced, warming the operand
+    /// width grid at any width: every adder width, and every `hi×lo`
+    /// multiplier over the set of all multiplier operand widths, behind
+    /// hit/miss counters.
     #[derive(Debug)]
     struct OrderedMapCache<'a> {
         inner: &'a dyn CostModel,
@@ -348,19 +358,26 @@ mod tests {
         }
 
         fn warm_graph(&mut self, graph: &SequencingGraph) {
-            let base = graph.extract_resource_types();
-            let mut mul_a = BTreeSet::new();
-            let mut mul_b = BTreeSet::new();
-            for r in &base {
-                if r.class() == ResourceClass::Multiplier {
-                    mul_a.insert(r.widths().0);
-                    mul_b.insert(r.widths().1);
+            let mut adders = BTreeSet::new();
+            let mut operands = BTreeSet::new();
+            for op in graph.operations() {
+                match op.shape() {
+                    OpShape::Additive { width, .. } => {
+                        adders.insert(width);
+                    }
+                    OpShape::Multiplicative { a, b } => {
+                        operands.extend([a, b]);
+                    }
                 }
             }
-            self.warm_types(base);
-            let grid: Vec<ResourceType> = mul_a
+            self.warm_types(adders.into_iter().map(ResourceType::adder));
+            let grid: Vec<ResourceType> = operands
                 .iter()
-                .flat_map(|&a| mul_b.iter().map(move |&b| ResourceType::multiplier(a, b)))
+                .flat_map(|&hi| {
+                    operands
+                        .range(..=hi)
+                        .map(move |&lo| ResourceType::multiplier(hi, lo))
+                })
                 .collect();
             self.warm_types(grid);
         }
@@ -430,9 +447,9 @@ mod tests {
     #[test]
     fn warm_graph_matches_the_ordered_map_construction() {
         let inner = SonicCostModel::default();
-        // Paper-scale widths, and widths straddling the ceiling: a secondary
-        // width that pairs only with a primary above it must still enter
-        // the grid with the narrower primaries.
+        // Paper-scale widths, and widths straddling the ceiling: an operand
+        // width that pairs only with a width above the ceiling must still
+        // enter the grid with the narrower operand widths.
         let mut graphs: Vec<SequencingGraph> = [(4, 24), (40, 80)]
             .into_iter()
             .flat_map(|(lo, hi)| {
@@ -521,6 +538,130 @@ mod tests {
         let b = ResourceType::multiplier(16, 12);
         let join = a.component_max(&b).unwrap();
         assert!(cache.contains(&join));
+    }
+
+    /// The types the candidate-grid warm covered: every type of
+    /// `extract_resource_types` plus the grid of the candidates' primary ×
+    /// secondary multiplier widths.
+    fn candidate_grid(graph: &SequencingGraph) -> Vec<ResourceType> {
+        let mut types = graph.extract_resource_types();
+        let multipliers = types
+            .iter()
+            .filter(|r| r.class() == ResourceClass::Multiplier);
+        let primaries: BTreeSet<u32> = multipliers.clone().map(|r| r.widths().0).collect();
+        let secondaries: BTreeSet<u32> = multipliers.map(|r| r.widths().1).collect();
+        for &a in &primaries {
+            types.extend(secondaries.iter().map(|&b| ResourceType::multiplier(a, b)));
+        }
+        types
+    }
+
+    /// Every generator family: each graph shape with uniform and bimodal
+    /// ("mixed") widths.
+    fn families(ops: usize) -> Vec<TgffConfig> {
+        let shapes = [
+            GraphShape::Layered,
+            GraphShape::Wide,
+            GraphShape::Deep,
+            GraphShape::Diamond,
+        ];
+        let profiles = [
+            WidthProfile::Uniform,
+            WidthProfile::Mixed { high_fraction: 0.5 },
+        ];
+        shapes
+            .into_iter()
+            .flat_map(|shape| {
+                profiles
+                    .into_iter()
+                    .map(move |p| TgffConfig::with_ops(ops).shape(shape).width_profile(p))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn warm_graph_keeps_every_candidate_grid_type_warm() {
+        let inner = SonicCostModel::default();
+        let mut configs = families(12);
+        configs.push(TgffConfig::with_ops(12).width_range(40, 80));
+        for (f, config) in configs.into_iter().enumerate() {
+            let mut generator = TgffGenerator::new(config, 31 + f as u64);
+            for i in 0..10 {
+                let g = generator.generate();
+                let mut cache = CachedCostModel::new(&inner);
+                cache.warm_graph(&g);
+                for r in candidate_grid(&g) {
+                    let storable = r.widths().0 <= MAX_SIM_WORDLENGTH;
+                    assert_eq!(cache.contains(&r), storable, "family {f}, graph {i}: {r}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn allocation_through_a_warmed_graph_never_misses_in_any_family() {
+        let inner = SonicCostModel::default();
+        let mut scratch = crate::AllocScratch::new();
+        for (f, config) in families(12).into_iter().enumerate() {
+            let mut generator = TgffGenerator::new(config, 500 + f as u64);
+            for i in 0..4 {
+                let g = generator.generate();
+                let native =
+                    mwl_sched::OpLatencies::from_fn(&g, |op| inner.native_latency(op.shape()));
+                let lambda_min = mwl_sched::critical_path_length(&g, &native);
+                let mut cache = CachedCostModel::new(&inner);
+                cache.warm_graph(&g);
+                // Tight and loose budgets: loose ones make the merge pass
+                // probe synthesised joins.
+                for slack in [0, 3, 12] {
+                    DpAllocator::new(&cache, AllocConfig::new(lambda_min + slack))
+                        .allocate_with_scratch(&g, &mut scratch)
+                        .unwrap();
+                }
+                assert_eq!(cache.misses(), 0, "family {f}, graph {i}");
+                assert!(cache.hits() > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn operand_widths_up_to_the_ceiling_are_cached_and_wider_ones_miss() {
+        let inner = SonicCostModel::default();
+        let mut b = SequencingGraphBuilder::new();
+        b.add_operation(OpShape::multiplier(64, 1));
+        b.add_operation(OpShape::multiplier(65, 3));
+        b.add_operation(OpShape::adder(1));
+        b.add_operation(OpShape::adder(64));
+        b.add_operation(OpShape::adder(65));
+        let g = b.build().unwrap();
+        let mut cache = CachedCostModel::new(&inner);
+        cache.warm_graph(&g);
+        for (hi, lo) in [(64, 1), (64, 3), (64, 64), (3, 1), (1, 1)] {
+            assert!(
+                cache.contains(&ResourceType::multiplier(hi, lo)),
+                "{hi}x{lo}"
+            );
+        }
+        assert!(cache.contains(&ResourceType::adder(1)));
+        assert!(cache.contains(&ResourceType::adder(64)));
+        // A cell is warmed once however often its width recurs.
+        let len = cache.len();
+        cache.warm_graph(&g);
+        assert_eq!(cache.len(), len);
+
+        let wide = [
+            ResourceType::multiplier(65, 3),
+            ResourceType::multiplier(65, 65),
+            ResourceType::adder(65),
+        ];
+        for (i, r) in wide.iter().enumerate() {
+            assert!(!cache.contains(r), "{r}");
+            assert_eq!(cache.area(r), inner.area(r));
+            assert_eq!(cache.misses(), i as u64 + 1);
+        }
+        let narrow = ResourceType::multiplier(64, 1);
+        assert_eq!(cache.latency(&narrow), inner.latency(&narrow));
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
     }
 
     #[test]

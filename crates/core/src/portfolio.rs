@@ -542,11 +542,9 @@ fn run_portfolio_inner(
         for vs in &specs {
             let variant_timer = scratch.obs.start();
             let run = execute(cost, graph, vs, hook, scratch);
-            scratch.obs.stop_with(
-                Stage::Variant,
-                variant_timer,
-                vec![("variant", ArgValue::Int(vs.id as i64))],
-            );
+            scratch.obs.stop_with(Stage::Variant, variant_timer, || {
+                vec![("variant", ArgValue::Int(vs.id as i64))]
+            });
             runs.push(run);
         }
         runs

@@ -109,8 +109,8 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
         "the escalating job replays"
     );
 
-    // The batch cost-cache warm reuses its width buffers and fills table
-    // cells in place: once both cover the graph, a warm allocates nothing.
+    // The batch cost-cache warm gathers widths into bitsets and skips the
+    // cells an earlier warm filled: a repeat warm allocates nothing.
     let mut cache = CachedCostModel::new(&cost);
     cache.warm_graph(&graph);
     let (delta, ()) = allocations_during(|| cache.warm_graph(&graph));

@@ -96,11 +96,9 @@ pub fn solve_job(
             portfolio,
         }
     });
-    scratch.obs.stop_with(
-        Stage::Solve,
-        solve_timer,
-        vec![("job", ArgValue::Int(index as i64))],
-    );
+    scratch.obs.stop_with(Stage::Solve, solve_timer, || {
+        vec![("job", ArgValue::Int(index as i64))]
+    });
     JobOutcome {
         index,
         label: job.label.clone(),
@@ -213,6 +211,25 @@ mod tests {
         let stages = scratch.obs.take_stages();
         assert!(stages.get(Stage::Solve) > 0);
         assert!(stages.get(Stage::Schedule) > 0);
+    }
+
+    #[test]
+    fn only_a_traced_solve_carries_the_job_index() {
+        let cost = SonicCostModel::default();
+        let mut generator = TgffGenerator::new(TgffConfig::with_ops(9), 31);
+        let job = BatchJob::new("j", generator.generate(), LatencySpec::RelaxSteps(2));
+        let mut scratch = AllocScratch::new();
+        scratch.obs.set_mode(mwl_obs::ObsMode::Stages);
+        let _ = solve_job(4, &job, &cost, 1, &mut scratch);
+        assert!(scratch.obs.drain_events().is_empty());
+        scratch.obs.set_mode(mwl_obs::ObsMode::Trace);
+        let _ = solve_job(4, &job, &cost, 1, &mut scratch);
+        let events = scratch.obs.drain_events();
+        let solve = events.iter().find(|e| e.name == Stage::Solve.name());
+        assert_eq!(
+            solve.expect("a traced job records its solve").args,
+            vec![("job", ArgValue::Int(4))]
+        );
     }
 
     #[test]

@@ -227,8 +227,7 @@ impl fmt::Display for ResourceType {
 ///
 /// The result is sorted and duplicate-free.  The resource set is polynomial
 /// in the number of operations (at most `|O|` adder types and `|O|²`
-/// multiplier types); the coverage filter is an O(1) lookup per candidate
-/// (see [`OperandWidths`]).
+/// multiplier types); the coverage filter is an O(1) lookup per candidate.
 ///
 /// # Examples
 ///
@@ -248,7 +247,7 @@ pub fn extract_resource_types(ops: &[Operation]) -> Vec<ResourceType> {
     let mut widths = OperandWidths::default();
     widths.analyse(ops);
     let mut out: Vec<ResourceType> = widths
-        .adders()
+        .adders
         .iter()
         .map(|&w| ResourceType::adder(w))
         .collect();
@@ -263,13 +262,13 @@ pub fn extract_resource_types(ops: &[Operation]) -> Vec<ResourceType> {
 /// candidates of the primary × secondary cross product that cover at least
 /// one operation.
 ///
-/// The buffers are reusable, so a caller that analyses many graphs (the
-/// cost-cache warm) allocates only while they grow.  The coverage test is
-/// an O(1) lookup: a candidate `hi×lo` covers some multiplication `a×b` iff
-/// the smallest `b` over operations with `a ≤ hi` is at most `lo`, and that
-/// minimum is precomputed for every primary and secondary width.
+/// The coverage test is an O(1) lookup: a candidate `hi×lo` covers some
+/// multiplication `a×b` iff the smallest `b` over operations with `a ≤ hi`
+/// is at most `lo`, and that minimum is precomputed for every primary and
+/// secondary width.  [`analyse`](Self::analyse) clears the buffers first,
+/// so one analysis can be reused across operation sets.
 #[derive(Debug, Clone, Default)]
-pub struct OperandWidths {
+pub(crate) struct OperandWidths {
     /// Distinct adder widths, ascending.
     adders: Vec<u32>,
     /// Distinct primary multiplier widths, ascending.
@@ -288,7 +287,7 @@ pub struct OperandWidths {
 
 impl OperandWidths {
     /// Replaces the analysis with that of `ops`.
-    pub fn analyse(&mut self, ops: &[Operation]) {
+    pub(crate) fn analyse(&mut self, ops: &[Operation]) {
         self.adders.clear();
         self.primaries.clear();
         self.secondaries.clear();
@@ -326,17 +325,11 @@ impl OperandWidths {
             .extend(self.secondaries.iter().map(|&w| lookup(w)));
     }
 
-    /// Distinct adder widths, ascending.
-    #[must_use]
-    pub fn adders(&self) -> &[u32] {
-        &self.adders
-    }
-
     /// Calls `f(hi, lo)` (`hi >= lo`) for every primary × secondary
     /// candidate that covers at least one multiplication, in primary-major
     /// order.  A pair may be reported twice when both of its widths occur
     /// as primaries and as secondaries.
-    pub fn for_each_multiplier(&self, mut f: impl FnMut(u32, u32)) {
+    pub(crate) fn for_each_multiplier(&self, mut f: impl FnMut(u32, u32)) {
         for (&p, &p_min) in self.primaries.iter().zip(&self.primary_min) {
             for (&s, &s_min) in self.secondaries.iter().zip(&self.secondary_min) {
                 let (hi, lo, min) = if p >= s { (p, s, p_min) } else { (s, p, s_min) };
@@ -426,7 +419,7 @@ mod tests {
             widths.analyse(&ops);
             let mut reused = Vec::new();
             widths.for_each_multiplier(|a, b| reused.push(ResourceType::multiplier(a, b)));
-            reused.extend(widths.adders().iter().map(|&w| ResourceType::adder(w)));
+            reused.extend(widths.adders.iter().map(|&w| ResourceType::adder(w)));
             reused.sort_unstable();
             reused.dedup();
             assert_eq!(

@@ -196,16 +196,17 @@ impl StageRecorder {
     /// Stops a timer, crediting the elapsed time to `stage`.
     #[inline]
     pub fn stop(&mut self, stage: Stage, timer: StageTimer) {
-        self.stop_with(stage, timer, Vec::new());
+        self.stop_with(stage, timer, Vec::new);
     }
 
-    /// Stops a timer, crediting `stage` and attaching `args` to the trace
-    /// event (ignored outside [`ObsMode::Trace`]).
+    /// Stops a timer, crediting `stage` and attaching the arguments `args`
+    /// builds to the trace event.  `args` runs only in [`ObsMode::Trace`],
+    /// so an untraced stop builds nothing.
     pub fn stop_with(
         &mut self,
         stage: Stage,
         timer: StageTimer,
-        args: Vec<(&'static str, ArgValue)>,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
         let Some(started) = timer.0 else { return };
         let elapsed = started.elapsed();
@@ -221,7 +222,7 @@ impl StageRecorder {
                 ts_ns,
                 dur_ns: nanos,
                 tid: self.tid,
-                args,
+                args: args(),
             });
         }
     }
@@ -275,7 +276,7 @@ mod tests {
         rec.set_trace_context(7, Instant::now());
         rec.set_mode(ObsMode::Trace);
         let t = rec.start();
-        rec.stop_with(Stage::Variant, t, vec![("variant", ArgValue::Int(3))]);
+        rec.stop_with(Stage::Variant, t, || vec![("variant", ArgValue::Int(3))]);
         let t = rec.start();
         rec.stop(Stage::Solve, t);
         let events = rec.drain_events();
@@ -287,6 +288,22 @@ mod tests {
         assert_eq!(events[1].name, "solve");
         assert!(events[1].ts_ns >= events[0].ts_ns);
         assert!(rec.drain_events().is_empty());
+    }
+
+    #[test]
+    fn trace_args_are_built_only_when_tracing() {
+        let mut rec = StageRecorder::default();
+        let mut built = 0;
+        for mode in [ObsMode::Off, ObsMode::Stages, ObsMode::Trace] {
+            rec.set_mode(mode);
+            let t = rec.start();
+            rec.stop_with(Stage::Solve, t, || {
+                built += 1;
+                vec![("job", ArgValue::Int(1))]
+            });
+            assert_eq!(built, usize::from(mode == ObsMode::Trace), "{mode:?}");
+        }
+        assert_eq!(rec.drain_events()[0].args, vec![("job", ArgValue::Int(1))]);
     }
 
     #[test]
