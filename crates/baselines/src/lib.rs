@@ -8,10 +8,6 @@
 //!   share a resource when doing so does **not** increase any operation's
 //!   latency.  Figure 3 of the paper measures the area penalty of this
 //!   approach relative to the intertwined heuristic.
-//! * [`SortedCliqueAllocator`] — reproduction of the wordlength-sorted clique
-//!   partitioning of reference \[14\] (Kum & Sung): the same latency-
-//!   preserving restriction, but cliques are grown greedily in descending
-//!   order of operation wordlength rather than optimally.
 //! * [`UniformWordlengthAllocator`] — the traditional DSP-processor model:
 //!   a single uniform wordlength per resource class (the maximum needed),
 //!   which every operation pays for.
@@ -29,10 +25,8 @@
 #![warn(missing_debug_implementations)]
 
 mod common;
-mod sorted_clique;
 mod two_stage;
 mod uniform;
 
-pub use sorted_clique::SortedCliqueAllocator;
 pub use two_stage::{TwoStageAllocator, TwoStageOptions};
 pub use uniform::UniformWordlengthAllocator;

@@ -72,24 +72,18 @@ impl Args {
     }
 }
 
-/// Writes `contents` to `path`, creating its directory, and reports the
-/// write on stderr.  A failure ends the process with exit code 1.
-pub fn write_output(path: &str, contents: &str) {
+/// Writes `doc` to `path`, creating its directory, and reports the write on
+/// stderr; then runs `check` on the written text parsed back: the gate's
+/// verdict is that check of its own artifact.  A failed write or any
+/// violation (each is printed) ends the process with exit code 1.
+pub fn write_checked(path: &str, doc: &Json, check: impl FnOnce(&Json) -> Vec<String>) {
+    let written = doc.encode_pretty();
     let dir = Path::new(path).parent().unwrap_or(Path::new(""));
-    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, contents)) {
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(path, &written)) {
         eprintln!("ERROR: could not write {path}: {e}");
         std::process::exit(1);
     }
     eprintln!("wrote {path}");
-}
-
-/// Writes `doc` to `path` like [`write_output`], then runs `check` on the
-/// written text parsed back: the gate's verdict is that check of its own
-/// artifact.  Each violation is printed, and any ends the process with
-/// exit code 1.
-pub fn write_checked(path: &str, doc: &Json, check: impl FnOnce(&Json) -> Vec<String>) {
-    let written = doc.encode_pretty();
-    write_output(path, &written);
     let violations = check(&Json::parse(&written).expect("the codec parses what it printed"));
     for violation in &violations {
         eprintln!("ERROR: {path}: {violation}");

@@ -15,26 +15,19 @@
 //! 3. **Improves somewhere** — at least one scenario family closes a
 //!    strictly positive area gap, i.e. the race is not a no-op.
 //!
-//! On small graphs the gate additionally solves the time-indexed ILP of
-//! [`mwl_optimal`] and reports how much of the baseline-to-optimal area gap
-//! the portfolio closes, with a soundness check that no winner ever beats a
-//! proven optimum.
+//! How far the race gets towards proven ILP optima is measured by the
+//! paper study ([`crate::run_paper_study`]).
 //!
 //! [`PortfolioOutcome`]: mwl_core::PortfolioOutcome
 
-use std::time::Duration;
-
-use mwl_core::{run_portfolio, AllocConfig, PortfolioSpec};
+use mwl_core::{run_portfolio, PortfolioSpec};
 use mwl_model::SonicCostModel;
-use mwl_obs::json::{rounded, Check, Json, ObjectBuilder};
-use mwl_optimal::IlpAllocator;
-use mwl_tgff::{TgffConfig, TgffGenerator};
+use mwl_obs::json::{Check, Json, ObjectBuilder};
 
 use crate::batch::{scenario_jobs, BatchSweepConfig};
-use crate::sweep::lambda_min;
 
 /// The schema version of `BENCH_portfolio.json`.
-const SCHEMA: &str = "mwl_portfolio_gate_v1";
+const SCHEMA: &str = "mwl_portfolio_gate_v2";
 
 /// Parameters of a portfolio-gate run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,13 +43,6 @@ pub struct PortfolioGateConfig {
     pub seed: u64,
     /// Variants per portfolio (variant 0 is always the plain allocator).
     pub variants: usize,
-    /// Problem sizes |O| of the ILP gap study.
-    pub ilp_sizes: Vec<usize>,
-    /// Graphs per ILP problem size.
-    pub ilp_graphs_per_size: usize,
-    /// Wall-clock budget per ILP solve; graphs that time out are excluded
-    /// from the gap figures (and counted).
-    pub ilp_time_limit: Duration,
 }
 
 impl PortfolioGateConfig {
@@ -68,9 +54,6 @@ impl PortfolioGateConfig {
             scenario: "smoke",
             seed: 2001,
             variants: 8,
-            ilp_sizes: vec![5, 6, 8],
-            ilp_graphs_per_size: 2,
-            ilp_time_limit: Duration::from_secs(2),
         }
     }
 
@@ -84,9 +67,6 @@ impl PortfolioGateConfig {
             scenario: "quick",
             seed: 2001,
             variants: 12,
-            ilp_sizes: vec![5, 6, 7, 8, 9, 10],
-            ilp_graphs_per_size: 3,
-            ilp_time_limit: Duration::from_secs(5),
         }
     }
 }
@@ -118,29 +98,6 @@ impl FamilyGateRow {
     }
 }
 
-/// The ILP gap study at one problem size.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IlpGapRow {
-    /// Number of operations |O|.
-    pub ops: usize,
-    /// Graphs attempted.
-    pub graphs: usize,
-    /// Graphs with a proven ILP optimum within the time limit (only these
-    /// contribute to the gap figures).
-    pub proven: usize,
-    /// Graphs whose ILP solve timed out or failed.
-    pub timed_out: usize,
-    /// Graphs where the portfolio matched the proven optimum exactly.
-    pub matched_optimal: usize,
-    /// Sum over proven graphs of `variant0_area - optimal_area`.
-    pub baseline_gap: u64,
-    /// Sum over the same graphs of `portfolio_area - optimal_area`.
-    pub portfolio_gap: u64,
-    /// Graphs where the winner undercut a proven optimum (must be 0 — a
-    /// nonzero count means an area-accounting bug, not a better design).
-    pub unsound: usize,
-}
-
 /// Full results of a portfolio-gate run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortfolioGateResults {
@@ -166,8 +123,6 @@ pub struct PortfolioGateResults {
     pub determinism_runs: usize,
     /// Whether every rerun reproduced the reference outcome bit for bit.
     pub determinism_ok: bool,
-    /// The ILP gap study, one row per problem size.
-    pub ilp: Vec<IlpGapRow>,
 }
 
 impl PortfolioGateResults {
@@ -189,11 +144,10 @@ impl PortfolioGateResults {
         self.baseline_area() - self.portfolio_area()
     }
 
-    /// The never-worse gate: no job regressed below its baseline variant
-    /// and no winner undercut a proven ILP optimum.
+    /// The never-worse gate: no job regressed below its baseline variant.
     #[must_use]
     fn never_worse(&self) -> bool {
-        self.regressed == 0 && self.ilp.iter().all(|r| r.unsound == 0)
+        self.regressed == 0
     }
 
     /// The usefulness gate: at least one family closed a strictly positive
@@ -201,19 +155,6 @@ impl PortfolioGateResults {
     #[must_use]
     fn improved_somewhere(&self) -> bool {
         self.families.iter().any(|f| f.area_saved() > 0)
-    }
-
-    /// Percentage of the baseline-to-optimal area gap the portfolio closed,
-    /// over all graphs with a proven optimum.  `None` when the baseline was
-    /// already optimal everywhere (no gap to close).
-    #[must_use]
-    fn gap_closed_percent(&self) -> Option<f64> {
-        let baseline: u64 = self.ilp.iter().map(|r| r.baseline_gap).sum();
-        let portfolio: u64 = self.ilp.iter().map(|r| r.portfolio_gap).sum();
-        if baseline == 0 {
-            return None;
-        }
-        Some(100.0 * (baseline - portfolio) as f64 / baseline as f64)
     }
 
     /// Renders a text table.
@@ -257,26 +198,6 @@ impl PortfolioGateResults {
             self.baseline_area(),
             self.portfolio_area()
         ));
-        out.push_str("ILP gap study (lambda = lambda_min):\n");
-        out.push_str("|O|   graphs  proven  timed-out  matched  baseline-gap  portfolio-gap\n");
-        for r in &self.ilp {
-            out.push_str(&format!(
-                "{:<5} {:>6} {:>7} {:>10} {:>8} {:>13} {:>14}\n",
-                r.ops,
-                r.graphs,
-                r.proven,
-                r.timed_out,
-                r.matched_optimal,
-                r.baseline_gap,
-                r.portfolio_gap
-            ));
-        }
-        out.push_str(&format!(
-            "gap closed to optimum: {}\n",
-            self.gap_closed_percent()
-                .map(|p| format!("{p:.1}%"))
-                .unwrap_or_else(|| "n/a (baseline already optimal)".into())
-        ));
         out.push_str(&format!(
             "gates: never_worse {}, improved_somewhere {}, deterministic {}\n",
             self.never_worse(),
@@ -314,12 +235,6 @@ impl PortfolioGateResults {
         let tiled = rows as f64 == c.num("jobs");
         c.require(tiled, "families", "rows do not tile the job set");
         c.each("families", |f| f.is("regressed", 0u64));
-        c.each("ilp", |row| row.is("unsound", 0u64));
-        // Null when the heuristic already matched every proven optimum.
-        let gap = c.num("gap_closed_percent");
-        let closed =
-            c.value("gap_closed_percent") == Some(&Json::Null) || (0.0..=100.0).contains(&gap);
-        c.require(closed, "gap_closed_percent", "not null or a percentage");
         c.finish()
     }
 
@@ -349,18 +264,6 @@ impl PortfolioGateResults {
                 .field("area_saved", f.area_saved())
                 .build()
         });
-        let ilp = self.ilp.iter().map(|r| {
-            ObjectBuilder::new()
-                .field("ops", r.ops)
-                .field("graphs", r.graphs)
-                .field("proven", r.proven)
-                .field("timed_out", r.timed_out)
-                .field("matched_optimal", r.matched_optimal)
-                .field("baseline_gap", r.baseline_gap)
-                .field("portfolio_gap", r.portfolio_gap)
-                .field("unsound", r.unsound)
-                .build()
-        });
         let gates = ObjectBuilder::new()
             .field("never_worse", self.never_worse())
             .field("improved_somewhere", self.improved_somewhere())
@@ -377,18 +280,13 @@ impl PortfolioGateResults {
             .field("area", area.build())
             .field("determinism", determinism.build())
             .field("families", families.collect::<Json>())
-            .field("ilp", ilp.collect::<Json>())
-            .field(
-                "gap_closed_percent",
-                self.gap_closed_percent().map(|p| rounded(p, 3)),
-            )
             .field("gates", gates.build())
             .build()
     }
 }
 
 /// Races every scenario job, checks determinism across worker counts and
-/// reruns, aggregates per-family savings, and runs the ILP gap study.
+/// reruns, and aggregates per-family savings.
 #[must_use]
 pub fn run_portfolio_gate(config: &PortfolioGateConfig) -> PortfolioGateResults {
     let cost = SonicCostModel::default();
@@ -461,8 +359,6 @@ pub fn run_portfolio_gate(config: &PortfolioGateConfig) -> PortfolioGateResults 
         }
     }
 
-    let ilp = run_ilp_gap_study(config, &cost, spec);
-
     PortfolioGateResults {
         scenario: config.scenario,
         seed: config.seed,
@@ -475,67 +371,7 @@ pub fn run_portfolio_gate(config: &PortfolioGateConfig) -> PortfolioGateResults 
         worker_counts: config.sweep.worker_counts.clone(),
         determinism_runs,
         determinism_ok,
-        ilp,
     }
-}
-
-/// Solves small graphs to proven optimality and measures how much of the
-/// baseline-to-optimal gap the portfolio closes at λ = λ_min.
-fn run_ilp_gap_study(
-    config: &PortfolioGateConfig,
-    cost: &SonicCostModel,
-    spec: PortfolioSpec,
-) -> Vec<IlpGapRow> {
-    let mut rows = Vec::new();
-    for &ops in &config.ilp_sizes {
-        let mut generator = TgffGenerator::new(
-            TgffConfig::with_ops(ops),
-            config.seed.wrapping_add(97 * ops as u64),
-        );
-        let mut row = IlpGapRow {
-            ops,
-            graphs: 0,
-            proven: 0,
-            timed_out: 0,
-            matched_optimal: 0,
-            baseline_gap: 0,
-            portfolio_gap: 0,
-            unsound: 0,
-        };
-        for _ in 0..config.ilp_graphs_per_size {
-            let graph = generator.generate();
-            let lambda = lambda_min(&graph, cost);
-            row.graphs += 1;
-            let optimal = match IlpAllocator::new(cost, lambda)
-                .with_time_limit(config.ilp_time_limit)
-                .allocate(&graph)
-            {
-                Ok(out) if out.stats.proven_optimal => out.datapath.area(),
-                _ => {
-                    row.timed_out += 1;
-                    continue;
-                }
-            };
-            let Ok(outcome) = run_portfolio(cost, &graph, &AllocConfig::new(lambda), spec, 1)
-            else {
-                row.timed_out += 1;
-                continue;
-            };
-            row.proven += 1;
-            let won = outcome.best.datapath.area();
-            let baseline = outcome.variant0_area.unwrap_or(won);
-            if won == optimal {
-                row.matched_optimal += 1;
-            }
-            if won < optimal {
-                row.unsound += 1;
-            }
-            row.baseline_gap += baseline.saturating_sub(optimal);
-            row.portfolio_gap += won.saturating_sub(optimal);
-        }
-        rows.push(row);
-    }
-    rows
 }
 
 #[cfg(test)]
@@ -548,9 +384,6 @@ mod tests {
             scenario: "tiny",
             seed: 2001,
             variants: 5,
-            ilp_sizes: vec![3],
-            ilp_graphs_per_size: 1,
-            ilp_time_limit: Duration::from_secs(1),
         }
     }
 

@@ -17,7 +17,7 @@ fn exit_code(binary: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn malformed_graph_counts_are_usage_errors() {
-    for binary in [env!("CARGO_BIN_EXE_fig3"), env!("CARGO_BIN_EXE_rtl_smoke")] {
+    for binary in [env!("CARGO_BIN_EXE_paper"), env!("CARGO_BIN_EXE_rtl_smoke")] {
         for bad in ["x", "0", "-3"] {
             let (code, stderr) = exit_code(binary, &["--graphs", bad]);
             assert_eq!(code, Some(2), "{binary} --graphs {bad}: {stderr}");
@@ -32,7 +32,7 @@ fn missing_values_and_unknown_arguments_are_usage_errors() {
         (env!("CARGO_BIN_EXE_obs_gate"), &["--trace-out"][..]),
         (env!("CARGO_BIN_EXE_perf_gate"), &["--reps"][..]),
         (env!("CARGO_BIN_EXE_obs_gate"), &["--out"][..]),
-        (env!("CARGO_BIN_EXE_table2"), &["--graph", "3"][..]),
+        (env!("CARGO_BIN_EXE_paper"), &["--graph", "3"][..]),
         (env!("CARGO_BIN_EXE_ablation"), &["--reps", "3"][..]),
     ] {
         let (code, stderr) = exit_code(binary, args);

@@ -21,7 +21,9 @@
 //!    swallow previously selected cliques; any clique swallowed this way is
 //!    deleted, compensating for the greediness of earlier selections.
 
-use mwl_model::OpId;
+use std::cmp::Ordering;
+
+use mwl_model::{Area, OpId};
 use mwl_wcg::WordlengthCompatibilityGraph;
 
 use crate::datapath::ResourceInstance;
@@ -129,45 +131,34 @@ pub(crate) fn bind_select_with_scratch(
 
     while remaining > 0 {
         // Find, per resource type, the size of a maximum clique of uncovered
-        // operations and keep the resource with the best |p_r| / cost(r)
-        // ratio.  The key reads only the clique's length, so the chain itself
-        // is built once, for the winner, after the scan.  Only the graph's
-        // bind candidates are scanned: a type outside them is outranked by
-        // one inside under this comparator for every `H` refinement reaches
-        // (see `prune_bind_candidates`).  The scan is ascending, so among
-        // full ties the lower index wins.
-        let mut best: Option<usize> = None;
-        let mut best_key = (0.0f64, 0usize, u64::MAX);
+        // operations and keep the resource that `outranks` the others.  The
+        // key reads only the clique's length, so the chain itself is built
+        // once, for the winner, after the scan.  Only the graph's bind
+        // candidates are scanned: a type outside them is outranked by one
+        // inside for every `H` refinement reaches (see
+        // `prune_bind_candidates`).  The scan is ascending, so among full
+        // ties the lower index wins.
+        let mut best: Option<(usize, (usize, Area))> = None;
         for &r in wcg.bind_candidates() {
             // The uncovered candidate count bounds any chain's length, so a
             // resource whose count/area ratio already falls short of the
-            // incumbent (beyond the tie tolerance) cannot win — skip it
-            // without counting its chain.  A zero count means no chain.
+            // incumbent's cannot win — skip it without counting its chain.
+            // A zero count means no chain.
             let count = wcg.mask_candidate_count(uncovered_mask, r);
             if count == 0 {
                 continue;
             }
             let area = wcg.resource_area(r).max(1);
-            if best.is_some() && (count as f64 / area as f64) < best_key.0 - f64::EPSILON {
+            if best.is_some_and(|(_, incumbent)| ratio_cmp((count, area), incumbent).is_lt()) {
                 continue;
             }
             let len = wcg.max_chain_len(r, uncovered_ranks);
-            let key = (len as f64 / area as f64, len, u64::MAX - area);
-            let better = match &best {
-                None => true,
-                Some(_) => {
-                    key.0 > best_key.0 + f64::EPSILON
-                        || ((key.0 - best_key.0).abs() <= f64::EPSILON
-                            && (key.1 > best_key.1 || (key.1 == best_key.1 && key.2 > best_key.2)))
-                }
-            };
-            if better {
-                best_key = key;
-                best = Some(r);
+            if best.is_none_or(|(_, incumbent)| outranks((len, area), incumbent)) {
+                best = Some((r, (len, area)));
             }
         }
 
-        let Some(resource) = best else {
+        let Some((resource, _)) = best else {
             // Some operation is uncovered but no resource can execute it.
             let op = (0..n)
                 .map(|i| OpId::new(i as u32))
@@ -240,6 +231,29 @@ pub(crate) fn bind_select_with_scratch(
     Ok(clique_count)
 }
 
+/// Orders the ratios `len / area` of two `(len, area)` keys exactly, by
+/// their `u128` cross products.
+fn ratio_cmp((len, area): (usize, Area), (other_len, other_area): (usize, Area)) -> Ordering {
+    (len as u128 * u128::from(other_area)).cmp(&(other_len as u128 * u128::from(area)))
+}
+
+/// Whether a chain of `len ≥ 1` operations on a type of area `area` wins a
+/// covering round over the incumbent's: a higher `len / area`, then a longer
+/// chain.  Equal ratios and lengths mean equal areas, so a smaller-area rule
+/// would never decide; the rest of the tie goes to the incumbent.
+///
+/// The frozen [`crate::reference`] compares `f64` quotients within
+/// `f64::EPSILON`, then lengths, then areas; the two agree while lengths
+/// and areas stay below 2²⁴.  Two distinct ratios `l/a ≠ m/b` then differ
+/// by at least `1/(ab) > 2⁻⁴⁸`, and rounding moves them by at most
+/// `2⁻⁵³(l/a + m/b)`, so after rounding they stay more than `EPSILON` apart,
+/// while equal ratios round equally.
+fn outranks(key: (usize, Area), incumbent: (usize, Area)) -> bool {
+    ratio_cmp(key, incumbent)
+        .then(key.0.cmp(&incumbent.0))
+        .is_gt()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,6 +261,7 @@ mod tests {
         CostModel, OpShape, ResourceType, SequencingGraph, SequencingGraphBuilder, SonicCostModel,
     };
     use mwl_sched::{asap, OpLatencies};
+    use proptest::prelude::*;
 
     fn scheduled_wcg(graph: &SequencingGraph) -> WordlengthCompatibilityGraph {
         let cost = SonicCostModel::default();
@@ -385,5 +400,40 @@ mod tests {
         wcg.attach_schedule(&schedule, &latencies);
         let err = bind_select(&wcg, BindSelectOptions::default()).unwrap_err();
         assert_eq!(err, AllocError::UncoverableOperation(x));
+    }
+
+    /// The `f64` comparator `BindSelect` ran before it compared ratios
+    /// exactly: the ratio within `f64::EPSILON`, then a longer chain, then a
+    /// smaller area.
+    fn f64_outranks((len, area): (usize, Area), (l, a): (usize, Area)) -> bool {
+        let (key, best) = (len as f64 / area as f64, l as f64 / a as f64);
+        key > best + f64::EPSILON
+            || ((key - best).abs() <= f64::EPSILON && (len > l || (len == l && area < a)))
+    }
+
+    /// A value in `1..2^bits`.
+    fn below_bits(raw: u64, bits: u32) -> u64 {
+        1 + raw % ((1u64 << bits) - 1).max(1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        /// Below the old 2²⁴ guard on lengths and areas, the exact order
+        /// and the `f64` one agree on every pair, for the win and for the
+        /// pre-skip.  Narrow ranges make equal ratios common.
+        #[test]
+        fn exact_and_f64_comparators_agree_below_2_24(
+            bits in 1u32..=24,
+            raw in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let key = (below_bits(raw.0, bits) as usize, below_bits(raw.1, bits));
+            let incumbent = (below_bits(raw.2, bits) as usize, below_bits(raw.3, bits));
+            prop_assert_eq!(outranks(key, incumbent), f64_outranks(key, incumbent));
+            let (count, area) = key;
+            let (len, a) = incumbent;
+            let f64_skips = (count as f64 / area as f64) < (len as f64 / a as f64) - f64::EPSILON;
+            prop_assert_eq!(ratio_cmp(key, incumbent).is_lt(), f64_skips);
+        }
     }
 }

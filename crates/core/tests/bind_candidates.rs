@@ -7,8 +7,8 @@
 //! common — latencies that do and do not grow with area, and random
 //! refinement histories, every dropped type must keep a
 //! dominator in the set under the current `H`, and `BindSelect` over the set
-//! must select exactly what it selects over every type.  Outside the
-//! comparator's exact range (an area of 2²⁴ or more) every type is kept.
+//! must select exactly what it selects over every type.  The comparator is
+//! exact, so an area of 2²⁴ or more prunes the same way.
 
 use proptest::prelude::*;
 
@@ -165,24 +165,29 @@ impl CostModel for OneHugeArea {
 }
 
 #[test]
-fn an_area_beyond_the_exact_ratio_range_keeps_every_type() {
+fn an_area_beyond_2_24_prunes_and_binds_as_every_type_does() {
     let graph = graph(GraphShape::Layered, 1, 32, 7);
-    let mut sonic = WordlengthCompatibilityGraph::new(&graph, &SonicCostModel::default());
-    sonic.snapshot_pristine();
-    sonic.prune_bind_candidates();
+    let sonic = WordlengthCompatibilityGraph::new(&graph, &SonicCostModel::default());
     let all = sonic.resources().len();
-    assert!(sonic.bind_candidates().len() < all, "this graph prunes");
-
-    let huge = OneHugeArea {
-        huge: sonic.resources()[0],
-    };
-    let mut wcg = WordlengthCompatibilityGraph::new(&graph, &huge);
-    wcg.snapshot_pristine();
-    wcg.prune_bind_candidates();
-    assert_eq!(wcg.bind_candidates(), (0..all).collect::<Vec<_>>());
-
-    // Binding over every type still runs.
-    let upper: OpLatencies = wcg.upper_bound_latencies();
-    wcg.attach_schedule(&mwl_sched::asap(&graph, &upper), &upper);
-    assert!(bind_select(&wcg, BindSelectOptions::default()).is_ok());
+    for huge in 0..all {
+        let cost = OneHugeArea {
+            huge: sonic.resources()[huge],
+        };
+        let mut full = WordlengthCompatibilityGraph::new(&graph, &cost);
+        let mut pruned = full.clone();
+        pruned.snapshot_pristine();
+        pruned.prune_bind_candidates();
+        assert!(
+            pruned.bind_candidates().len() < all,
+            "type {huge}: no pruning"
+        );
+        let upper: OpLatencies = full.upper_bound_latencies();
+        let schedule = mwl_sched::asap(&graph, &upper);
+        full.attach_schedule(&schedule, &upper);
+        pruned.attach_schedule(&schedule, &upper);
+        for grow_cliques in [true, false] {
+            let options = BindSelectOptions { grow_cliques };
+            assert_eq!(bind_select(&pruned, options), bind_select(&full, options));
+        }
+    }
 }

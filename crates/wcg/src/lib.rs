@@ -227,11 +227,12 @@ impl WordlengthCompatibilityGraph {
     }
 
     /// Re-initialises this graph for a (possibly different) sequencing graph,
-    /// reusing every buffer — the allocation-free counterpart of
-    /// [`new`](Self::new), used by the allocator to restart refinement after
-    /// a resource-bound escalation and by the batch driver's per-worker
-    /// workspaces.  The result is indistinguishable from a freshly
-    /// constructed graph.
+    /// reusing its edge and mask buffers; the result is indistinguishable
+    /// from [`new`](Self::new)'s.  The resource set is extracted afresh
+    /// ([`SequencingGraph::extract_resource_types`]), which allocates.  The
+    /// allocator calls this once per job, on its scratch's graph; a
+    /// resource-bound escalation restores the
+    /// [`snapshot_pristine`](Self::snapshot_pristine) copy instead.
     pub fn rebuild(&mut self, graph: &SequencingGraph, cost: &dyn CostModel) {
         let resources = graph.extract_resource_types();
         self.rebuild_with_resources(graph, resources, cost);
@@ -332,18 +333,13 @@ impl WordlengthCompatibilityGraph {
     ///    stays empty.
     /// 2. *Never better.*  Chain lengths read only the schedule's
     ///    intervals, so for every uncovered mask `len_q ≥ len_r`, and with
-    ///    `area_q ≤ area_r` the rounded ratio `len_q / area_q` is at least
-    ///    `len_r / area_r`.  Under `BindSelect`'s comparator — ratio within
-    ///    `f64::EPSILON`, then longer chain, then smaller area, then the
-    ///    lower index, which its ascending scan favours — `q ⪰ r`.
-    /// 3. *Removal changes no fold.*  With every area and the operation
-    ///    count below 2²⁴, two distinct ratios `l/a ≠ m/b` differ by at
-    ///    least `1/(ab) > 2⁻⁴⁸`, and rounding moves them by at most
-    ///    `2⁻⁵³(l/a + m/b)`, so after rounding they stay more than
-    ///    `EPSILON` apart while equal ratios round equally.  The comparator
-    ///    is then a strict total order, the scan returns its maximum, and
-    ///    removing a type that a present type outranks cannot change it.
-    ///    Outside that guard every type is kept.
+    ///    `area_q ≤ area_r` the ratio `len_q / area_q` is at least
+    ///    `len_r / area_r`.  `BindSelect`'s comparator — the ratio, compared
+    ///    exactly, then longer chain, then the lower index, which its
+    ///    ascending scan favours — is a strict total order.  It puts `q`
+    ///    above `r`: if ratio and length tie, so do the areas, and then
+    ///    `q < r`.  The scan returns its maximum, and removing a type that a
+    ///    present type outranks cannot change it.
     ///
     /// The round winner is therefore unchanged, and so is the
     /// uncoverable-operation report: a non-empty column keeps a dominator
@@ -354,9 +350,6 @@ impl WordlengthCompatibilityGraph {
     ///
     /// Panics if no snapshot was taken since the last rebuild.
     pub fn prune_bind_candidates(&mut self) {
-        /// Bound on areas and operation counts under which the comparator's
-        /// ratio tolerance separates distinct ratios (step 3 above).
-        const EXACT_RATIO_LIMIT: u64 = 1 << 24;
         assert!(
             self.pristine_valid,
             "prune_bind_candidates without a snapshot of the current problem"
@@ -367,16 +360,11 @@ impl WordlengthCompatibilityGraph {
             latencies,
             pristine_resource_cols: cols,
             op_words: words,
-            upper,
             ..
         } = self;
         let words = *words;
         kept.clear();
         kept.extend(0..areas.len());
-        if upper.len() as u64 >= EXACT_RATIO_LIMIT || areas.iter().any(|&a| a >= EXACT_RATIO_LIMIT)
-        {
-            return;
-        }
         kept.sort_unstable_by_key(|&r| (areas[r].max(1), r));
         let col = |r: usize| &cols[r * words..][..words];
         let mut len = 0;

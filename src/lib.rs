@@ -705,7 +705,7 @@ pub mod workloads {
 
 /// The most commonly used items in one import.
 pub mod prelude {
-    pub use mwl_baselines::{SortedCliqueAllocator, TwoStageAllocator, UniformWordlengthAllocator};
+    pub use mwl_baselines::{TwoStageAllocator, UniformWordlengthAllocator};
     pub use mwl_core::{
         merge_instances, pack_registers, run_portfolio, AllocConfig, AllocError, AllocScratch,
         BindingCertificate, CachedCostModel, Datapath, DpAllocator, MergeStats, PortfolioOutcome,

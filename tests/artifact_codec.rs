@@ -11,8 +11,8 @@
 
 use mwl::obs::json::Json;
 use mwl_bench::{
-    AblationResults, ObsGateResults, PerfGateConfig, PerfGateResults, PortfolioGateConfig,
-    PortfolioGateResults,
+    AblationResults, ObsGateResults, PaperStudyResults, PerfGateConfig, PerfGateResults,
+    PortfolioGateConfig, PortfolioGateResults,
 };
 
 /// The violations of `doc` under the check of its schema version.
@@ -22,10 +22,11 @@ fn check(doc: &Json) -> Vec<String> {
             PerfGateResults::check(doc, &PerfGateConfig::smoke().sweep.worker_counts)
         }
         Some("mwl_obs_gate_v1") => ObsGateResults::check(doc),
-        Some("mwl_portfolio_gate_v1") => {
+        Some("mwl_portfolio_gate_v2") => {
             PortfolioGateResults::check(doc, &PortfolioGateConfig::quick().sweep.worker_counts)
         }
         Some("mwl_ablation_gate_v1") => AblationResults::check(doc),
+        Some("mwl_paper_study_v1") => PaperStudyResults::check(doc),
         other => vec![format!("schema: no check for {other:?}")],
     }
 }
@@ -45,8 +46,8 @@ fn committed_bench_artifacts_are_codec_fixed_points() {
         .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
         .collect();
     names.sort();
-    // ablation, alloc, obs and portfolio.
-    assert!(names.len() >= 4, "{names:?}");
+    // ablation, alloc, obs, paper and portfolio.
+    assert!(names.len() >= 5, "{names:?}");
     for name in &names {
         let text = artifact(name);
         let value = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -65,8 +66,9 @@ fn each_check_names_a_planted_violation() {
         ("BENCH_obs.json", r#""trace_stripped": true"#, "false"),
         ("BENCH_obs.json", r#""stages_overhead""#, "renamed"),
         ("BENCH_portfolio.json", r#""regressed": 0"#, "1"),
-        ("BENCH_portfolio.json", r#""ilp""#, "renamed"),
-        ("BENCH_portfolio.json", r#""gap_closed_percent""#, "renamed"),
+        ("BENCH_paper.json", r#""unsound": 0"#, "1"),
+        ("BENCH_paper.json", r#""ilp""#, "renamed"),
+        ("BENCH_paper.json", r#""gap_closed_percent""#, "renamed"),
         ("BENCH_ablation.json", r#""area_delta": 0"#, "1"),
     ] {
         let key = from.split('"').nth(1).expect("a quoted key");

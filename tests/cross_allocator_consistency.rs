@@ -33,12 +33,6 @@ fn every_allocator_produces_valid_datapaths_within_the_constraint() {
             .unwrap();
         two_stage.validate(&graph, &cost).unwrap();
         assert!(two_stage.latency() <= lambda);
-
-        let sorted = SortedCliqueAllocator::new(&cost, lambda)
-            .allocate(&graph)
-            .unwrap();
-        sorted.validate(&graph, &cost).unwrap();
-        assert!(sorted.latency() <= lambda);
     }
 }
 
@@ -62,13 +56,9 @@ fn optimum_lower_bounds_every_other_allocator() {
         let two_stage = TwoStageAllocator::new(&cost, lambda)
             .allocate(&graph)
             .unwrap();
-        let sorted = SortedCliqueAllocator::new(&cost, lambda)
-            .allocate(&graph)
-            .unwrap();
 
         assert!(optimum <= heuristic.area());
         assert!(optimum <= two_stage.area());
-        assert!(optimum <= sorted.area());
     }
 }
 
@@ -152,9 +142,6 @@ fn infeasible_constraints_are_rejected_consistently() {
         .allocate(&graph)
         .is_err());
     assert!(TwoStageAllocator::new(&cost, too_tight)
-        .allocate(&graph)
-        .is_err());
-    assert!(SortedCliqueAllocator::new(&cost, too_tight)
         .allocate(&graph)
         .is_err());
     assert!(ExhaustiveAllocator::new(&cost, too_tight)
