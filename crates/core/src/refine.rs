@@ -15,28 +15,36 @@ use mwl_model::{Cycles, OpId, SequencingGraph};
 use mwl_sched::{OpLatencies, Schedule};
 use mwl_wcg::WordlengthCompatibilityGraph;
 
-/// Reusable buffers of the refinement rule: the instance-sorted operations
-/// that yield the binding edges, the topological order and ASAP/ALAP tables
-/// of the bound critical path, and the candidate list of the selection rule.
-/// One lives in each [`crate::AllocScratch`], so the once-per-iteration
-/// refinement selection is allocation-free in the steady state.
+/// Reusable buffers of the refinement rule: the topological order, the
+/// open-operation lists that yield the binding edges, the ASAP/ALAP tables
+/// of the bound critical path, and the candidate list of the selection
+/// rule.  One lives in each [`crate::AllocScratch`], so the
+/// once-per-iteration refinement selection is allocation-free in the steady
+/// state.
 #[derive(Debug, Default)]
 pub(crate) struct RefineScratch {
-    /// Bound operations sorted by `(instance, start, id)`.
-    by_instance: Vec<u32>,
-    /// Per operation, the run of `by_instance` on its instance starting
-    /// where it ends: its `S_b` successors.
-    runs: Vec<(u32, u32)>,
-    /// Counting-sort buckets, one per start step or per instance.
+    /// Counting-sort buckets, one per start step.
     buckets: Vec<u32>,
     /// All operations sorted by `(start, id)`: a topological order of the
     /// augmented graph.
     order: Vec<u32>,
+    /// Per instance slot, the head of its list of open operations.
+    open: Vec<u32>,
+    /// Per operation, the next operation of its slot's open list.
+    next: Vec<u32>,
+    /// Per operation, the junctions it ends at and starts from (`NONE` for
+    /// neither).
+    junctions: Vec<(u32, u32)>,
+    /// Per junction, the latest end its followers allow its members.
+    junction_end: Vec<Cycles>,
     asap: Vec<Cycles>,
     alap_end: Vec<Cycles>,
     critical: Vec<OpId>,
     candidates: Vec<OpId>,
 }
+
+/// No operation, no junction: the end of an open list.
+const NONE: u32 = u32::MAX;
 
 /// Computes the bound critical path `Q_b`.
 ///
@@ -56,9 +64,13 @@ pub(crate) struct RefineScratch {
 /// must be at least 1.  Any schedule valid under latencies of at least 1
 /// meets the first condition; the allocator's schedules are valid under the
 /// upper bounds `L_o ≥ ℓ(o) ≥ 1`, which [`OpLatencies::validate`] and the
-/// cost model's latency contract guarantee.  Time and memory are linear in
-/// the operation count, the latest start and the largest instance index
-/// (the instance's position in its datapath).
+/// cost model's latency contract guarantee.  Memory is linear in the
+/// operation count and the latest start, whatever the instance indices.
+/// Time is linear in the operations, edges and latest start for the
+/// allocator's bindings, whose instance indices are below the operation
+/// count and whose instances run one operation at a time.  Other bindings
+/// add, per operation, a walk over the operations still open on its
+/// instance and on instances congruent to it modulo the operation count.
 #[must_use]
 pub fn bound_critical_path(
     graph: &SequencingGraph,
@@ -74,18 +86,25 @@ pub fn bound_critical_path(
 /// Scratch-reusing core of [`bound_critical_path`]: the result lands in
 /// `scratch.critical`.
 ///
-/// Linear in the operations, edges, latest start and largest instance
-/// index.  Both edge kinds point strictly forward in start time: a
-/// dependence by the precondition, and an `S_b` edge because `start(o2) =
-/// start(o1) + ℓ(o1)` with `ℓ(o1) ≥ 1`.  So the operations in `(start, id)`
-/// order, a counting sort by start, are a topological order of the
-/// augmented graph, with no indegree pass.  A stable counting sort of that
-/// order by instance gives the `(instance, start, id)` order, in which the
-/// `S_b` successors of an operation — the same-instance operations starting
-/// exactly where it ends — are one contiguous run, found by binary search.
-/// No adjacency is materialised: an operation's augmented successors are
-/// its sequencing successors followed by its run.  A pair joined by both
-/// kinds of edge is visited twice, which a `max`/`min` relaxation does not
+/// Both edge kinds point strictly forward in start time: a dependence by
+/// the precondition, and an `S_b` edge because `start(o2) = start(o1) +
+/// ℓ(o1)` with `ℓ(o1) ≥ 1`.  So the operations in `(start, id)` order, a
+/// counting sort by start, are a topological order of the augmented graph,
+/// with no indegree pass.
+///
+/// The `S_b` edges are found during the ASAP pass.  Each instance keeps a
+/// list of its *open* operations, those whose bound end is at or after the
+/// current start; the lists live in `n` slots, instance `b` in slot `b mod
+/// n`, and a list skips the entries of other instances sharing its slot.
+/// An operation starting at `t` pairs with the open operations of its
+/// instance that end exactly at `t`.  Those all pair with every operation
+/// of the instance starting at `t`, so the edges between the two groups are
+/// complete, and routing them through one *junction* — named by the first
+/// such operation met — gives the same ASAP and ALAP times in linear
+/// memory.  The forward pass pulls each operation's ASAP time from its
+/// predecessors and its junction's members; the backward pass pulls its
+/// ALAP end from its successors and its junction's followers.  A pair
+/// joined by both kinds of edge counts twice, which `max`/`min` does not
 /// notice.
 fn bound_critical_path_into(
     graph: &SequencingGraph,
@@ -98,10 +117,12 @@ fn bound_critical_path_into(
     let start = schedule.as_slice();
     let latency = bound_latencies.as_slice();
     let RefineScratch {
-        by_instance,
-        runs,
         buckets,
         order,
+        open,
+        next,
+        junctions,
+        junction_end,
         asap,
         alap_end,
         critical,
@@ -110,73 +131,97 @@ fn bound_critical_path_into(
 
     // Operations by `(start, id)`: a counting sort by start.
     let latest = start.iter().max().map_or(0, |&s| s as usize);
-    counting_sort(
-        order,
-        buckets,
-        latest,
-        (0..n as u32).map(|i| (start[i as usize] as usize, i)),
-    );
-    // Bound operations by `(instance, start, id)`: a stable counting sort of
-    // that order by instance.
-    let bound = |b: &usize| *b != usize::MAX;
-    let last_instance = binding.iter().copied().filter(bound).max();
-    counting_sort(
-        by_instance,
-        buckets,
-        last_instance.unwrap_or(0),
-        order
-            .iter()
-            .map(|&i| (binding[i as usize], i))
-            .filter(|(b, _)| bound(b)),
-    );
-    let slot = |j: &u32| (binding[*j as usize], start[*j as usize]);
-    runs.clear();
-    runs.extend((0..n).map(|i| {
-        if binding[i] == usize::MAX {
-            return (0, 0);
-        }
-        let key = (binding[i], start[i] + latency[i]);
-        let lo = by_instance.partition_point(|j| slot(j) < key);
-        let hi = lo + by_instance[lo..].partition_point(|j| slot(j) == key);
-        (lo as u32, hi as u32)
-    }));
-    let by_instance = &*by_instance;
-    let runs = &*runs;
-    // Augmented successors of `v`.  With `ℓ(v) ≥ 1` its run starts after
-    // it, so never holds it.
-    let successors = |v: usize| {
-        let (lo, hi) = runs[v];
-        graph
-            .successors(OpId::new(v as u32))
-            .iter()
-            .map(|s| s.index())
-            .chain(
-                by_instance[lo as usize..hi as usize]
-                    .iter()
-                    .map(|&j| j as usize),
-            )
-    };
+    buckets.clear();
+    buckets.resize(latest + 2, 0);
+    for &s in start {
+        buckets[s as usize + 1] += 1;
+    }
+    for k in 1..buckets.len() {
+        buckets[k] += buckets[k - 1];
+    }
+    order.clear();
+    order.resize(n, 0);
+    for i in 0..n {
+        let position = &mut buckets[start[i] as usize];
+        order[*position as usize] = i as u32;
+        *position += 1;
+    }
 
-    // ASAP on the augmented graph, pushed forward along the order.
+    // ASAP on the augmented graph, pulled forward along the order.
+    open.clear();
+    open.resize(n, NONE);
+    next.clear();
+    next.resize(n, NONE);
+    junctions.clear();
+    junctions.resize(n, (NONE, NONE));
     asap.clear();
     asap.resize(n, 0);
     for &v in order.iter() {
         let v = v as usize;
-        let finish = asap[v] + latency[v];
-        for s in successors(v) {
-            debug_assert!(start[s] > start[v], "edges must point forward in time");
-            asap[s] = asap[s].max(finish);
+        let mut earliest = graph
+            .predecessors(OpId::new(v as u32))
+            .iter()
+            .map(|p| {
+                let p = p.index();
+                debug_assert!(start[v] > start[p], "edges must point forward in time");
+                asap[p] + latency[p]
+            })
+            .max()
+            .unwrap_or(0);
+        let instance = binding[v];
+        if instance != usize::MAX {
+            let slot = instance % n;
+            let (mut prev, mut u) = (NONE, open[slot]);
+            let mut junction = NONE;
+            while u != NONE {
+                let ui = u as usize;
+                let end = start[ui] + latency[ui];
+                if end < start[v] {
+                    // Closed for good: every later operation starts later.
+                    match prev {
+                        NONE => open[slot] = next[ui],
+                        p => next[p as usize] = next[ui],
+                    }
+                } else {
+                    if end == start[v] && binding[ui] == instance {
+                        if junction == NONE {
+                            junction = u;
+                        }
+                        junctions[ui].0 = junction;
+                        earliest = earliest.max(asap[ui] + latency[ui]);
+                    }
+                    prev = u;
+                }
+                u = next[ui];
+            }
+            junctions[v].1 = junction;
+            next[v] = open[slot];
+            open[slot] = v as u32;
         }
+        asap[v] = earliest;
     }
     let deadline = (0..n).map(|i| asap[i] + latency[i]).max().unwrap_or(0);
 
     // ALAP (end times) against that deadline, pulled backward.
     alap_end.clear();
     alap_end.resize(n, deadline);
+    junction_end.clear();
+    junction_end.resize(n, deadline);
     for &v in order.iter().rev() {
         let v = v as usize;
-        for s in successors(v) {
-            alap_end[v] = alap_end[v].min(alap_end[s] - latency[s]);
+        let mut latest_end = graph
+            .successors(OpId::new(v as u32))
+            .iter()
+            .map(|s| alap_end[s.index()] - latency[s.index()])
+            .fold(deadline, Cycles::min);
+        let (ends_at, starts_from) = junctions[v];
+        if ends_at != NONE {
+            latest_end = latest_end.min(junction_end[ends_at as usize]);
+        }
+        alap_end[v] = latest_end;
+        if starts_from != NONE {
+            let end = &mut junction_end[starts_from as usize];
+            *end = (*end).min(latest_end - latency[v]);
         }
     }
 
@@ -186,31 +231,6 @@ fn bound_critical_path_into(
             .filter(|&i| asap[i] == alap_end[i] - latency[i])
             .map(|i| OpId::new(i as u32)),
     );
-}
-
-/// Writes the items of `keyed` (`(key, item)` pairs, every key at most
-/// `max_key`) to `out` sorted by key, keeping the input order among equal
-/// keys; `buckets` is the reusable count table.
-fn counting_sort(
-    out: &mut Vec<u32>,
-    buckets: &mut Vec<u32>,
-    max_key: usize,
-    keyed: impl Iterator<Item = (usize, u32)> + Clone,
-) {
-    buckets.clear();
-    buckets.resize(max_key + 2, 0);
-    for (key, _) in keyed.clone() {
-        buckets[key + 1] += 1;
-    }
-    for k in 1..buckets.len() {
-        buckets[k] += buckets[k - 1];
-    }
-    out.clear();
-    out.resize(buckets[max_key + 1] as usize, 0);
-    for (key, item) in keyed {
-        out[buckets[key] as usize] = item;
-        buckets[key] += 1;
-    }
 }
 
 /// Selects the operation whose latency upper bound should be refined next,
@@ -553,5 +573,53 @@ mod tests {
         let schedule = Schedule::from_vec(vec![0]);
         let qb = bound_critical_path(&g, &schedule, &lat, &[0]);
         assert_eq!(qb, vec![x]);
+    }
+
+    /// Independent adders, one per start time, and that schedule.
+    fn independent(starts: &[Cycles]) -> (SequencingGraph, Schedule) {
+        let mut b = SequencingGraphBuilder::new();
+        for _ in starts {
+            b.add_operation(OpShape::adder(8));
+        }
+        (b.build().unwrap(), Schedule::from_vec(starts.to_vec()))
+    }
+
+    /// Instance indices far past the operation count cost no memory: the
+    /// open lists have one slot per operation, whatever the indices.
+    #[test]
+    fn huge_instance_indices_pair_in_linear_memory() {
+        let (g, schedule) = independent(&[0, 2]);
+        let lat = OpLatencies::from_vec(vec![2, 2]);
+        for instance in [1 << 20, usize::MAX - 1] {
+            let qb = bound_critical_path(&g, &schedule, &lat, &[instance, instance]);
+            assert_eq!(qb, vec![OpId::new(0), OpId::new(1)], "instance {instance}");
+        }
+    }
+
+    /// Distinct instances that share a slot get no binding edge between
+    /// them; equal ones do.  o0 (0..2) and o1 (2..4) form the critical path
+    /// only when serialised, against the unbound o2 (0..3).
+    #[test]
+    fn instances_sharing_a_slot_stay_apart() {
+        let (g, schedule) = independent(&[0, 2, 0]);
+        let lat = OpLatencies::from_vec(vec![2, 2, 3]);
+        let qb = |binding: &[usize]| bound_critical_path(&g, &schedule, &lat, binding);
+        let (o0, o1, o2) = (OpId::new(0), OpId::new(1), OpId::new(2));
+        assert_eq!(qb(&[1, 4, usize::MAX]), vec![o2]);
+        assert_eq!(qb(&[4, 4, usize::MAX]), vec![o0, o1]);
+        assert_eq!(qb(&[usize::MAX; 3]), vec![o2]);
+    }
+
+    /// On an instance whose operations overlap, o0 (0..2) has two `S_b`
+    /// successors starting where it ends: o1 (2..3) and o2 (2..5).  Only the
+    /// second, later in the `(start, id)` order, makes o0 critical, so a
+    /// rule keeping one open operation per instance misses it.  The unbound
+    /// o3 (0..4) has slack 1.
+    #[test]
+    fn every_successor_on_an_overlapping_instance_counts() {
+        let (g, schedule) = independent(&[0, 2, 2, 0]);
+        let lat = OpLatencies::from_vec(vec![2, 1, 3, 4]);
+        let qb = bound_critical_path(&g, &schedule, &lat, &[0, 0, 0, usize::MAX]);
+        assert_eq!(qb, vec![OpId::new(0), OpId::new(2)]);
     }
 }

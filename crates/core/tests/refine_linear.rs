@@ -1,10 +1,10 @@
 //! Property test pinning the linear-time refinement rule to a naive
 //! quadratic copy.
 //!
-//! [`bound_critical_path`] finds the binding edges `S_b` from one sort of the
-//! operations by `(instance, start)` and walks flat buffers; the copy below
-//! tests every same-instance pair and builds adjacency lists, as the rule
-//! reads in the paper.  On random graphs, refinement states, schedules and
+//! [`bound_critical_path`] finds the binding edges `S_b` during its ASAP
+//! pass, from per-instance lists of the operations still open, and walks
+//! flat buffers; the copy below tests every same-instance pair and builds
+//! adjacency lists, as the rule reads in the paper.  On random graphs, refinement states, schedules and
 //! bindings — overlapping and unbound ones included — both must return the
 //! same critical path and [`select_refinement_op`] the same operation.
 

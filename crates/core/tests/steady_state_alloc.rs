@@ -3,7 +3,8 @@
 //! The hot-path rewrite promises that a warm [`AllocScratch`] solves each
 //! graph without *growing*: after warm-up, every repeat of the same job
 //! performs exactly the same (output-only) allocations — the kernels
-//! themselves (the sorted-sweep `attach_schedule` with its rank tables,
+//! themselves (a rebuild of the compatibility graph for a graph already
+//! seen, the sorted-sweep `attach_schedule` with its rank tables,
 //! `max_chain_len`, `max_chain_into`, `is_chain`, the mask primitives,
 //! Eqn (3) admission) run allocation-free on warm buffers, and the
 //! event-driven list scheduler allocates only the schedule it returns.
@@ -119,6 +120,18 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
     // Kernel-level budget: on warm buffers the compatibility and admission
     // kernels allocate nothing at all.
     let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+    wcg.snapshot_pristine();
+
+    // A rebuild for a graph already seen reuses every table: the resource
+    // set and its extraction buffers, the `H` planes, the fastest-latency
+    // and edge-count tables.  So do a snapshot and a restore.
+    let (delta, ()) = allocations_during(|| {
+        wcg.rebuild(&graph, &cost);
+        wcg.snapshot_pristine();
+        wcg.restore_pristine();
+    });
+    assert_eq!(delta, 0, "a warm rebuild, snapshot and restore allocated");
+
     let upper = wcg.upper_bound_latencies();
     let schedule = asap(&graph, &upper);
     wcg.attach_schedule(&schedule, &upper);

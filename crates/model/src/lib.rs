@@ -65,7 +65,9 @@ pub use cost::{
 pub use error::ModelError;
 pub use graph::{DependencyEdge, SequencingGraph, SequencingGraphBuilder};
 pub use op::{OpId, OpKind, OpShape, Operation};
-pub use resource::{extract_resource_types, ResourceClass, ResourceType};
+pub use resource::{
+    extract_resource_types, extract_resource_types_into, OperandWidths, ResourceClass, ResourceType,
+};
 
 /// Number of control steps; all latency quantities are in control steps.
 pub type Cycles = u32;

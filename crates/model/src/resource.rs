@@ -244,31 +244,57 @@ impl fmt::Display for ResourceType {
 /// ```
 #[must_use]
 pub fn extract_resource_types(ops: &[Operation]) -> Vec<ResourceType> {
-    let mut widths = OperandWidths::default();
-    widths.analyse(ops);
-    let mut out: Vec<ResourceType> = widths
-        .adders
-        .iter()
-        .map(|&w| ResourceType::adder(w))
-        .collect();
-    widths.for_each_multiplier(|a, b| out.push(ResourceType::multiplier(a, b)));
-    out.sort_unstable();
-    out.dedup();
+    let mut out = Vec::new();
+    extract_resource_types_into(ops, &mut OperandWidths::default(), &mut out);
     out
 }
 
+/// [`extract_resource_types`] into caller-owned buffers: the operand-width
+/// analysis lands in `widths` and the sorted, duplicate-free resource set
+/// replaces the contents of `out`.  Once both buffers have held the result
+/// for an operation set at least as large, a call allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use mwl_model::{
+///     extract_resource_types, extract_resource_types_into, OpId, OpShape, OperandWidths,
+///     Operation,
+/// };
+/// let ops = vec![
+///     Operation::new(OpId::new(0), OpShape::multiplier(8, 6)),
+///     Operation::new(OpId::new(1), OpShape::adder(12)),
+/// ];
+/// let (mut widths, mut out) = (OperandWidths::default(), Vec::new());
+/// extract_resource_types_into(&ops, &mut widths, &mut out);
+/// assert_eq!(out, extract_resource_types(&ops));
+/// ```
+pub fn extract_resource_types_into(
+    ops: &[Operation],
+    widths: &mut OperandWidths,
+    out: &mut Vec<ResourceType>,
+) {
+    widths.analyse(ops);
+    out.clear();
+    out.extend(widths.adders.iter().map(|&w| ResourceType::adder(w)));
+    widths.for_each_multiplier(|a, b| out.push(ResourceType::multiplier(a, b)));
+    out.sort_unstable();
+    out.dedup();
+}
+
 /// The operand widths of a set of operations, analysed for
-/// [`extract_resource_types`]: distinct adder widths and the multiplier
+/// [`extract_resource_types_into`]: distinct adder widths and the multiplier
 /// candidates of the primary × secondary cross product that cover at least
-/// one operation.
+/// one operation.  Its contents are private; a caller keeps one only to
+/// reuse its buffers.
 ///
 /// The coverage test is an O(1) lookup: a candidate `hi×lo` covers some
 /// multiplication `a×b` iff the smallest `b` over operations with `a ≤ hi`
 /// is at most `lo`, and that minimum is precomputed for every primary and
-/// secondary width.  [`analyse`](Self::analyse) clears the buffers first,
-/// so one analysis can be reused across operation sets.
+/// secondary width.  Each analysis clears the buffers first, so one value
+/// can be reused across operation sets.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct OperandWidths {
+pub struct OperandWidths {
     /// Distinct adder widths, ascending.
     adders: Vec<u32>,
     /// Distinct primary multiplier widths, ascending.
@@ -287,7 +313,7 @@ pub(crate) struct OperandWidths {
 
 impl OperandWidths {
     /// Replaces the analysis with that of `ops`.
-    pub(crate) fn analyse(&mut self, ops: &[Operation]) {
+    fn analyse(&mut self, ops: &[Operation]) {
         self.adders.clear();
         self.primaries.clear();
         self.secondaries.clear();
@@ -329,7 +355,7 @@ impl OperandWidths {
     /// candidate that covers at least one multiplication, in primary-major
     /// order.  A pair may be reported twice when both of its widths occur
     /// as primaries and as secondaries.
-    pub(crate) fn for_each_multiplier(&self, mut f: impl FnMut(u32, u32)) {
+    fn for_each_multiplier(&self, mut f: impl FnMut(u32, u32)) {
         for (&p, &p_min) in self.primaries.iter().zip(&self.primary_min) {
             for (&s, &s_min) in self.secondaries.iter().zip(&self.secondary_min) {
                 let (hi, lo, min) = if p >= s { (p, s, p_min) } else { (s, p, s_min) };
@@ -392,7 +418,7 @@ mod tests {
             state ^= state << 17;
             (state % u64::from(bound)) as u32
         };
-        let mut widths = OperandWidths::default();
+        let (mut widths, mut reused) = (OperandWidths::default(), Vec::new());
         for case in 0..2000 {
             let max_width = if case % 4 == 0 { 80 } else { 24 };
             let n = 1 + next(14);
@@ -415,13 +441,8 @@ mod tests {
                 extract_by_scan(&ops),
                 "case {case}: {ops:?}"
             );
-            // A reused analysis gives the same candidates as a fresh one.
-            widths.analyse(&ops);
-            let mut reused = Vec::new();
-            widths.for_each_multiplier(|a, b| reused.push(ResourceType::multiplier(a, b)));
-            reused.extend(widths.adders.iter().map(|&w| ResourceType::adder(w)));
-            reused.sort_unstable();
-            reused.dedup();
+            // Reused buffers give the same candidates as fresh ones.
+            extract_resource_types_into(&ops, &mut widths, &mut reused);
             assert_eq!(
                 reused,
                 extract_by_scan(&ops),

@@ -22,10 +22,12 @@
 //!
 //! The `H` adjacency is a pair of dense `u64` bitsets — one row per
 //! operation, one column per resource, each the transpose of the other —
-//! and the latency upper bounds `L_o` are cached, so an edge deletion
+//! and the latency upper bounds `L_o`, the per-resource edge counts and
+//! each operation's fastest latency are cached, so an edge deletion
 //! ([`refine_op`](WordlengthCompatibilityGraph::refine_op)) clears two
-//! bits per edge and the allocator's inner loop reads `O(r)`, `L_o` and
-//! per-resource edge counts without rebuilding tables.  The bitsets are the
+//! bits and decrements one count per edge, and the allocator's inner loop
+//! reads `O(r)`, `L_o`, `|O(r)|` and refinability without rebuilding
+//! tables or counting bits.  The bitsets are the
 //! only set representation: an ascending bit scan yields the same sorted
 //! order a sorted index list would, so every list-shaped query
 //! ([`resources_for`](WordlengthCompatibilityGraph::resources_for),
@@ -52,7 +54,10 @@
 
 use std::fmt;
 
-use mwl_model::{Area, CostModel, Cycles, OpId, ResourceType, SequencingGraph};
+use mwl_model::{
+    extract_resource_types_into, Area, CostModel, Cycles, OpId, OperandWidths, ResourceType,
+    SequencingGraph,
+};
 use mwl_sched::{OpLatencies, Schedule};
 
 /// Index of a resource-wordlength type within the graph's resource list.
@@ -137,6 +142,8 @@ pub struct ChainScratch {
 pub struct WordlengthCompatibilityGraph {
     /// Candidate resource-wordlength types (the vertex subset `R`).
     resources: Vec<ResourceType>,
+    /// Buffers of the resource-set extraction, reused by every rebuild.
+    widths: OperandWidths,
     /// Latency of each resource type under the cost model.
     latencies: Vec<Cycles>,
     /// Area of each resource type under the cost model.
@@ -145,6 +152,12 @@ pub struct WordlengthCompatibilityGraph {
     /// never read — for an operation whose last edge was deleted).  Its
     /// length is the operation count.
     upper: Vec<Cycles>,
+    /// Fastest candidate latency per operation (0 for an operation with no
+    /// edge), fixed at rebuild: `refine_op` deletes only edges at `L_o`,
+    /// and only while a faster one survives.
+    fastest: Vec<Cycles>,
+    /// `|O(r)|` per resource, kept in step by `refine_op`.
+    edge_counts: Vec<u32>,
     /// Schedule-derived start/end intervals used for the `C` edges
     /// (operation `o1` precedes `o2` iff `end(o1) <= start(o2)`).  The
     /// buffer is retained across attach/detach cycles.
@@ -194,6 +207,8 @@ pub struct WordlengthCompatibilityGraph {
     pristine_op_rows: Vec<u64>,
     /// Unrefined copy of `resource_cols`.
     pristine_resource_cols: Vec<u64>,
+    /// Unrefined copy of `edge_counts`.
+    pristine_edge_counts: Vec<u32>,
     /// Whether the pristine buffers hold a snapshot of the current problem.
     pristine_valid: bool,
     /// The resource types `BindSelect` scans, ascending: every type after a
@@ -221,30 +236,29 @@ impl WordlengthCompatibilityGraph {
         resources: Vec<ResourceType>,
         cost: &dyn CostModel,
     ) -> Self {
-        let mut wcg = Self::default();
-        wcg.rebuild_with_resources(graph, resources, cost);
+        let mut wcg = Self {
+            resources,
+            ..Self::default()
+        };
+        wcg.rebuild_edges(graph, cost);
         wcg
     }
 
     /// Re-initialises this graph for a (possibly different) sequencing graph,
-    /// reusing its edge and mask buffers; the result is indistinguishable
-    /// from [`new`](Self::new)'s.  The resource set is extracted afresh
-    /// ([`SequencingGraph::extract_resource_types`]), which allocates.  The
+    /// reusing every buffer; the result is indistinguishable from
+    /// [`new`](Self::new)'s.  The resource set is extracted into buffers the
+    /// graph keeps ([`extract_resource_types_into`]), so rebuilding for a
+    /// graph no larger than one already seen allocates nothing.  The
     /// allocator calls this once per job, on its scratch's graph; a
     /// resource-bound escalation restores the
     /// [`snapshot_pristine`](Self::snapshot_pristine) copy instead.
     pub fn rebuild(&mut self, graph: &SequencingGraph, cost: &dyn CostModel) {
-        let resources = graph.extract_resource_types();
-        self.rebuild_with_resources(graph, resources, cost);
+        extract_resource_types_into(graph.operations(), &mut self.widths, &mut self.resources);
+        self.rebuild_edges(graph, cost);
     }
 
-    fn rebuild_with_resources(
-        &mut self,
-        graph: &SequencingGraph,
-        resources: Vec<ResourceType>,
-        cost: &dyn CostModel,
-    ) {
-        self.resources = resources;
+    /// Derives every table but the resource set from `self.resources`.
+    fn rebuild_edges(&mut self, graph: &SequencingGraph, cost: &dyn CostModel) {
         let num_resources = self.resources.len();
         self.latencies.clear();
         self.latencies
@@ -256,6 +270,10 @@ impl WordlengthCompatibilityGraph {
         let n = graph.len();
         self.upper.clear();
         self.upper.resize(n, 0);
+        self.fastest.clear();
+        self.fastest.resize(n, 0);
+        self.edge_counts.clear();
+        self.edge_counts.resize(num_resources, 0);
         self.res_words = words_for(num_resources);
         self.op_words = words_for(n);
         self.op_rows.clear();
@@ -264,13 +282,19 @@ impl WordlengthCompatibilityGraph {
         self.resource_cols.resize(num_resources * self.op_words, 0);
         for (i, op) in graph.operations().iter().enumerate() {
             let shape = op.shape();
+            let (mut fastest, mut slowest) = (Cycles::MAX, 0);
             for j in 0..num_resources {
                 if self.resources[j].covers(shape) {
                     set_bit(&mut self.op_rows[i * self.res_words..], j);
                     set_bit(&mut self.resource_cols[j * self.op_words..], i);
+                    self.edge_counts[j] += 1;
+                    fastest = fastest.min(self.latencies[j]);
+                    slowest = slowest.max(self.latencies[j]);
                 }
             }
-            self.refresh_upper(i);
+            self.upper[i] = slowest;
+            // 0 for an operation with no edge, as `slowest` is.
+            self.fastest[i] = fastest.min(slowest);
         }
         self.intervals.clear();
         self.scheduled = false;
@@ -283,13 +307,14 @@ impl WordlengthCompatibilityGraph {
     /// tables so a later [`restore_pristine`](Self::restore_pristine) can
     /// undo every refinement deletion without re-deriving the graph.  The
     /// allocator snapshots once per job and restores per resource-bound
-    /// escalation: restoring is three flat copies, where a full
+    /// escalation: restoring is four flat copies, where a full
     /// [`rebuild`](Self::rebuild) re-extracts the resource set and
     /// re-queries the cost model.
     pub fn snapshot_pristine(&mut self) {
         self.pristine_upper.clone_from(&self.upper);
         self.pristine_op_rows.clone_from(&self.op_rows);
         self.pristine_resource_cols.clone_from(&self.resource_cols);
+        self.pristine_edge_counts.clone_from(&self.edge_counts);
         self.pristine_valid = true;
     }
 
@@ -309,6 +334,7 @@ impl WordlengthCompatibilityGraph {
         self.upper.clone_from(&self.pristine_upper);
         self.op_rows.clone_from(&self.pristine_op_rows);
         self.resource_cols.clone_from(&self.pristine_resource_cols);
+        self.edge_counts.clone_from(&self.pristine_edge_counts);
         self.intervals.clear();
         self.scheduled = false;
     }
@@ -484,16 +510,13 @@ impl WordlengthCompatibilityGraph {
         &self.resource_cols
     }
 
-    /// Number of `H` edges incident to one resource (`|O(r)|`), a popcount
-    /// of its column — the quantity behind the refinement rule's
-    /// deletion-proportion denominator.
+    /// Number of `H` edges incident to one resource (`|O(r)|`), a count
+    /// [`refine_op`](Self::refine_op) keeps in step — the quantity behind
+    /// the refinement rule's deletion proportion.
     #[must_use]
     #[inline]
     pub fn resource_edge_count(&self, resource: ResourceIndex) -> usize {
-        self.resource_col(resource)
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.edge_counts[resource] as usize
     }
 
     /// Total number of `H` edges.
@@ -558,7 +581,7 @@ impl WordlengthCompatibilityGraph {
     /// Returns the number of edges removed.
     pub fn refine_op(&mut self, op: OpId) -> usize {
         let bound = self.upper_bound_latency(op);
-        if self.candidates(op).all(|r| self.latencies[r] == bound) {
+        if !self.refinable(op) {
             return 0;
         }
         let i = op.index();
@@ -570,7 +593,9 @@ impl WordlengthCompatibilityGraph {
                 .fold(0u64, |acc, b| acc | 1 << b);
             *word &= !slow;
             for b in set_bits(&[slow]) {
-                let col = (w * WORD_BITS + b) * self.op_words;
+                let r = w * WORD_BITS + b;
+                self.edge_counts[r] -= 1;
+                let col = r * self.op_words;
                 clear_bit(&mut self.resource_cols[col..], i);
                 if self.scheduled {
                     clear_bit(&mut self.rank_cols[col..], self.end_rank[i] as usize);
@@ -584,13 +609,12 @@ impl WordlengthCompatibilityGraph {
 
     /// Returns `true` if the operation still has more than one distinct
     /// candidate latency, i.e. refinement could still lower its upper bound.
+    /// Refinement never deletes an operation's fastest edge, so this is its
+    /// fastest latency at rebuild against its current `L_o`.
     #[must_use]
+    #[inline]
     pub fn refinable(&self, op: OpId) -> bool {
-        let mut latencies = self.candidates(op).map(|r| self.latencies[r]);
-        let Some(first) = latencies.next() else {
-            return false;
-        };
-        latencies.any(|l| l != first)
+        self.fastest[op.index()] < self.upper[op.index()]
     }
 
     /// Attaches schedule information, creating the `C` edges: `(o1, o2) ∈ C`

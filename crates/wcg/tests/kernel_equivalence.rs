@@ -400,4 +400,52 @@ proptest! {
         prop_assert!(!wcg.has_schedule());
         assert_structure(&graph, &wcg, &Naive::new(&graph, &wcg));
     }
+
+    /// The tables the graph maintains instead of scanning — the fastest
+    /// latency behind `refinable` and the `|O(r)|` counts — stay equal to
+    /// their definitions through a random history of refinements,
+    /// snapshots, restores, attaches, detaches and rebuilds.
+    #[test]
+    fn maintained_tables_follow_random_histories(
+        case in case_strategy(),
+        history_seed in any::<u64>(),
+    ) {
+        let graph = build(&case);
+        let cost = SonicCostModel::default();
+        let mut wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+        let mut state = history_seed;
+        let mut snapshotted = false;
+        for _ in 0..4 * graph.len() + 8 {
+            match splitmix(&mut state) % 8 {
+                0 => {
+                    wcg.snapshot_pristine();
+                    snapshotted = true;
+                }
+                1 if snapshotted => wcg.restore_pristine(),
+                2 => {
+                    let upper = wcg.upper_bound_latencies();
+                    wcg.attach_schedule(&asap(&graph, &upper), &upper);
+                }
+                3 => wcg.detach_schedule(),
+                4 if splitmix(&mut state).is_multiple_of(4) => {
+                    wcg.rebuild(&graph, &cost);
+                    snapshotted = false;
+                }
+                _ => {
+                    let op = OpId::new((splitmix(&mut state) % graph.len() as u64) as u32);
+                    wcg.refine_op(op);
+                }
+            }
+            for op in graph.op_ids() {
+                let mut latencies: Vec<Cycles> =
+                    wcg.candidates(op).map(|r| wcg.resource_latency(r)).collect();
+                latencies.sort_unstable();
+                latencies.dedup();
+                prop_assert_eq!(wcg.refinable(op), latencies.len() > 1, "{}", op);
+            }
+            for r in 0..wcg.resources().len() {
+                prop_assert_eq!(wcg.resource_edge_count(r), wcg.ops_for(r).len(), "r{}", r);
+            }
+        }
+    }
 }
