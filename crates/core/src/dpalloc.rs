@@ -18,7 +18,7 @@ use crate::error::AllocError;
 use crate::merge::merge_instances_with_scratch;
 use crate::refine::select_refinement_op_with_scratch;
 use crate::replay::{Decision, Lookup};
-use crate::scratch::AllocScratch;
+use crate::scratch::{with_warm_scratch, AllocScratch};
 use mwl_model::{CostModel, Cycles, OpId, ResourceClass, SequencingGraph};
 use mwl_obs::Stage;
 use mwl_sched::{
@@ -173,6 +173,11 @@ impl<'a> DpAllocator<'a> {
 
     /// Runs the heuristic and returns the allocated datapath.
     ///
+    /// Solves on this thread's warm [`AllocScratch`] ([`with_warm_scratch`]):
+    /// the scratch lives as long as the thread, keeps the buffers of the
+    /// largest job it has solved, and has its stage recorder reset when the
+    /// call returns it.  The result is the one a fresh scratch gives.
+    ///
     /// # Errors
     ///
     /// * [`AllocError::LatencyUnachievable`] when `λ` is below the graph's
@@ -185,20 +190,22 @@ impl<'a> DpAllocator<'a> {
         self.allocate_with_stats(graph).map(|o| o.datapath)
     }
 
-    /// Runs the heuristic and additionally reports iteration statistics.
+    /// Runs the heuristic and additionally reports iteration statistics,
+    /// on this thread's warm scratch like [`allocate`](Self::allocate).
     ///
     /// # Errors
     ///
     /// Same conditions as [`allocate`](Self::allocate).
     pub fn allocate_with_stats(&self, graph: &SequencingGraph) -> Result<AllocOutcome, AllocError> {
-        self.allocate_with_scratch(graph, &mut AllocScratch::new())
+        with_warm_scratch(|scratch| self.allocate_with_scratch(graph, scratch))
     }
 
     /// Runs the heuristic through a caller-owned [`AllocScratch`], reusing
     /// its buffers across jobs — the steady-state entry point of the batch
-    /// driver, which keeps one scratch per worker thread.  The result is
-    /// bit-identical to [`allocate_with_stats`](Self::allocate_with_stats)
-    /// regardless of what the scratch was previously used for.
+    /// driver and the daemon, whose workers each solve on one scratch.  The
+    /// result is bit-identical to
+    /// [`allocate_with_stats`](Self::allocate_with_stats) regardless of what
+    /// the scratch was previously used for.
     ///
     /// # Errors
     ///

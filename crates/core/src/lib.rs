@@ -98,7 +98,7 @@ pub use portfolio::{
 };
 pub use refine::{bound_critical_path, select_refinement_op};
 pub use report::{render_report, DatapathReport, InstanceUtilisation};
-pub use scratch::AllocScratch;
+pub use scratch::{with_warm_scratch, AllocScratch};
 pub use storage::{
     clique_lower_bound, left_edge_registers, pack_registers, result_widths, BindingCertificate,
     RegisterBinding,

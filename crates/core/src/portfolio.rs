@@ -80,7 +80,7 @@ use rand::{Rng, SeedableRng};
 use crate::dpalloc::{AllocConfig, AllocOutcome, DpAllocator, RefinementPolicy};
 use crate::error::AllocError;
 use crate::fingerprint::{datapath_fingerprint, StableHasher};
-use crate::scratch::AllocScratch;
+use crate::scratch::{with_warm_scratch, AllocScratch};
 use mwl_model::{Area, CostModel, Cycles, ResourceClass, SequencingGraph};
 use mwl_obs::{ArgValue, Stage};
 use mwl_sched::{critical_path_length, OpLatencies, SchedulePriority};
@@ -463,8 +463,8 @@ fn execute(
 /// `workers` is purely an execution knob: any value produces bit-identical
 /// results because the winner is selected by the arrival-independent
 /// [`CandidateKey`] order.  `workers <= 1` runs the variants inline on the
-/// calling thread (the batch driver's choice — its jobs are already spread
-/// across a worker pool).
+/// calling thread's warm scratch ([`with_warm_scratch`]) — the batch
+/// driver's choice, as its jobs are already spread across a worker pool.
 ///
 /// # Errors
 ///
@@ -536,18 +536,22 @@ fn run_portfolio_inner(
     let n = specs.len();
 
     let runs: Vec<VariantRun> = if workers <= 1 || n == 1 {
-        let mut own = AllocScratch::new();
-        let scratch = caller_scratch.unwrap_or(&mut own);
-        let mut runs = Vec::with_capacity(n);
-        for vs in &specs {
-            let variant_timer = scratch.obs.start();
-            let run = execute(cost, graph, vs, hook, scratch);
-            scratch.obs.stop_with(Stage::Variant, variant_timer, || {
-                vec![("variant", ArgValue::Int(vs.id as i64))]
-            });
-            runs.push(run);
+        let race = |scratch: &mut AllocScratch| {
+            let mut runs = Vec::with_capacity(n);
+            for vs in &specs {
+                let variant_timer = scratch.obs.start();
+                let run = execute(cost, graph, vs, hook, scratch);
+                scratch.obs.stop_with(Stage::Variant, variant_timer, || {
+                    vec![("variant", ArgValue::Int(vs.id as i64))]
+                });
+                runs.push(run);
+            }
+            runs
+        };
+        match caller_scratch {
+            Some(scratch) => race(scratch),
+            None => with_warm_scratch(race),
         }
-        runs
     } else {
         let slots: Vec<OnceLock<VariantRun>> = (0..n).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);

@@ -23,11 +23,9 @@ use mwl_wcg::WordlengthCompatibilityGraph;
 /// state.
 #[derive(Debug, Default)]
 pub(crate) struct RefineScratch {
-    /// Counting-sort buckets, one per start step.
-    buckets: Vec<u32>,
-    /// All operations sorted by `(start, id)`: a topological order of the
-    /// augmented graph.
-    order: Vec<u32>,
+    /// All operations sorted by `(start, id)`, packed as `start << 32 |
+    /// id`: a topological order of the augmented graph.
+    order: Vec<u64>,
     /// Per instance slot, the head of its list of open operations.
     open: Vec<u32>,
     /// Per operation, the next operation of its slot's open list.
@@ -35,10 +33,12 @@ pub(crate) struct RefineScratch {
     /// Per operation, the junctions it ends at and starts from (`NONE` for
     /// neither).
     junctions: Vec<(u32, u32)>,
-    /// Per junction, the latest end its followers allow its members.
-    junction_end: Vec<Cycles>,
-    asap: Vec<Cycles>,
-    alap_end: Vec<Cycles>,
+    /// Per junction, the latest end its followers allow its members.  This
+    /// table and the ASAP/ALAP ones count in `u64`, as do the ends found
+    /// while pairing, so a start near `Cycles::MAX` cannot overflow.
+    junction_end: Vec<u64>,
+    asap: Vec<u64>,
+    alap_end: Vec<u64>,
     critical: Vec<OpId>,
     candidates: Vec<OpId>,
 }
@@ -64,13 +64,15 @@ const NONE: u32 = u32::MAX;
 /// must be at least 1.  Any schedule valid under latencies of at least 1
 /// meets the first condition; the allocator's schedules are valid under the
 /// upper bounds `L_o ≥ ℓ(o) ≥ 1`, which [`OpLatencies::validate`] and the
-/// cost model's latency contract guarantee.  Memory is linear in the
-/// operation count and the latest start, whatever the instance indices.
-/// Time is linear in the operations, edges and latest start for the
-/// allocator's bindings, whose instance indices are below the operation
-/// count and whose instances run one operation at a time.  Other bindings
-/// add, per operation, a walk over the operations still open on its
-/// instance and on instances congruent to it modulo the operation count.
+/// cost model's latency contract guarantee.  An operation may end past
+/// `Cycles::MAX`: ends are counted in 64 bits.  Memory is linear in the
+/// operation count, whatever the starts and instance indices.  Time is a
+/// sort of the operations by start plus a pass linear in the operations
+/// and edges for the allocator's bindings, whose instance indices are
+/// below the operation count and whose instances run one operation at a
+/// time.  Other bindings add, per operation, a walk over the operations
+/// still open on its instance and on instances congruent to it modulo the
+/// operation count.
 #[must_use]
 pub fn bound_critical_path(
     graph: &SequencingGraph,
@@ -88,9 +90,8 @@ pub fn bound_critical_path(
 ///
 /// Both edge kinds point strictly forward in start time: a dependence by
 /// the precondition, and an `S_b` edge because `start(o2) = start(o1) +
-/// ℓ(o1)` with `ℓ(o1) ≥ 1`.  So the operations in `(start, id)` order, a
-/// counting sort by start, are a topological order of the augmented graph,
-/// with no indegree pass.
+/// ℓ(o1)` with `ℓ(o1) ≥ 1`.  So the operations in `(start, id)` order are
+/// a topological order of the augmented graph, with no indegree pass.
 ///
 /// The `S_b` edges are found during the ASAP pass.  Each instance keeps a
 /// list of its *open* operations, those whose bound end is at or after the
@@ -117,7 +118,6 @@ fn bound_critical_path_into(
     let start = schedule.as_slice();
     let latency = bound_latencies.as_slice();
     let RefineScratch {
-        buckets,
         order,
         open,
         next,
@@ -129,23 +129,10 @@ fn bound_critical_path_into(
         ..
     } = scratch;
 
-    // Operations by `(start, id)`: a counting sort by start.
-    let latest = start.iter().max().map_or(0, |&s| s as usize);
-    buckets.clear();
-    buckets.resize(latest + 2, 0);
-    for &s in start {
-        buckets[s as usize + 1] += 1;
-    }
-    for k in 1..buckets.len() {
-        buckets[k] += buckets[k - 1];
-    }
     order.clear();
-    order.resize(n, 0);
-    for i in 0..n {
-        let position = &mut buckets[start[i] as usize];
-        order[*position as usize] = i as u32;
-        *position += 1;
-    }
+    order.extend((0..n).map(|i| u64::from(start[i]) << 32 | i as u64));
+    order.sort_unstable();
+    let latency = |i: usize| u64::from(latency[i]);
 
     // ASAP on the augmented graph, pulled forward along the order.
     open.clear();
@@ -157,14 +144,14 @@ fn bound_critical_path_into(
     asap.clear();
     asap.resize(n, 0);
     for &v in order.iter() {
-        let v = v as usize;
+        let v = v as u32 as usize;
         let mut earliest = graph
             .predecessors(OpId::new(v as u32))
             .iter()
             .map(|p| {
                 let p = p.index();
                 debug_assert!(start[v] > start[p], "edges must point forward in time");
-                asap[p] + latency[p]
+                asap[p] + latency(p)
             })
             .max()
             .unwrap_or(0);
@@ -175,20 +162,20 @@ fn bound_critical_path_into(
             let mut junction = NONE;
             while u != NONE {
                 let ui = u as usize;
-                let end = start[ui] + latency[ui];
-                if end < start[v] {
+                let end = u64::from(start[ui]) + latency(ui);
+                if end < u64::from(start[v]) {
                     // Closed for good: every later operation starts later.
                     match prev {
                         NONE => open[slot] = next[ui],
                         p => next[p as usize] = next[ui],
                     }
                 } else {
-                    if end == start[v] && binding[ui] == instance {
+                    if end == u64::from(start[v]) && binding[ui] == instance {
                         if junction == NONE {
                             junction = u;
                         }
                         junctions[ui].0 = junction;
-                        earliest = earliest.max(asap[ui] + latency[ui]);
+                        earliest = earliest.max(asap[ui] + latency(ui));
                     }
                     prev = u;
                 }
@@ -200,7 +187,7 @@ fn bound_critical_path_into(
         }
         asap[v] = earliest;
     }
-    let deadline = (0..n).map(|i| asap[i] + latency[i]).max().unwrap_or(0);
+    let deadline = (0..n).map(|i| asap[i] + latency(i)).max().unwrap_or(0);
 
     // ALAP (end times) against that deadline, pulled backward.
     alap_end.clear();
@@ -208,12 +195,12 @@ fn bound_critical_path_into(
     junction_end.clear();
     junction_end.resize(n, deadline);
     for &v in order.iter().rev() {
-        let v = v as usize;
+        let v = v as u32 as usize;
         let mut latest_end = graph
             .successors(OpId::new(v as u32))
             .iter()
-            .map(|s| alap_end[s.index()] - latency[s.index()])
-            .fold(deadline, Cycles::min);
+            .map(|s| alap_end[s.index()] - latency(s.index()))
+            .fold(deadline, u64::min);
         let (ends_at, starts_from) = junctions[v];
         if ends_at != NONE {
             latest_end = latest_end.min(junction_end[ends_at as usize]);
@@ -221,14 +208,14 @@ fn bound_critical_path_into(
         alap_end[v] = latest_end;
         if starts_from != NONE {
             let end = &mut junction_end[starts_from as usize];
-            *end = (*end).min(latest_end - latency[v]);
+            *end = (*end).min(latest_end - latency(v));
         }
     }
 
     critical.clear();
     critical.extend(
         (0..n)
-            .filter(|&i| asap[i] == alap_end[i] - latency[i])
+            .filter(|&i| asap[i] == alap_end[i] - latency(i))
             .map(|i| OpId::new(i as u32)),
     );
 }
@@ -285,7 +272,9 @@ pub(crate) fn select_refinement_op_with_scratch(
     // constraint even at their upper-bound latency.  Tier 1: critical,
     // refinable and inside the window; tier 2: critical and refinable;
     // tier 3: any refinable operation.
-    let in_window = |o: &OpId| schedule.start(*o) + upper_bounds.get(*o) <= constraint;
+    let in_window = |o: &OpId| {
+        u64::from(schedule.start(*o)) + u64::from(upper_bounds.get(*o)) <= u64::from(constraint)
+    };
     let refinable = |o: &OpId| wcg.refinable(*o);
 
     let candidates = &mut scratch.candidates;

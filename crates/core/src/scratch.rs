@@ -5,9 +5,14 @@
 //! rows, the Eqn (3) constraint's load profiles, the list scheduler's
 //! working buffers and the merge pass's lower-bound tables — so that the
 //! steady state of [`crate::DpAllocator::allocate_with_scratch`] performs no
-//! per-iteration allocations.  The batch driver keeps **one scratch per
-//! worker thread** and reuses it across jobs; buffers grow to the largest
-//! job seen and stay warm.
+//! per-iteration allocations.
+//!
+//! Every thread owns one warm scratch that [`with_warm_scratch`] lends out:
+//! [`crate::DpAllocator::allocate`], the inline portfolio race and the
+//! batch driver's worker loop solve on it, so a scratch lives as long as
+//! its thread and a call starts on the buffers the thread's earlier calls
+//! grew.  The buffers keep the size of the largest job the thread has
+//! solved; nothing shrinks them.
 //!
 //! A scratch carries no result state between calls (its iteration memo is
 //! cleared at the start of every call): allocating through a
@@ -16,6 +21,8 @@
 //! `tests/optimization_identity.rs` pins against the frozen
 //! [`crate::reference`] implementation).
 
+use std::cell::Cell;
+
 use mwl_model::{Cycles, OpId, ResourceClass};
 use mwl_sched::{
     CoverScratch, OpLatencies, PerInstanceExclusive, SchedScratch, SchedulingSetBound,
@@ -23,6 +30,9 @@ use mwl_sched::{
 use mwl_wcg::{ChainScratch, WordlengthCompatibilityGraph};
 
 /// Reusable buffers for one allocator worker (see the module docs).
+///
+/// A caller-owned scratch serves whoever passes it; the one each thread
+/// keeps warm is reached through [`with_warm_scratch`].
 ///
 /// # Examples
 ///
@@ -125,6 +135,32 @@ impl AllocScratch {
     pub fn bind_candidates(&self) -> usize {
         self.wcg.bind_candidates().len()
     }
+}
+
+thread_local! {
+    /// This thread's warm scratch; empty while it is lent out.
+    static WARM: Cell<Option<AllocScratch>> = const { Cell::new(None) };
+}
+
+/// Runs `f` on this thread's warm [`AllocScratch`].
+///
+/// The scratch is taken out of the thread's slot for the call, so a nested
+/// call finds the slot empty and runs on a fresh scratch of its own.  On
+/// the way back the scratch's stage recorder is
+/// [reset](mwl_obs::StageRecorder::reset) — recording off, no trace
+/// context, no stage totals or events — and the scratch returns to the
+/// slot, keeping every buffer it grew: a thread holds the buffers of the
+/// largest job it has solved until it exits.  If `f` panics the scratch is
+/// dropped and the thread's next call starts cold.
+///
+/// Results never depend on what the scratch solved before (see the module
+/// docs), so lending changes speed only.
+pub fn with_warm_scratch<R>(f: impl FnOnce(&mut AllocScratch) -> R) -> R {
+    let mut scratch = WARM.take().unwrap_or_default();
+    let result = f(&mut scratch);
+    scratch.obs.reset();
+    WARM.set(Some(scratch));
+    result
 }
 
 /// Reusable buffers of Algorithm `BindSelect`: the covered-operation maps,

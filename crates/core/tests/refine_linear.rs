@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 
 use mwl_core::{bound_critical_path, select_refinement_op};
-use mwl_model::{Cycles, OpId, SequencingGraph, SonicCostModel};
+use mwl_model::{Cycles, OpId, OpShape, SequencingGraph, SequencingGraphBuilder, SonicCostModel};
 use mwl_sched::{OpLatencies, Schedule};
 use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator, WidthProfile};
 use mwl_wcg::WordlengthCompatibilityGraph;
@@ -219,5 +219,82 @@ proptest! {
             select_refinement_op(&graph, &wcg, &schedule, &upper, &bound, &binding, lambda),
             naive_select(&graph, &wcg, &schedule, &upper, &bound, &binding, lambda)
         );
+    }
+}
+
+/// Starts spread up to `1 << 30` steps, far sparser than any allocator
+/// schedule: the operations are ordered by a comparison sort, not a table
+/// of one slot per step (which would take 4 GiB here), and the critical
+/// path still matches the definition.  Half the operations start right
+/// when their last predecessor ends, so binding edges still form.  Last,
+/// operations ending past `Cycles::MAX` (where the definition's own sums
+/// overflow, so the expected paths are written out) still pair and rank.
+#[test]
+fn huge_starts_order_in_linear_memory() {
+    let cost = SonicCostModel::default();
+    let mut state = 0x5eed_1e57;
+    let mut draw = |n: u64| splitmix(&mut state) % n;
+    for case in 0..32u64 {
+        let ops = 1 + draw(48) as usize;
+        let graph = TgffGenerator::new(TgffConfig::with_ops(ops), case).generate();
+        let wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+        let upper = wcg.upper_bound_latencies();
+        let mut start: Vec<Cycles> = vec![0; ops];
+        for o in graph.topological_order() {
+            let ready = graph
+                .predecessors(o)
+                .iter()
+                .map(|&p| start[p.index()] + upper.get(p))
+                .max()
+                .unwrap_or(0);
+            let gap = if draw(2) == 0 { 0 } else { draw(1 << 24) };
+            start[o.index()] = ready + gap as Cycles;
+        }
+        // One operation as late as the spread allows, if nothing depends on
+        // it.
+        let last = OpId::new(ops as u32 - 1);
+        if graph.successors(last).is_empty() {
+            start[last.index()] = start[last.index()].max(1 << 30);
+        }
+        let schedule = Schedule::from_vec(start);
+        let instances = 1 + draw(3);
+        let binding: Vec<usize> = graph.op_ids().map(|_| draw(instances) as usize).collect();
+        assert_eq!(
+            bound_critical_path(&graph, &schedule, &upper, &binding),
+            naive_critical_path(&graph, &schedule, &upper, &binding),
+            "case {case}"
+        );
+    }
+
+    let mut b = SequencingGraphBuilder::new();
+    for _ in 0..3 {
+        b.add_operation(OpShape::adder(8));
+    }
+    let graph = b.build().unwrap();
+    let wcg = WordlengthCompatibilityGraph::new(&graph, &cost);
+    let end = Cycles::MAX;
+    let (o0, o1, o2) = (OpId::new(0), OpId::new(1), OpId::new(2));
+    // o0 and o1 (8 cycles each) overlap on instance 0, so no binding edge
+    // joins them and the unbound o2 (12 cycles) is critical alone.  Then
+    // o0 ends where o1 starts: chained, they outlast o2.
+    for (starts, expected) in [
+        ([end - 2, end - 1, end - 4], vec![o2]),
+        ([end - 9, end - 1, end - 4], vec![o0, o1]),
+    ] {
+        let schedule = Schedule::from_vec(starts.to_vec());
+        let lat = OpLatencies::from_vec(vec![8, 8, 12]);
+        let binding = [0, 0, usize::MAX];
+        assert_eq!(
+            bound_critical_path(&graph, &schedule, &lat, &binding),
+            expected,
+            "starts {starts:?}"
+        );
+        // Under their bound latencies as upper bounds, o0 and o1 end past
+        // `λ = Cycles::MAX`, as past `λ = 0`: the in-window tier is empty
+        // either way.
+        let select = |constraint| {
+            select_refinement_op(&graph, &wcg, &schedule, &lat, &lat, &binding, constraint)
+        };
+        assert_eq!(select(end), select(0), "starts {starts:?}");
     }
 }

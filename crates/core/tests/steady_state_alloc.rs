@@ -110,6 +110,22 @@ fn warm_scratch_allocation_count_is_flat_and_kernels_are_allocation_free() {
         "the escalating job replays"
     );
 
+    // `allocate` solves on the calling thread's warm scratch, which
+    // outlives the call: the first call grows it, and every repeat then
+    // pays the same count, below the first.
+    let allocator = DpAllocator::new(&cost, AllocConfig::new(escalating_lambda));
+    let calls: Vec<u64> = (0..3)
+        .map(|_| {
+            let (delta, outcome) = allocations_during(|| allocator.allocate(&escalating));
+            outcome.expect("job solves");
+            delta
+        })
+        .collect();
+    assert!(
+        calls[2] == calls[1] && calls[1] < calls[0],
+        "allocate does not reuse the thread's scratch: {calls:?}"
+    );
+
     // The batch cost-cache warm gathers widths into bitsets and skips the
     // cells an earlier warm filled: a repeat warm allocates nothing.
     let mut cache = CachedCostModel::new(&cost);

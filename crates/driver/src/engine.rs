@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
-use mwl_core::AllocScratch;
+use mwl_core::with_warm_scratch;
 use mwl_model::CostModel;
 use mwl_obs::{ObsMode, TraceSink};
 
@@ -27,6 +27,14 @@ use crate::report::{BatchReport, JobOutcome};
 /// share without locking.  With one effective worker the worker loop runs on
 /// the calling thread; more workers each get a scoped thread running the
 /// same loop.
+///
+/// Each worker solves its jobs on its thread's warm
+/// [`AllocScratch`](mwl_core::AllocScratch)
+/// ([`with_warm_scratch`]).  A scratch lives as long as its thread and keeps
+/// the buffers of the largest job that thread has solved, so a sequential
+/// caller's next `run_batch` starts warm; its stage recorder is reset when
+/// the worker returns it.  The scoped threads of a `workers > 1` call live
+/// for that call only, so each starts on a fresh scratch.
 pub fn run_batch<C: CostModel + Sync>(
     jobs: &[BatchJob],
     cost: &C,
@@ -66,27 +74,28 @@ pub fn run_batch_traced<C: CostModel + Sync>(
     // lists are concatenated and restored to submission order afterwards, so
     // no locks are needed and completion order never leaks into the report.
     let work = |worker: usize| {
-        // One allocation workspace per worker, reused across jobs: the
-        // allocator's inner loop is allocation-free once the scratch buffers
-        // have grown to the largest job.
-        let mut scratch = AllocScratch::new();
-        if options.obs == ObsMode::Trace {
-            scratch.obs.set_trace_context(worker as u64, epoch);
-        }
-        scratch.obs.set_mode(options.obs);
-        let mut local = Vec::new();
-        loop {
-            let index = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(job) = jobs.get(index) else { break };
-            local.push((
-                index,
-                solve_job(index, job, &cache, options.rtl_vectors, &mut scratch),
-            ));
-            if let Some(sink) = sink {
-                sink.append(scratch.obs.drain_events());
+        // The thread's allocation workspace, reused across jobs and calls:
+        // the allocator's inner loop is allocation-free once the scratch
+        // buffers have grown to the largest job.
+        with_warm_scratch(|scratch| {
+            if options.obs == ObsMode::Trace {
+                scratch.obs.set_trace_context(worker as u64, epoch);
             }
-        }
-        local
+            scratch.obs.set_mode(options.obs);
+            let mut local = Vec::new();
+            loop {
+                let index = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(index) else { break };
+                local.push((
+                    index,
+                    solve_job(index, job, &cache, options.rtl_vectors, scratch),
+                ));
+                if let Some(sink) = sink {
+                    sink.append(scratch.obs.drain_events());
+                }
+            }
+            local
+        })
     };
     // A single worker runs on the calling thread: no spawn, same loop.
     let mut collected: Vec<(usize, JobOutcome)> = if workers == 1 {
@@ -112,7 +121,7 @@ pub fn run_batch_traced<C: CostModel + Sync>(
 mod tests {
     use super::*;
     use crate::job::LatencySpec;
-    use mwl_core::AllocError;
+    use mwl_core::{AllocError, AllocScratch};
     use mwl_model::{SonicCostModel, StorageCosts};
     use mwl_tgff::{GraphShape, TgffConfig, TgffGenerator};
 

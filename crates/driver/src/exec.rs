@@ -3,8 +3,9 @@
 //! Both front ends of the engine go through this module — the batch driver
 //! ([`crate::run_batch`]) fans a fixed job list across a cursor-fed pool,
 //! while the allocation service (`mwl_serve`) feeds a long-lived worker pool
-//! from a network queue.  Each worker, in either front end, owns one
-//! persistent [`AllocScratch`] and calls [`solve_job`] per job against a
+//! from a network queue.  Each worker, in either front end, solves on one
+//! persistent [`AllocScratch`] (the batch driver's is its thread's, lent by
+//! [`mwl_core::with_warm_scratch`]) and calls [`solve_job`] per job against a
 //! shared read-only [`CachedCostModel`]; keeping the execution path in one
 //! place is what makes the two front ends bit-identical for the same jobs
 //! (regression-tested in `mwl_serve`'s parity suite).

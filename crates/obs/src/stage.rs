@@ -237,6 +237,12 @@ impl StageRecorder {
     pub fn drain_events(&mut self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.events)
     }
+
+    /// Returns the recorder to its default state: [`ObsMode::Off`], no trace
+    /// context, no stage totals and no buffered events.
+    pub fn reset(&mut self) {
+        *self = Self::default();
+    }
 }
 
 #[cfg(test)]
@@ -288,6 +294,25 @@ mod tests {
         assert_eq!(events[1].name, "solve");
         assert!(events[1].ts_ns >= events[0].ts_ns);
         assert!(rec.drain_events().is_empty());
+    }
+
+    #[test]
+    fn reset_turns_recording_off_and_forgets_everything() {
+        let mut rec = StageRecorder::default();
+        rec.set_trace_context(7, Instant::now());
+        rec.set_mode(ObsMode::Trace);
+        let t = rec.start();
+        rec.stop(Stage::Bind, t);
+        rec.reset();
+        assert!(rec.take_stages().is_zero());
+        assert!(rec.drain_events().is_empty());
+        let t = rec.start();
+        rec.stop(Stage::Bind, t);
+        assert!(rec.take_stages().is_zero(), "reset leaves the recorder off");
+        rec.set_mode(ObsMode::Trace);
+        let t = rec.start();
+        rec.stop(Stage::Bind, t);
+        assert_eq!(rec.drain_events()[0].tid, 0, "reset clears the trace lane");
     }
 
     #[test]

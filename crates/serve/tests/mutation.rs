@@ -9,6 +9,19 @@
 //! submissions are then sent, raw, to a running daemon, which must answer
 //! each and keep serving.  The seed and iteration count are fixed, so a
 //! failure reproduces exactly.
+//!
+//! A committed corpus under `tests/corpus/` is replayed, byte for byte,
+//! against a live daemon too.  `edge_cases.txt` is written by hand:
+//! integers past `u64` and `i64`, invalid UTF-8, nesting at
+//! [`MAX_DEPTH`](mwl_serve::json::MAX_DEPTH) and one level past it, empty
+//! and whitespace-only lines, duplicate keys.  `mutated.txt` holds 48 lines
+//! of the seeded stream below: the first 24 without a raw newline that
+//! decode as submissions, alternating with the first 24 that decode as
+//! anything but a submission or a shutdown.
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -269,5 +282,74 @@ fn mutated_submissions_are_answered_and_the_daemon_survives() {
     client.ping().expect("the daemon answers after the stream");
     client.shutdown().expect("shutdown");
     let stats = server.join();
+    assert_eq!((stats.accepted, stats.completed), (accepted, accepted));
+}
+
+/// Every line of the committed corpus, sent raw over one connection, is
+/// answered — a submission with an admission and then its result — or
+/// refused with a typed code; a blank line gets no answer.  A line left
+/// unanswered for 20 s fails the test, naming the line.  Afterwards the
+/// daemon still answers a ping.
+#[test]
+fn corpus_lines_are_answered_or_refused_and_the_daemon_survives() {
+    let corpus = [
+        &include_bytes!("corpus/edge_cases.txt")[..],
+        &include_bytes!("corpus/mutated.txt")[..],
+    ];
+    let server = SpawnedServer::start(ServerConfig::default()).expect("start");
+    let mut writer = TcpStream::connect(server.addr()).expect("connect");
+    writer
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone"));
+    let mut read = |sent: &str| {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) => panic!("{sent}: connection closed"),
+            Ok(_) => Response::parse(line.trim_end()).expect("a well-formed response"),
+            Err(e) => panic!("{sent}: no answer ({e})"),
+        }
+    };
+    let (mut answered, mut accepted) = (0u64, 0u64);
+    for line in corpus.iter().flat_map(|file| file.split(|&b| b == b'\n')) {
+        let shown = String::from_utf8_lossy(line);
+        writer.write_all(&[line, b"\n"].concat()).expect("send");
+        if shown.trim().is_empty() {
+            continue;
+        }
+        answered += 1;
+        match read(&shown) {
+            Response::Accepted { id } => {
+                accepted += 1;
+                match read(&shown) {
+                    Response::Result { id: got, outcome } => {
+                        assert_eq!(got, id, "{shown}");
+                        assert_ne!(outcome, WireOutcome::Cancelled, "{shown}");
+                    }
+                    other => panic!("{shown}: admitted, then {other:?}"),
+                }
+            }
+            Response::Rejected { code, .. } => assert!(
+                [CODE_INVALID_GRAPH, CODE_GRAPH_TOO_LARGE].contains(&code),
+                "{shown}: code {code}"
+            ),
+            Response::Result { .. } => panic!("{shown}: a result before an admission"),
+            _ => {}
+        }
+    }
+    assert!(
+        answered >= 60 && accepted >= 20,
+        "{answered} answered, {accepted} admitted"
+    );
+    writer
+        .write_all(format!("{}\n", Request::Ping.encode()).as_bytes())
+        .expect("send");
+    assert_eq!(
+        read("ping"),
+        Response::Pong,
+        "the daemon answers after the corpus"
+    );
+    drop(writer);
+    let stats = server.stop_and_join();
     assert_eq!((stats.accepted, stats.completed), (accepted, accepted));
 }
